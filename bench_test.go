@@ -223,25 +223,6 @@ func BenchmarkGoroutine_Sublist(b *testing.B) {
 
 // ----- Ablations -----
 
-// BenchmarkAblation_TraversalDiscipline: natural per-sublist walks vs
-// the paper's lockstep discipline, on goroutines. Lockstep exists for
-// vector machines; on MIMD threads the natural walk should win.
-func BenchmarkAblation_TraversalDiscipline(b *testing.B) {
-	l := list.NewRandom(1<<20, rng.New(7))
-	for _, tc := range []struct {
-		name string
-		d    core.Discipline
-	}{{"natural", core.DisciplineNatural}, {"lockstep", core.DisciplineLockstep}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(8 << 20)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = core.Scan(l, core.Options{Seed: uint64(i), Procs: 4, Discipline: tc.d})
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_Phase2 compares the three reduced-list solvers.
 func BenchmarkAblation_Phase2(b *testing.B) {
 	l := list.NewRandom(1<<20, rng.New(8))
@@ -380,24 +361,6 @@ func BenchmarkAblation_Oversampling(b *testing.B) {
 	for _, frac := range []float64{0.5, 1.0} {
 		b.Run(fmt.Sprintf("frac=%.1f", frac), func(b *testing.B) {
 			run(b, func(in *vecalg.Input) { vecalg.SublistScanOversampled(in, pr, frac, 0.25) })
-		})
-	}
-}
-
-// BenchmarkAblation_OversamplingGoroutine is the goroutine-track twin:
-// wall clock of the lockstep discipline with and without reserves.
-func BenchmarkAblation_OversamplingGoroutine(b *testing.B) {
-	l := list.NewRandom(1<<20, rng.New(13))
-	for _, frac := range []float64{0, 1.0} {
-		b.Run(fmt.Sprintf("frac=%.1f", frac), func(b *testing.B) {
-			b.SetBytes(8 << 20)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = core.Scan(l, core.Options{
-					Seed: uint64(i), Procs: 1,
-					Discipline: core.DisciplineLockstep, Oversample: frac,
-				})
-			}
 		})
 	}
 }
@@ -546,8 +509,8 @@ func BenchmarkScanValues(b *testing.B) {
 // problems through one engine — the single-stream steady state the
 // real serving layer (listrank.Server) runs per fleet worker, measured
 // here in isolation. The contract is 0 allocs/op at both procs legs:
-// every buffer (vp table, splitter draw, encoded words, lockstep
-// working sets, Phase 2 storage) comes from the engine's arena, and
+// every buffer (vp table, splitter draw, encoded words, Phase 2
+// storage) comes from the engine's arena, and
 // the procs=4 fan-outs dispatch closure-free onto an engine-owned
 // worker pool. BenchmarkServerThroughput (server_test.go) measures the
 // full serving scenario — admission, coalescing and completion on a

@@ -40,10 +40,10 @@ func NewWorkerPool(procs int) *WorkerPool { return par.NewPool(procs) }
 func SharedWorkerPool() *WorkerPool { return par.Shared() }
 
 // Engine is a reusable rank/scan engine: it owns the scratch arena —
-// the virtual-processor table, splitter buffers, encoded words,
-// lockstep working sets and Phase 2 storage — that a run of the
-// sublist algorithm needs, so that a stream of problems can be
-// serviced with zero steady-state heap allocations. The paper's
+// the virtual-processor table, splitter buffers, encoded words and
+// Phase 2 storage — that a run of the sublist algorithm needs, so that
+// a stream of problems can be serviced with zero steady-state heap
+// allocations. The paper's
 // accounting (Table II) counts the 5p+c words of working space but
 // never the cost of re-acquiring them per problem, because a vector
 // machine allocates its working vectors once; Engine restores that

@@ -6,8 +6,9 @@ import (
 )
 
 // TestEngineReuseAcrossSizesAndAlgorithms drives one engine through
-// varying list sizes, every algorithm, and both disciplines; each
-// result must be byte-identical to the fresh-allocation API.
+// varying list sizes, every algorithm, and both the default lane width
+// and the single-cursor walk; each result must be byte-identical to
+// the fresh-allocation API.
 func TestEngineReuseAcrossSizesAndAlgorithms(t *testing.T) {
 	e := NewEngine()
 	sizes := []int{2000, 100, 30000, 5000, 1 << 16, 999}
@@ -15,21 +16,21 @@ func TestEngineReuseAcrossSizesAndAlgorithms(t *testing.T) {
 	for _, n := range sizes {
 		l := NewRandomList(n, uint64(n))
 		for _, a := range algs {
-			for _, d := range []Discipline{DisciplineAuto, DisciplineNatural, DisciplineLockstep} {
-				opt := Options{Algorithm: a, Seed: uint64(n) * 3, Discipline: d, Procs: 2}
+			for _, lw := range []int{1, 0} {
+				opt := Options{Algorithm: a, Seed: uint64(n) * 3, LaneWidth: lw, Procs: 2}
 				wantRank := RankWith(l, opt)
 				wantScan := ScanWith(l, opt)
 				dst := make([]int64, n)
 				e.RankInto(dst, l, opt)
 				for i := range dst {
 					if dst[i] != wantRank[i] {
-						t.Fatalf("n=%d alg=%v d=%v: RankInto[%d] = %d, want %d", n, a, d, i, dst[i], wantRank[i])
+						t.Fatalf("n=%d alg=%v lanes=%d: RankInto[%d] = %d, want %d", n, a, lw, i, dst[i], wantRank[i])
 					}
 				}
 				e.ScanInto(dst, l, opt)
 				for i := range dst {
 					if dst[i] != wantScan[i] {
-						t.Fatalf("n=%d alg=%v d=%v: ScanInto[%d] = %d, want %d", n, a, d, i, dst[i], wantScan[i])
+						t.Fatalf("n=%d alg=%v lanes=%d: ScanInto[%d] = %d, want %d", n, a, lw, i, dst[i], wantScan[i])
 					}
 				}
 			}
@@ -97,7 +98,7 @@ func TestPooledIntoFunctionsConcurrent(t *testing.T) {
 						return
 					}
 				}
-				ScanInto(dst, l, Options{Seed: uint64(r), Discipline: DisciplineLockstep})
+				ScanInto(dst, l, Options{Seed: uint64(r), LaneWidth: 1})
 				for i := range dst {
 					if dst[i] != wantS[w][i] {
 						errs <- "concurrent ScanInto mismatch"
@@ -124,13 +125,13 @@ func TestEngineMatchesFreshEngine(t *testing.T) {
 		l := NewRandomList(n, uint64(n))
 		dst := make([]int64, n)
 		warm.RankInto(dst, l, Options{Seed: 1})
-		warm.ScanInto(dst, l, Options{Seed: 2, Discipline: DisciplineLockstep})
+		warm.ScanInto(dst, l, Options{Seed: 2, LaneWidth: 1})
 	}
 	l := NewRandomList(50000, 77)
 	for _, opt := range []Options{
 		{Seed: 9},
 		{Seed: 9, Procs: 4},
-		{Seed: 9, Discipline: DisciplineLockstep},
+		{Seed: 9, LaneWidth: 1},
 		{Seed: 9, M: 9000},
 	} {
 		a := make([]int64, l.Len())

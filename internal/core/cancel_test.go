@@ -137,9 +137,8 @@ func TestCancelDeadlineAndContext(t *testing.T) {
 // cancellation checks on a warm whole-list rank at 2^22: "off" runs
 // with a nil token (the default path — nil-receiver methods
 // short-circuit), "armed" with a live deadline+context token polled at
-// every phase boundary, kernel strip and lockstep round. The armed
-// column must stay within 2% of off (EXPERIMENTS.md, "Cancellation
-// overhead").
+// every phase boundary and kernel strip. The armed column must stay
+// within 2% of off (EXPERIMENTS.md, "Cancellation overhead").
 func BenchmarkCancelOverhead(b *testing.B) {
 	const n = 1 << 22
 	l := list.NewRandom(n, rng.New(5))
@@ -166,19 +165,22 @@ func BenchmarkCancelOverhead(b *testing.B) {
 	}
 }
 
-// TestCancelLockstepAndOp: the lockstep discipline and the generic
-// operator engine honor pre-tripped tokens too.
-func TestCancelLockstepAndOp(t *testing.T) {
+// TestCancelScanAndOp: the addition scan at both the single-cursor and
+// the default lane width, and the generic operator engine, honor
+// pre-tripped tokens too.
+func TestCancelScanAndOp(t *testing.T) {
 	const n = 1 << 14
 	var cn Cancel
 	cn.Trip()
 	out := make([]int64, n)
 	for _, procs := range []int{1, 2} {
-		l := list.NewRandom(n, rng.New(3))
-		mustCancel(t, func() {
-			ScanInto(out, l, Options{Procs: procs, Discipline: DisciplineLockstep, Cancel: &cn}, nil)
-		})
-		checkRestored(t, l)
+		for _, lw := range []int{1, 0} {
+			l := list.NewRandom(n, rng.New(3))
+			mustCancel(t, func() {
+				ScanInto(out, l, Options{Procs: procs, LaneWidth: lw, Cancel: &cn}, nil)
+			})
+			checkRestored(t, l)
+		}
 
 		ol := list.NewRandom(n, rng.New(4))
 		mustCancel(t, func() {

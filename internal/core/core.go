@@ -26,9 +26,9 @@
 //     writes its index at its chosen position and the ones that read a
 //     different index back drop out.
 //   - Each sublist tail is terminated with a self-loop and its value is
-//     destructively set to the operator identity, so the traversal
-//     loops contain no conditional tests: walking past the end of a
-//     completed sublist just folds in the identity (§3, Phase 1).
+//     destructively set to the operator identity (§3, Phase 1), so the
+//     traversal folds the tail like any other vertex and stops where a
+//     link points back at itself.
 //   - Successor sublists are discovered by writing the virtual
 //     processor index at the chosen position and reading the index
 //     stored at the tail the traversal reached (Fig. 6). The processor
@@ -38,21 +38,22 @@
 //     on its share independently, and only a constant number of
 //     synchronizations occur (§5).
 //
-// Two Phase 1/3 traversal disciplines are provided. The natural MIMD
-// discipline walks each sublist to completion, which is optimal for
-// coarse goroutine parallelism. The lockstep discipline advances all
-// active sublists one link at a time and periodically load-balances by
-// packing completed sublists out of the working set on the schedule of
-// §4 — the exact structure of the paper's vectorized implementation,
-// kept here both to validate the schedule machinery and as an ablation
-// (see package vecalg for the cycle-accurate vector version).
+// Phases 1 and 3 walk every sublist to completion with the
+// lane-interleaved chase of internal/kernel: each worker advances
+// Options.LaneWidth independent sublist cursors round-robin and
+// refills a lane the moment its sublist ends, so many cache misses are
+// in flight per worker and no step is spent idling on a finished
+// sublist. That is the goroutine-track analogue of the latency hiding
+// the paper gets from vector gathers over virtual processors (§1.1).
+// The paper's lockstep traversal with §4 packing, which a vector
+// machine forces, lives in package vecalg on the simulated C-90.
 //
 // All working space — the virtual-processor table, splitter buffers,
-// encoded words, lockstep active sets and Phase 2 storage — lives in a
-// reusable Scratch arena (scratch.go). The package-level entry points
-// draw arenas from a pool; callers with a steady stream of problems
-// hold one Scratch (via listrank.Engine) and perform zero heap
-// allocations per call once the arena is warm.
+// encoded words and Phase 2 storage — lives in a reusable Scratch
+// arena (scratch.go). The package-level entry points draw arenas from
+// a pool; callers with a steady stream of problems hold one Scratch
+// (via listrank.Engine) and perform zero heap allocations per call
+// once the arena is warm.
 package core
 
 import (
@@ -97,23 +98,14 @@ type Stats struct {
 	Phase2Used Phase2Algorithm
 	// Depth is the recursion depth (0 when Phase 2 did not recurse).
 	Depth int
-	// PackRounds is the number of load-balancing steps performed by
-	// the lockstep discipline (0 for the natural discipline).
-	PackRounds int
-	// LinksTraversed counts every link-following step of Phases 1 and
-	// 3, including the idle steps lockstep traversal spends on
-	// completed sublists. The natural discipline performs exactly
-	// 2n - (sublist count) ... ≈ 2n of them; the lockstep overshoot
-	// above that is the quantity the §4 schedule minimizes.
+	// LinksTraversed counts the vertex visits of Phases 1 and 3: each
+	// phase visits every vertex once, so a run that leaves the serial
+	// cutoff reports exactly 2n at every lane width. A recursive
+	// Phase 2's own visits are not included.
 	LinksTraversed int64
 	// Encoded reports whether the run used the rank-specialized
 	// single-gather encoded-word engine (§3).
 	Encoded bool
-	// ReserveDrawn and ReserveActivated count the §7 oversampling
-	// extension's reserve splitters: drawn at setup, and actually
-	// activated to subdivide surviving long sublists.
-	ReserveDrawn     int
-	ReserveActivated int
 }
 
 // Options configures the algorithm. The zero value selects automatic
@@ -138,23 +130,16 @@ type Options struct {
 	// parallel overhead dominates below about a thousand vertices).
 	// <= 0 selects 1024.
 	SerialCutoff int
-	// Discipline selects the Phase 1/3 traversal discipline.
-	Discipline Discipline
 	// LaneWidth is the number of independent sublist cursors each
 	// worker interleaves in the Phase 1/3 chase loops (the software
 	// analog of the paper's vector lanes; see internal/kernel). 0
 	// selects the tuned per-regime default (kernel.DefaultWidth);
 	// values are clamped to [1, kernel.MaxLanes]. 1 is the serial
-	// single-cursor walk. Results are identical for every width; only
-	// the number of memory loads in flight differs. Ignored by the
-	// natural discipline (always 1) and the lockstep discipline (whose
-	// active set plays the role of the lanes).
+	// single-cursor walk, one dependent load in flight: the
+	// correctness oracle the wider lanes are tested against. Results
+	// are identical for every width; only the number of memory loads
+	// in flight differs.
 	LaneWidth int
-	// Schedule is the lockstep pack schedule: Schedule[i] is the total
-	// number of links each active sublist has traversed before the
-	// i-th load balance. Empty selects a geometric default derived
-	// from the expected exponential sublist-length distribution (§4).
-	Schedule []int
 	// DisableEncoding turns off the rank-specialized single-gather
 	// encoded-word engine (§3, see rank.go), forcing Ranks through the
 	// generic scan over a ones array. It exists for the
@@ -168,58 +153,8 @@ type Options struct {
 	// (the default) compiles the checks down to nil-receiver
 	// short-circuits.
 	Cancel *Cancel
-	// Oversample enables the §7 oversampling extension in the
-	// lockstep discipline: a reserve pool of Oversample·M extra
-	// splitters is drawn, and when the active set first shrinks below
-	// OversampleTrigger of its initial size, the still-relevant
-	// reserves subdivide the surviving long sublists (see
-	// oversample.go). 0 disables. Requires Procs == 1 and the explicit
-	// lockstep discipline; otherwise it is silently ignored.
-	Oversample float64
-	// OversampleTrigger is the active-set fraction below which the
-	// reserve pool activates; <= 0 or >= 1 selects 0.25.
-	OversampleTrigger float64
 	// Stats, if non-nil, is filled with run statistics.
 	Stats *Stats
-}
-
-// Discipline selects how Phases 1 and 3 traverse the sublists.
-type Discipline int
-
-const (
-	// DisciplineAuto walks sublists to completion in natural order
-	// with a lane-interleaved chase (internal/kernel): each worker
-	// advances LaneWidth independent sublist cursors round-robin, so
-	// that many cache misses are in flight per worker instead of one —
-	// the modern out-of-order-core analogue of the latency hiding the
-	// paper obtains from vector gathers over virtual processors
-	// (§1.1). It is the default and the fastest discipline at every
-	// size; the lane width defaults to the tuned per-regime constant.
-	DisciplineAuto Discipline = iota
-	// DisciplineNatural walks each sublist to completion with a single
-	// cursor — the serial chase, one dependent load in flight. It is
-	// the lanes=1 case of the kernel, kept as the correctness oracle
-	// the lane-interleaved paths are tested against.
-	DisciplineNatural
-	// DisciplineLockstep always advances all active sublists one link
-	// per step with periodic packing on the §4 schedule — the exact
-	// structure of the paper's vector implementation, kept to validate
-	// the schedule machinery and as an ablation target.
-	DisciplineLockstep
-)
-
-func (o Options) lockstep(n int) bool {
-	return o.Discipline == DisciplineLockstep
-}
-
-// laneWidth resolves the chase-kernel lane width for this run: the
-// explicit LaneWidth if set, the tuned per-regime default otherwise,
-// and always 1 under the natural (single-cursor oracle) discipline.
-func (o Options) laneWidth(n int) int {
-	if o.Discipline == DisciplineNatural {
-		return 1
-	}
-	return kernel.Width(o.LaneWidth, n)
 }
 
 // DefaultM returns the default splitter count for a list of n
@@ -664,32 +599,23 @@ func scanAdd(out []int64, l *list.List, values []int64, opt Options, depth int, 
 		serialScanAddInto(out, l, values)
 		return
 	}
-	if opt.oversampleEnabled(n) {
-		scanAddOversampled(out, l, values, opt, depth, sc)
-		return
-	}
 	v, tail, savedTail := setup(out, l, values, 0, opt, sc)
 	defer restore(l, values, v, tail, savedTail)
 	k := len(v.r)
 	p := par.Procs(opt.Procs, k)
-	lockstep := opt.lockstep(n)
-	lanes := opt.laneWidth(n)
+	lanes := kernel.Width(opt.LaneWidth, n)
 
 	// Phase 1: sublist sums via the lane-interleaved chase.
 	opt.checkpoint(chaos.PointPhase1)
-	if lockstep {
-		lockstepPhase1(l, values, v, p, opt, sc)
+	if p == 1 {
+		stripSumAdd(opt.Cancel, l.Next, values, v.h, v.sum, v.cur, 0, k, lanes)
 	} else {
-		if p == 1 {
-			stripSumAdd(opt.Cancel, l.Next, values, v.h, v.sum, v.cur, 0, k, lanes)
-		} else {
-			sc.fc.next, sc.fc.values, sc.fc.lanes = l.Next, values, lanes
-			sc.fc.cancel = opt.Cancel
-			sc.fanout().ForChunksCtx(k, p, sc, taskSumAdd)
-		}
-		if opt.Stats != nil {
-			opt.Stats.LinksTraversed += int64(n) // every vertex visited once
-		}
+		sc.fc.next, sc.fc.values, sc.fc.lanes = l.Next, values, lanes
+		sc.fc.cancel = opt.Cancel
+		sc.fanout().ForChunksCtx(k, p, sc, taskSumAdd)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n) // every vertex visited once
 	}
 
 	// A canceled Phase 1 leaves v.cur partially stale (see the same
@@ -709,18 +635,19 @@ func scanAdd(out []int64, l *list.List, values []int64, opt Options, depth int, 
 
 	// Phase 2: scan the reduced list of sublist sums.
 	opt.checkpoint(chaos.PointPhase2)
-	phase2Add(v, k, opt, depth, sc)
+	phase2(v, k, nil, 0, opt, depth, sc)
 
 	// Phase 3: expand the head scan values across the sublists.
 	opt.checkpoint(chaos.PointPhase3)
-	if lockstep {
-		lockstepPhase3(out, l, values, v, p, opt, sc)
-	} else if p == 1 {
+	if p == 1 {
 		stripExpandAdd(opt.Cancel, out, l.Next, values, v.h, v.pfx, 0, k, lanes)
 	} else {
 		sc.fc.out, sc.fc.next, sc.fc.values, sc.fc.lanes = out, l.Next, values, lanes
 		sc.fc.cancel = opt.Cancel
 		sc.fanout().ForChunksCtx(k, p, sc, taskExpandAdd)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n)
 	}
 	// A cancellation observed mid-Phase 3 left out partially written;
 	// surface it (the deferred restore still un-mutates the list).
@@ -750,61 +677,6 @@ func foldTailsAdd(v *vps, lo, hi int) {
 		if int(s) != j {
 			v.sum[j] += v.saved[s]
 		}
-	}
-}
-
-// phase2Add scans the reduced list (v.sum linked by v.succ, head vp 0)
-// into v.pfx using the configured Phase 2 algorithm. The reduced list
-// is never materialized: the serial and Wyllie solvers operate
-// directly on v.sum/v.succ, and the recursive solver reuses v.sum as
-// its value array with only the int32 links widened into arena
-// storage (see Scratch.reducedView).
-func phase2Add(v *vps, k int, opt Options, depth int, sc *Scratch) {
-	alg := opt.Phase2
-	if alg == Phase2Auto {
-		switch {
-		case k <= 2048:
-			alg = Phase2Serial
-		case k <= 1<<16:
-			alg = Phase2Wyllie
-		default:
-			alg = Phase2Recursive
-		}
-	}
-	if st := opt.Stats; st != nil {
-		st.Phase2Len = k
-		st.Phase2Used = alg
-	}
-	switch alg {
-	case Phase2Serial:
-		var acc int64
-		j := int32(0)
-		for {
-			v.pfx[j] = acc
-			acc += v.sum[j]
-			s := v.succ[j]
-			if s == j {
-				return
-			}
-			j = s
-		}
-	case Phase2Wyllie:
-		phase2WyllieAdd(v, k, par.Procs(opt.Procs, k), sc)
-	default: // Phase2Recursive
-		rl := sc.reducedView(v, k, par.Procs(opt.Procs, k))
-		sub := opt
-		sub.M = 0 // re-derive for the reduced length
-		sub.Seed = opt.Seed + 0x9e3779b97f4a7c15
-		sub.Stats = nil
-		child := sc.childScratch()
-		if opt.Stats != nil {
-			inner := Stats{}
-			sub.Stats = &inner
-			scanAdd(v.pfx, rl, rl.Value, sub, depth+1, child)
-			opt.Stats.Depth = inner.Depth
-			return
-		}
-		scanAdd(v.pfx, rl, rl.Value, sub, depth+1, child)
 	}
 }
 

@@ -81,28 +81,16 @@ func TestPhase2Variants(t *testing.T) {
 	}
 }
 
-func TestLockstepMatchesNatural(t *testing.T) {
+// TestSingleLaneMatchesSerial: the single-cursor chase (LaneWidth 1,
+// the K=1 oracle) agrees with the serial scan at several Procs.
+func TestSingleLaneMatchesSerial(t *testing.T) {
 	r := rng.New(12)
 	l := list.NewRandom(30000, r)
 	l.RandomValues(-20, 20, r)
 	want := serial.Scan(l)
 	for _, p := range []int{1, 2, 4} {
-		got := Scan(l, Options{Seed: 13, Procs: p, Discipline: DisciplineLockstep})
-		equal(t, got, want, "lockstep")
-	}
-}
-
-func TestLockstepCustomSchedule(t *testing.T) {
-	l := list.NewRandom(20000, rng.New(14))
-	want := l.Ranks()
-	for _, sched := range [][]int{
-		{1},
-		{5, 10, 20, 40, 80},
-		{100},
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-	} {
-		got := Ranks(l, Options{Seed: 15, Discipline: DisciplineLockstep, Schedule: sched})
-		equal(t, got, want, "schedule")
+		got := Scan(l, Options{Seed: 13, Procs: p, LaneWidth: 1})
+		equal(t, got, want, "single lane")
 	}
 }
 
@@ -112,7 +100,7 @@ func TestInputRestoredAfterRun(t *testing.T) {
 	l.RandomValues(-5, 5, r)
 	before := l.Clone()
 	_ = Scan(l, Options{Seed: 17})
-	_ = Ranks(l, Options{Seed: 18, Discipline: DisciplineLockstep})
+	_ = Ranks(l, Options{Seed: 18, LaneWidth: 1})
 	for i := range before.Next {
 		if l.Next[i] != before.Next[i] || l.Value[i] != before.Value[i] {
 			t.Fatalf("input not restored at vertex %d", i)
@@ -148,16 +136,6 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if st.LinksTraversed < int64(l.Len()) {
 		t.Errorf("LinksTraversed = %d, want >= n", st.LinksTraversed)
-	}
-	// Lockstep must record pack rounds and at least as many links
-	// (idle steps make it >=).
-	st2 := Stats{}
-	_ = Ranks(l, Options{Seed: 22, Discipline: DisciplineLockstep, Stats: &st2})
-	if st2.PackRounds == 0 {
-		t.Error("lockstep recorded no pack rounds")
-	}
-	if st2.LinksTraversed < st.LinksTraversed {
-		t.Errorf("lockstep links %d < natural links %d", st2.LinksTraversed, st.LinksTraversed)
 	}
 }
 
@@ -241,22 +219,22 @@ func TestScanOpMinOperator(t *testing.T) {
 }
 
 func TestQuickAgainstSerial(t *testing.T) {
-	f := func(seed uint64, nn uint16, pp, mm uint8, lockstep bool) bool {
+	f := func(seed uint64, nn uint16, pp, mm uint8, single bool) bool {
 		n := int(nn%20000) + 1
 		p := int(pp%8) + 1
 		r := rng.New(seed)
 		l := list.NewRandom(n, r)
 		l.RandomValues(-100, 100, r)
 		want := serial.Scan(l)
-		disc := DisciplineNatural
-		if lockstep {
-			disc = DisciplineLockstep
+		lanes := 0
+		if single {
+			lanes = 1
 		}
 		opt := Options{
 			Seed:         seed ^ 0xabcdef,
 			Procs:        p,
 			M:            int(mm) * n / 300,
-			Discipline:   disc,
+			LaneWidth:    lanes,
 			SerialCutoff: 32,
 		}
 		got := Scan(l, opt)
@@ -311,25 +289,19 @@ func BenchmarkScan1MParallel8(b *testing.B) {
 	}
 }
 
-func BenchmarkScanLockstep1M(b *testing.B) {
+func BenchmarkScanSingleCursor1M(b *testing.B) {
 	l := list.NewRandom(1<<20, rng.New(1))
 	b.SetBytes(8 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Scan(l, Options{Seed: uint64(i), Discipline: DisciplineLockstep})
+		_ = Scan(l, Options{Seed: uint64(i), LaneWidth: 1})
 	}
 }
 
-func BenchmarkScanNatural1M(b *testing.B) {
-	l := list.NewRandom(1<<20, rng.New(1))
-	b.SetBytes(8 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Scan(l, Options{Seed: uint64(i), Discipline: DisciplineNatural})
-	}
-}
-
-func TestScanOpLockstep(t *testing.T) {
+// TestScanOpLaneWidths runs non-commutative and order-sensitive
+// operators through the generic engine at the single-cursor width and
+// the default width.
+func TestScanOpLaneWidths(t *testing.T) {
 	packAffine := func(a, b int64) int64 { return a<<32 | (b & 0xffffffff) }
 	affine := func(f, g int64) int64 {
 		fa, fb := f>>32, int64(int32(f))
@@ -343,14 +315,14 @@ func TestScanOpLockstep(t *testing.T) {
 	}
 	id := packAffine(1, 0)
 	want := serial.ScanOp(l, affine, id)
-	for _, p := range []int{1, 3} {
-		got := ScanOp(l, affine, id, Options{
-			Seed: 34, Procs: p, SerialCutoff: 64,
-			Discipline: DisciplineLockstep,
-		})
-		equal(t, got, want, "lockstep ScanOp")
+	for _, lw := range []int{1, 0} {
+		for _, p := range []int{1, 3} {
+			got := ScanOp(l, affine, id, Options{
+				Seed: 34, Procs: p, SerialCutoff: 64, LaneWidth: lw,
+			})
+			equal(t, got, want, "affine ScanOp")
+		}
 	}
-	// Max with a custom schedule, too.
 	maxOp := func(a, b int64) int64 {
 		if a > b {
 			return a
@@ -361,9 +333,8 @@ func TestScanOpLockstep(t *testing.T) {
 	l2 := list.NewRandom(20000, r)
 	l2.RandomValues(-9999, 9999, r)
 	wantMax := serial.ScanOp(l2, maxOp, negInf)
-	got := ScanOp(l2, maxOp, negInf, Options{
-		Seed: 35, SerialCutoff: 64,
-		Discipline: DisciplineLockstep, Schedule: []int{3, 9, 27, 81},
-	})
-	equal(t, got, wantMax, "lockstep max scan")
+	for _, lw := range []int{1, 0} {
+		got := ScanOp(l2, maxOp, negInf, Options{Seed: 35, SerialCutoff: 64, LaneWidth: lw})
+		equal(t, got, wantMax, "max scan")
+	}
 }

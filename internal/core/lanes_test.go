@@ -32,14 +32,14 @@ func laneTestLists() map[string]*list.List {
 func TestLaneWidthsAgree(t *testing.T) {
 	for name, l := range laneTestLists() {
 		n := l.Len()
-		want := Ranks(l, Options{Seed: 12, Discipline: DisciplineNatural})
-		wantScan := Scan(l, Options{Seed: 12, Discipline: DisciplineNatural})
+		want := Ranks(l, Options{Seed: 12, LaneWidth: 1})
+		wantScan := Scan(l, Options{Seed: 12, LaneWidth: 1})
 		// Order-sensitive probe op, deliberately non-associative: every
 		// run below shares the oracle's seed and therefore its sublist
 		// decomposition and Phase 2 grouping, so any difference in fold
 		// order — the thing lane interleaving must not change — shows.
 		op := func(a, b int64) int64 { return 3*a + b }
-		wantOp := ScanOp(l, op, 0, Options{Seed: 12, Discipline: DisciplineNatural})
+		wantOp := ScanOp(l, op, 0, Options{Seed: 12, LaneWidth: 1})
 		for _, procs := range []int{1, 4} {
 			for _, K := range laneTestWidths {
 				t.Run(fmt.Sprintf("%s/procs=%d/K=%d", name, procs, K), func(t *testing.T) {
@@ -73,7 +73,7 @@ func TestLaneWidthsAgree(t *testing.T) {
 // refill) and M=1 (two sublists, most lanes never fill).
 func TestLaneWidthExtremes(t *testing.T) {
 	l := list.NewRandom(5000, rng.New(9))
-	want := Ranks(l, Options{Seed: 5, Discipline: DisciplineNatural, SerialCutoff: 1})
+	want := Ranks(l, Options{Seed: 5, LaneWidth: 1, SerialCutoff: 1})
 	for _, m := range []int{1, 2, 2500} {
 		for _, K := range laneTestWidths {
 			opt := Options{Seed: 5, M: m, LaneWidth: K, SerialCutoff: 1}
@@ -87,19 +87,24 @@ func TestLaneWidthExtremes(t *testing.T) {
 	}
 }
 
-// TestLaneWidthStatsInvariant: the natural-discipline link count is
-// exactly 2n links (n per phase) at every lane width — lanes add
-// memory-level parallelism, not work (no lockstep idle steps).
+// TestLaneWidthStatsInvariant: every engine path — encoded rank,
+// addition scan, generic-operator scan — visits each vertex once in
+// Phase 1 and once in Phase 3, so the link count is exactly 2n at
+// every lane width: lanes add memory-level parallelism, not work.
 func TestLaneWidthStatsInvariant(t *testing.T) {
 	l := list.NewRandom(1<<15, rng.New(2))
+	want := int64(2 * l.Len())
 	for _, K := range laneTestWidths {
-		var st Stats
-		_ = Ranks(l, Options{Seed: 3, LaneWidth: K, Stats: &st})
-		if st.LinksTraversed != int64(2*l.Len()) {
-			t.Errorf("K=%d: LinksTraversed = %d, want %d", K, st.LinksTraversed, 2*l.Len())
-		}
-		if st.PackRounds != 0 {
-			t.Errorf("K=%d: PackRounds = %d, want 0", K, st.PackRounds)
+		for name, run := range map[string]func(Options){
+			"Ranks":  func(o Options) { Ranks(l, o) },
+			"Scan":   func(o Options) { Scan(l, o) },
+			"ScanOp": func(o Options) { ScanOp(l, func(a, b int64) int64 { return max(a, b) }, 0, o) },
+		} {
+			var st Stats
+			run(Options{Seed: 3, LaneWidth: K, Stats: &st})
+			if st.LinksTraversed != want {
+				t.Errorf("%s K=%d: LinksTraversed = %d, want %d", name, K, st.LinksTraversed, want)
+			}
 		}
 	}
 }

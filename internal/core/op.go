@@ -2,6 +2,7 @@ package core
 
 import (
 	"listrank/internal/chaos"
+	"listrank/internal/kernel"
 	"listrank/internal/list"
 	"listrank/internal/par"
 )
@@ -28,27 +29,22 @@ func scanOp(out []int64, l *list.List, values []int64, op func(a, b int64) int64
 	defer restore(l, values, v, tail, savedTail)
 	k := len(v.r)
 	p := par.Procs(opt.Procs, k)
-	lockstep := opt.lockstep(n)
-	lanes := opt.laneWidth(n)
+	lanes := kernel.Width(opt.LaneWidth, n)
 
 	// Phase 1: sublist "sums" under op, lane-interleaved. The
 	// per-sublist fold order is the serial walk's at every lane width,
 	// so non-commutative operators stay correct.
 	opt.checkpoint(chaos.PointPhase1)
-	if lockstep {
-		lockstepPhase1Op(l, values, v, p, op, identity, opt, sc)
+	if p == 1 {
+		stripSumOp(opt.Cancel, l.Next, values, v.h, v.sum, v.cur, op, identity, 0, k, lanes)
 	} else {
-		if p == 1 {
-			stripSumOp(opt.Cancel, l.Next, values, v.h, v.sum, v.cur, op, identity, 0, k, lanes)
-		} else {
-			sc.fc.next, sc.fc.values = l.Next, values
-			sc.fc.op, sc.fc.identity, sc.fc.lanes = op, identity, lanes
-			sc.fc.cancel = opt.Cancel
-			sc.fanout().ForChunksCtx(k, p, sc, taskSumOp)
-		}
-		if opt.Stats != nil {
-			opt.Stats.LinksTraversed += int64(n)
-		}
+		sc.fc.next, sc.fc.values = l.Next, values
+		sc.fc.op, sc.fc.identity, sc.fc.lanes = op, identity, lanes
+		sc.fc.cancel = opt.Cancel
+		sc.fanout().ForChunksCtx(k, p, sc, taskSumOp)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n)
 	}
 
 	// A canceled Phase 1 leaves v.cur partially stale (see the same
@@ -65,73 +61,22 @@ func scanOp(out []int64, l *list.List, values []int64, op func(a, b int64) int64
 		sc.fanout().ForChunksCtx(k, p, sc, taskFoldTailsOp)
 	}
 
-	// Phase 2: like phase2Add, directly on v.sum/v.succ — serial walk,
-	// predecessor-oriented pointer jumping, or recursion over an arena
-	// view; the reduced list is never materialized fresh.
+	// Phase 2: the shared switchover, folding under op.
 	opt.checkpoint(chaos.PointPhase2)
-	alg := opt.Phase2
-	if alg == Phase2Auto {
-		switch {
-		case k <= 2048:
-			alg = Phase2Serial
-		case k <= 1<<16:
-			alg = Phase2Wyllie
-		default:
-			alg = Phase2Recursive
-		}
-	}
-	if st := opt.Stats; st != nil {
-		st.Phase2Len = k
-		st.Phase2Used = alg
-	}
-	switch alg {
-	case Phase2Serial:
-		acc := identity
-		j := int32(0)
-		for {
-			v.pfx[j] = acc
-			acc = op(acc, v.sum[j])
-			s := v.succ[j]
-			if s == j {
-				break
-			}
-			j = s
-		}
-	case Phase2Wyllie:
-		phase2WyllieOp(v, k, p, op, identity, sc)
-	default:
-		rl := sc.reducedView(v, k, p)
-		sub := opt
-		sub.M = 0
-		sub.Seed = opt.Seed + 0x9e3779b97f4a7c15
-		sub.Stats = nil
-		child := sc.childScratch()
-		if opt.Stats != nil {
-			inner := Stats{}
-			sub.Stats = &inner
-			scanOp(v.pfx, rl, rl.Value, op, identity, sub, depth+1, child)
-			opt.Stats.Depth = inner.Depth
-		} else {
-			scanOp(v.pfx, rl, rl.Value, op, identity, sub, depth+1, child)
-		}
-	}
+	phase2(v, k, op, identity, opt, depth, sc)
 
 	// Phase 3.
 	opt.checkpoint(chaos.PointPhase3)
-	if lockstep {
-		lockstepPhase3Op(out, l, values, v, p, op, opt, sc)
+	if p == 1 {
+		stripExpandOp(opt.Cancel, out, l.Next, values, v.h, v.pfx, op, 0, k, lanes)
 	} else {
-		if p == 1 {
-			stripExpandOp(opt.Cancel, out, l.Next, values, v.h, v.pfx, op, 0, k, lanes)
-		} else {
-			sc.fc.out, sc.fc.next, sc.fc.values = out, l.Next, values
-			sc.fc.op, sc.fc.lanes = op, lanes
-			sc.fc.cancel = opt.Cancel
-			sc.fanout().ForChunksCtx(k, p, sc, taskExpandOp)
-		}
-		if opt.Stats != nil {
-			opt.Stats.LinksTraversed += int64(n)
-		}
+		sc.fc.out, sc.fc.next, sc.fc.values = out, l.Next, values
+		sc.fc.op, sc.fc.lanes = op, lanes
+		sc.fc.cancel = opt.Cancel
+		sc.fanout().ForChunksCtx(k, p, sc, taskExpandOp)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n)
 	}
 	// Surface a cancellation observed mid-Phase 3 (out is partial).
 	if opt.Cancel.Canceled() {

@@ -6,14 +6,106 @@ import (
 	"listrank/internal/wyllie"
 )
 
-// Phase 2 pointer-jumping solvers that work directly on the reduced
-// list as it already exists in the virtual-processor table — v.sum
-// linked by v.succ with head vp 0 — instead of materializing a
-// list.List copy and then copying the scan back into v.pfx, as the
-// engine used to. The double-buffered value/link arrays come from the
-// Scratch arena, the links stay int32 (half the memory traffic of the
-// generic wyllie package), and the results land in v.pfx with no
-// intermediate allocation or copy.
+// Phase 2 solvers that work directly on the reduced list as it already
+// exists in the virtual-processor table — v.sum linked by v.succ with
+// head vp 0 — instead of materializing a list.List copy and then
+// copying the scan back into v.pfx. The pointer-jumping solvers'
+// double-buffered value/link arrays come from the Scratch arena, the
+// links stay int32 (half the memory traffic of the generic wyllie
+// package), and the results land in v.pfx with no intermediate
+// allocation or copy.
+
+// phase2 scans the reduced list into v.pfx with the configured
+// algorithm, and records the choice in Stats. Phase2Auto is the
+// paper's empirically determined switchover, shared by every engine
+// path: serial when the reduced list is short, Wyllie's pointer
+// jumping at moderate lengths, recursion with this same algorithm when
+// it is long. A nil op selects the integer-addition engine (identity
+// 0); otherwise every solver folds under op in list order. The
+// recursive solver reuses v.sum as its value array with only the int32
+// links widened into arena storage (see Scratch.reducedView).
+func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Options, depth int, sc *Scratch) {
+	alg := opt.Phase2
+	if alg == Phase2Auto {
+		switch {
+		case k <= 2048:
+			alg = Phase2Serial
+		case k <= 1<<16:
+			alg = Phase2Wyllie
+		default:
+			alg = Phase2Recursive
+		}
+	}
+	if st := opt.Stats; st != nil {
+		st.Phase2Len = k
+		st.Phase2Used = alg
+	}
+	p := par.Procs(opt.Procs, k)
+	switch alg {
+	case Phase2Serial:
+		if op == nil {
+			phase2SerialAdd(v)
+		} else {
+			phase2SerialOp(v, op, identity)
+		}
+	case Phase2Wyllie:
+		if op == nil {
+			phase2WyllieAdd(v, k, p, sc)
+		} else {
+			phase2WyllieOp(v, k, p, op, identity, sc)
+		}
+	default: // Phase2Recursive
+		rl := sc.reducedView(v, k, p)
+		sub := opt
+		sub.M = 0 // re-derive for the reduced length
+		sub.Seed = opt.Seed + 0x9e3779b97f4a7c15
+		sub.Stats = nil
+		if opt.Stats != nil {
+			// The recursion's own counts stay out of the caller's
+			// Stats; only its depth is reported.
+			sub.Stats = new(Stats)
+		}
+		child := sc.childScratch()
+		if op == nil {
+			scanAdd(v.pfx, rl, rl.Value, sub, depth+1, child)
+		} else {
+			scanOp(v.pfx, rl, rl.Value, op, identity, sub, depth+1, child)
+		}
+		if opt.Stats != nil {
+			opt.Stats.Depth = sub.Stats.Depth
+		}
+	}
+}
+
+// phase2SerialAdd and phase2SerialOp walk the reduced list from the
+// head vp, writing each sublist's exclusive prefix.
+func phase2SerialAdd(v *vps) {
+	var acc int64
+	j := int32(0)
+	for {
+		v.pfx[j] = acc
+		acc += v.sum[j]
+		s := v.succ[j]
+		if s == j {
+			return
+		}
+		j = s
+	}
+}
+
+func phase2SerialOp(v *vps, op func(a, b int64) int64, identity int64) {
+	acc := identity
+	j := int32(0)
+	for {
+		v.pfx[j] = acc
+		acc = op(acc, v.sum[j])
+		s := v.succ[j]
+		if s == j {
+			return
+		}
+		j = s
+	}
+}
 
 // phase2WyllieAdd scans the reduced list under integer addition with
 // Wyllie's pointer jumping, successor orientation: after jumping,

@@ -18,12 +18,12 @@ import (
 //
 // We encode exactly that way: enc[v] = next[v]<<32 | addend, where the
 // addend is 1 everywhere except at sublist tails, whose self-loop +
-// zero addend make the traversal loops branch-free (idle lockstep
-// steps re-add zero, precisely the paper's destructive-initialization
-// device — except that here the destruction happens in the derived
-// encoded array, so the rank engine never mutates the caller's list at
-// all). On the goroutine track the win is one memory stream per link
-// instead of two; BenchmarkAblation_EncodedRank measures it.
+// zero addend mark where each sublist ends. That is the paper's
+// destructive-initialization device, except that here the destruction
+// happens in the derived encoded array, so the rank engine never
+// mutates the caller's list at all. On the goroutine track the win is
+// one memory stream per link instead of two;
+// BenchmarkAblation_EncodedRank measures it.
 //
 // The encoding requires links to fit in 32 bits; for n >= 2^31 the
 // engine falls back to the generic scan over a ones array (the paper's
@@ -44,27 +44,22 @@ func ranksEnc(out []int64, l *list.List, opt Options, depth int, sc *Scratch) {
 	v, enc := setupRank(out, l, opt, sc)
 	k := len(v.r)
 	p := par.Procs(opt.Procs, k)
-	lockstep := opt.lockstep(n)
-	lanes := opt.laneWidth(n)
+	lanes := kernel.Width(opt.LaneWidth, n)
 
 	// Phase 1: sublist lengths via the single-gather loop. The addend
 	// stream is folded from the same word as the link, so each
 	// lane-step touches one cache line of enc and nothing else — with
 	// lanes of those loads in flight per worker (kernel.SumEnc).
 	opt.checkpoint(chaos.PointPhase1)
-	if lockstep {
-		lockstepRankPhase1(enc, v, p, opt, sc)
+	if p == 1 {
+		stripSumEnc(opt.Cancel, enc, v.h, v.sum, v.cur, 0, k, lanes)
 	} else {
-		if p == 1 {
-			stripSumEnc(opt.Cancel, enc, v.h, v.sum, v.cur, 0, k, lanes)
-		} else {
-			sc.fc.lanes = lanes
-			sc.fc.cancel = opt.Cancel
-			sc.fanout().ForChunksCtx(k, p, sc, taskRankSum)
-		}
-		if opt.Stats != nil {
-			opt.Stats.LinksTraversed += int64(n)
-		}
+		sc.fc.lanes = lanes
+		sc.fc.cancel = opt.Cancel
+		sc.fanout().ForChunksCtx(k, p, sc, taskRankSum)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n)
 	}
 
 	// A Phase 1 abandoned mid-chase leaves v.cur only partially
@@ -80,25 +75,21 @@ func ranksEnc(out []int64, l *list.List, opt Options, depth int, sc *Scratch) {
 	// No tail-value fold: unlike the generic engine, the sublist
 	// length already counts its tail vertex.
 
-	// Phase 2: prefix the sublist lengths; reuses the generic solver.
+	// Phase 2: prefix the sublist lengths with the addition solver.
 	opt.checkpoint(chaos.PointPhase2)
-	phase2Add(v, k, opt, depth, sc)
+	phase2(v, k, nil, 0, opt, depth, sc)
 
 	// Phase 3: assign consecutive ranks along each sublist.
 	opt.checkpoint(chaos.PointPhase3)
-	if lockstep {
-		lockstepRankPhase3(out, enc, v, p, opt, sc)
+	if p == 1 {
+		stripExpandEnc(opt.Cancel, out, enc, v.h, v.pfx, 0, k, lanes)
 	} else {
-		if p == 1 {
-			stripExpandEnc(opt.Cancel, out, enc, v.h, v.pfx, 0, k, lanes)
-		} else {
-			sc.fc.out, sc.fc.lanes = out, lanes
-			sc.fc.cancel = opt.Cancel
-			sc.fanout().ForChunksCtx(k, p, sc, taskRankExpand)
-		}
-		if opt.Stats != nil {
-			opt.Stats.LinksTraversed += int64(n)
-		}
+		sc.fc.out, sc.fc.lanes = out, lanes
+		sc.fc.cancel = opt.Cancel
+		sc.fanout().ForChunksCtx(k, p, sc, taskRankExpand)
+	}
+	if opt.Stats != nil {
+		opt.Stats.LinksTraversed += int64(n)
 	}
 	// Surface a cancellation observed mid-Phase 3 (out is partial).
 	if opt.Cancel.Canceled() {
@@ -106,9 +97,9 @@ func ranksEnc(out []int64, l *list.List, opt Options, depth int, sc *Scratch) {
 	}
 }
 
-// taskRankSum and taskRankExpand are the natural-discipline pool
-// bodies: each worker runs the lane-interleaved single-gather kernels
-// over its chunk of sublists.
+// taskRankSum and taskRankExpand are the pool bodies: each worker runs
+// the lane-interleaved single-gather kernels over its chunk of
+// sublists.
 func taskRankSum(c any, _, lo, hi int) {
 	sc := c.(*Scratch)
 	stripSumEnc(sc.fc.cancel, sc.enc, sc.v.h, sc.v.sum, sc.v.cur, lo, hi, sc.fc.lanes)
@@ -185,132 +176,4 @@ func rankCutChunk(enc []uint64, next []int64, v *vps, kept []int64, lo, hi int) 
 		v.h[j] = next[q]
 		enc[q] = uint64(q) << 32
 	}
-}
-
-// lockstepRankPhase1 is the lockstep variant of the single-gather
-// length loop: all active sublists advance one encoded word per step,
-// idle cursors parked on a tail re-add the zero addend, and completed
-// sublists are packed out on the schedule.
-func lockstepRankPhase1(enc []uint64, v *vps, p int, opt Options, sc *Scratch) {
-	k := len(v.r)
-	steps, repeat := deltas(opt.Schedule, len(enc), k)
-	linksByWorker := sc.linksBuf(p)
-	roundsByWorker := sc.roundsBuf(p)
-	sc.active = grow(sc.active, k)
-	activeAll := sc.active
-	if p == 1 {
-		linksByWorker[0], roundsByWorker[0] = lockstepRankP1Worker(opt.Cancel, enc, v, activeAll, steps, repeat, 0, k)
-	} else {
-		sc.fc.steps, sc.fc.repeat = steps, repeat
-		sc.fc.cancel = opt.Cancel
-		sc.fanout().ForChunksCtx(k, p, sc, taskLockstepRankP1)
-	}
-	recordLockstepStats(opt.Stats, linksByWorker, roundsByWorker)
-}
-
-func taskLockstepRankP1(c any, w, lo, hi int) {
-	sc := c.(*Scratch)
-	sc.links[w], sc.rounds[w] = lockstepRankP1Worker(sc.fc.cancel, sc.enc, &sc.v, sc.active, sc.fc.steps, sc.fc.repeat, lo, hi)
-}
-
-func lockstepRankP1Worker(cn *Cancel, enc []uint64, v *vps, activeAll []int32, steps []int, repeat, lo, hi int) (int64, int) {
-	active := activeAll[lo:lo:hi]
-	for j := lo; j < hi; j++ {
-		v.sum[j] = 0
-		v.cur[j] = v.h[j]
-		active = append(active, int32(j))
-	}
-	round := 0
-	var links int64
-	for len(active) > 0 {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return links, round
-		}
-		d := repeat
-		if round < len(steps) {
-			d = steps[round]
-		}
-		for s := 0; s < d; s++ {
-			kernel.StepSumEnc(enc, v.cur, v.sum, active)
-			links += int64(len(active))
-		}
-		live := active[:0]
-		for _, j := range active {
-			cur := v.cur[j]
-			if int64(enc[cur]>>32) != cur {
-				live = append(live, j)
-			} else {
-				v.sum[j]++ // count the tail vertex on retirement
-			}
-		}
-		active = live
-		round++
-	}
-	return links, round
-}
-
-// lockstepRankPhase3 expands ranks in lockstep. The parked-cursor
-// rewrite is idempotent because the tail addend is zero: out[tail]
-// keeps receiving the same final rank.
-func lockstepRankPhase3(out []int64, enc []uint64, v *vps, p int, opt Options, sc *Scratch) {
-	k := len(v.r)
-	steps, repeat := deltas(opt.Schedule, len(enc), k)
-	linksByWorker := sc.linksBuf(p)
-	roundsByWorker := sc.roundsBuf(p)
-	sc.active = grow(sc.active, k)
-	sc.acc = grow(sc.acc, k)
-	activeAll, accAll := sc.active, sc.acc
-	if p == 1 {
-		linksByWorker[0], roundsByWorker[0] = lockstepRankP3Worker(opt.Cancel, out, enc, v, activeAll, accAll, steps, repeat, 0, k)
-	} else {
-		sc.fc.out, sc.fc.steps, sc.fc.repeat = out, steps, repeat
-		sc.fc.cancel = opt.Cancel
-		sc.fanout().ForChunksCtx(k, p, sc, taskLockstepRankP3)
-	}
-	recordLockstepStats(opt.Stats, linksByWorker, roundsByWorker)
-}
-
-func taskLockstepRankP3(c any, w, lo, hi int) {
-	sc := c.(*Scratch)
-	sc.links[w], sc.rounds[w] = lockstepRankP3Worker(sc.fc.cancel, sc.fc.out, sc.enc, &sc.v, sc.active, sc.acc, sc.fc.steps, sc.fc.repeat, lo, hi)
-}
-
-func lockstepRankP3Worker(cn *Cancel, out []int64, enc []uint64, v *vps, activeAll []int32, accAll []int64, steps []int, repeat, lo, hi int) (int64, int) {
-	active := activeAll[lo:lo:hi]
-	acc := accAll[lo:hi]
-	base := lo
-	for j := lo; j < hi; j++ {
-		v.cur[j] = v.h[j]
-		acc[j-base] = v.pfx[j]
-		active = append(active, int32(j))
-	}
-	round := 0
-	var links int64
-	for len(active) > 0 {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return links, round
-		}
-		d := repeat
-		if round < len(steps) {
-			d = steps[round]
-		}
-		for s := 0; s < d; s++ {
-			kernel.StepExpandEnc(out, enc, v.cur, acc, base, active)
-			links += int64(len(active))
-		}
-		live := active[:0]
-		for _, j := range active {
-			cur := v.cur[j]
-			if int64(enc[cur]>>32) != cur {
-				live = append(live, j)
-			} else {
-				out[cur] = acc[int(j)-base]
-			}
-		}
-		active = live
-		round++
-	}
-	return links, round
 }

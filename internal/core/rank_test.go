@@ -10,7 +10,7 @@ import (
 )
 
 // TestRanksEncodedMatchesSerial drives the single-gather engine across
-// shapes, disciplines and processor counts.
+// shapes, lane widths and processor counts.
 func TestRanksEncodedMatchesSerial(t *testing.T) {
 	shapes := map[string]*list.List{
 		"random-2k":   list.NewRandom(2048, rng.New(1)),
@@ -21,17 +21,17 @@ func TestRanksEncodedMatchesSerial(t *testing.T) {
 	}
 	for name, l := range shapes {
 		want := serial.Ranks(l)
-		for _, d := range []Discipline{DisciplineNatural, DisciplineLockstep} {
+		for _, lw := range []int{1, 0} {
 			for _, procs := range []int{1, 4} {
 				var st Stats
-				got := Ranks(l, Options{Procs: procs, Discipline: d, Stats: &st})
+				got := Ranks(l, Options{Procs: procs, LaneWidth: lw, Stats: &st})
 				if !st.Encoded {
-					t.Fatalf("%s d=%d procs=%d: encoded engine not used", name, d, procs)
+					t.Fatalf("%s lanes=%d procs=%d: encoded engine not used", name, lw, procs)
 				}
 				for v := range want {
 					if got[v] != want[v] {
-						t.Fatalf("%s d=%d procs=%d: rank[%d] = %d, want %d",
-							name, d, procs, v, got[v], want[v])
+						t.Fatalf("%s lanes=%d procs=%d: rank[%d] = %d, want %d",
+							name, lw, procs, v, got[v], want[v])
 					}
 				}
 			}
@@ -90,18 +90,22 @@ func TestRanksEncodedSerialCutoff(t *testing.T) {
 	}
 }
 
-// TestRanksEncodedStats: the encoded lockstep run reports pack rounds
-// and idle-inclusive link counts like the generic engine.
+// TestRanksEncodedStats: the encoded run reports the same link and
+// sublist counts as the generic engine.
 func TestRanksEncodedStats(t *testing.T) {
 	l := list.NewRandom(1<<14, rng.New(11))
-	var st Stats
-	Ranks(l, Options{Discipline: DisciplineLockstep, Stats: &st})
-	if st.PackRounds == 0 {
-		t.Error("lockstep run reported zero pack rounds")
+	var st, gen Stats
+	Ranks(l, Options{Stats: &st})
+	Ranks(l, Options{DisableEncoding: true, Stats: &gen})
+	if !st.Encoded {
+		t.Fatal("encoded engine not used")
 	}
 	n := int64(l.Len())
-	if st.LinksTraversed < 2*n-int64(st.Sublists)-1 {
-		t.Errorf("LinksTraversed = %d, want >= about 2n = %d", st.LinksTraversed, 2*n)
+	if st.LinksTraversed != 2*n || gen.LinksTraversed != 2*n {
+		t.Errorf("LinksTraversed = %d encoded, %d generic, want 2n = %d", st.LinksTraversed, gen.LinksTraversed, 2*n)
+	}
+	if st.Sublists != gen.Sublists {
+		t.Errorf("Sublists = %d encoded, %d generic, want equal", st.Sublists, gen.Sublists)
 	}
 	if st.Sublists < 2 {
 		t.Errorf("Sublists = %d, want >= 2", st.Sublists)
@@ -128,16 +132,18 @@ func TestQuickRanksEncodedEqualGeneric(t *testing.T) {
 	}
 }
 
-// TestRanksEncodedSingleVertexSublists: an adversarial schedule and a
-// huge splitter count produce many length-1 sublists, which exercise
-// the park-on-arrival retirement paths.
+// TestRanksEncodedSingleVertexSublists: a huge splitter count produces
+// many length-1 sublists, which exercise the retire-on-arrival and
+// lane-refill paths.
 func TestRanksEncodedSingleVertexSublists(t *testing.T) {
 	l := list.NewRandom(3000, rng.New(13))
 	want := serial.Ranks(l)
-	got := Ranks(l, Options{M: 1500, Discipline: DisciplineLockstep, Schedule: []int{1, 2, 3}})
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("rank[%d] = %d, want %d", v, got[v], want[v])
+	for _, lw := range []int{1, 0} {
+		got := Ranks(l, Options{M: 1500, LaneWidth: lw})
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("lanes=%d: rank[%d] = %d, want %d", lw, v, got[v], want[v])
+			}
 		}
 	}
 }

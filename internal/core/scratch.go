@@ -18,8 +18,8 @@ import (
 // through them. Scratch restores that discipline on the goroutine
 // track: one arena owns every per-call buffer the algorithm needs, each
 // buffer grows geometrically and is reused verbatim, so a warm arena
-// services any number of calls — across varying list lengths,
-// algorithms and disciplines — without touching the heap.
+// services any number of calls — across varying list lengths and
+// algorithms — without touching the heap.
 
 // Scratch is the reusable working-space arena for the sublist engine.
 // A Scratch may be reused across calls of any size and algorithm but
@@ -47,14 +47,6 @@ type Scratch struct {
 	// entire capacity is kept filled with 1: the engine only ever
 	// mutates it through setup, whose restore puts the 1s back.
 	ones []int64
-
-	// Lockstep traversal state: the active sublist sets and Phase 3
-	// accumulators are chunk-partitioned by worker inside one k-sized
-	// buffer each; links/rounds are per-worker stat counters.
-	active []int32
-	acc    []int64
-	links  []int64
-	rounds []int
 
 	// Phase 2 pointer-jumping buffers (values and links, double
 	// buffered), shared by the add and generic-operator solvers.
@@ -96,8 +88,6 @@ type Scratch struct {
 		n, m              int
 		tail              int64
 		seed              uint64
-		steps             []int
-		repeat            int
 		k, p, rounds      int
 		lanes             int
 		val, val2         []int64
@@ -134,7 +124,6 @@ func (sc *Scratch) releaseCall() {
 	sc.fc.out, sc.fc.next, sc.fc.values = nil, nil, nil
 	sc.fc.op = nil
 	sc.fc.cancel = nil
-	sc.fc.steps = nil
 	sc.fc.val, sc.fc.val2, sc.fc.lnk, sc.fc.lnk2 = nil, nil, nil, nil
 }
 
@@ -187,17 +176,6 @@ func (sc *Scratch) onesFor(n int) []int64 {
 		sc.ones = b
 	}
 	return sc.ones[:n]
-}
-
-// linksBuf and roundsBuf return zeroed per-worker stat counters.
-func (sc *Scratch) linksBuf(p int) []int64 {
-	sc.links = arena.Zeroed(sc.links, p)
-	return sc.links
-}
-
-func (sc *Scratch) roundsBuf(p int) []int {
-	sc.rounds = arena.Zeroed(sc.rounds, p)
-	return sc.rounds
 }
 
 // reducedView materializes a list.List view of the reduced list for

@@ -11,7 +11,7 @@ import (
 )
 
 // TestScratchReuseAcrossSizes drives one arena through wildly varying
-// list lengths, engines and disciplines; every result must match the
+// list lengths, engines and lane widths; every result must match the
 // serial reference, and the shared buffers must never leak state from
 // one call into the next (sizes deliberately shrink as well as grow).
 func TestScratchReuseAcrossSizes(t *testing.T) {
@@ -23,13 +23,13 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		l.RandomValues(-30, 30, r)
 		wantScan := serial.Scan(l)
 		wantRank := l.Ranks()
-		for _, d := range []Discipline{DisciplineNatural, DisciplineLockstep} {
+		for _, lw := range []int{1, 0} {
 			dst := make([]int64, n)
-			ScanInto(dst, l, Options{Seed: uint64(n), Discipline: d}, sc)
+			ScanInto(dst, l, Options{Seed: uint64(n), LaneWidth: lw}, sc)
 			equal(t, dst, wantScan, "scratch reuse scan")
-			RanksInto(dst, l, Options{Seed: uint64(n), Discipline: d}, sc)
+			RanksInto(dst, l, Options{Seed: uint64(n), LaneWidth: lw}, sc)
 			equal(t, dst, wantRank, "scratch reuse rank")
-			RanksInto(dst, l, Options{Seed: uint64(n), Discipline: d, DisableEncoding: true}, sc)
+			RanksInto(dst, l, Options{Seed: uint64(n), LaneWidth: lw, DisableEncoding: true}, sc)
 			equal(t, dst, wantRank, "scratch reuse rank generic")
 		}
 	}
@@ -59,16 +59,17 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSteadyState is the tentpole's contract: with a warm
-// arena, rank and scan calls perform zero heap allocations — across
-// the natural and lockstep disciplines, the encoded rank engine, and
-// all three Phase 2 solvers — at Procs == 1 (everything inline) *and*
-// at Procs == 4, where every fan-out dispatches closure-free onto the
-// arena's resident worker pool. The Procs > 1 leg uses an arena-owned
-// pool sized to the job so the guarantee holds regardless of the host
-// machine's core count.
+// TestZeroAllocSteadyState is the engine's allocation contract: with a
+// warm arena, rank and scan calls perform zero heap allocations —
+// at the default lane width and the natural single-cursor walk
+// (LaneWidth 1), in the encoded and generic rank engines, the
+// generic-operator scan, and all three Phase 2 solvers — at Procs == 1
+// (everything inline) *and* at Procs == 4, where every fan-out
+// dispatches closure-free onto the arena's resident worker pool. The
+// Procs > 1 leg uses an arena-owned pool sized to the job so the
+// guarantee holds regardless of the host machine's core count.
 func TestZeroAllocSteadyState(t *testing.T) {
-	n := 1 << 18 // >= lockstepAutoThreshold so auto resolves to lockstep
+	n := 1 << 18 // large enough that Phase2Auto picks Wyllie, not serial
 	l := list.NewRandom(n, rng.New(44))
 	dst := make([]int64, n)
 	for _, procs := range []int{1, 4} {
@@ -84,7 +85,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			run  func()
 		}{
 			{"scan-auto", func() { ScanInto(dst, l, opt(Options{Seed: 7}), sc) }},
-			{"scan-natural", func() { ScanInto(dst, l, opt(Options{Seed: 7, Discipline: DisciplineNatural}), sc) }},
+			{"scan-natural", func() { ScanInto(dst, l, opt(Options{Seed: 7, LaneWidth: 1}), sc) }},
 			{"scan-wyllie-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Wyllie}), sc) }},
 			{"scan-recursive-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Recursive}), sc) }},
 			{"rank-encoded", func() { RanksInto(dst, l, opt(Options{Seed: 7}), sc) }},
@@ -151,9 +152,9 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	l.RandomValues(-5, 5, r)
 	want := serial.Scan(l)
 	wantRank := l.Ranks()
-	for _, d := range []Discipline{DisciplineNatural, DisciplineLockstep} {
+	for _, lw := range []int{1, 0} {
 		for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-			opt := Options{Seed: 49, Discipline: d, Phase2: alg, SerialCutoff: 64, Procs: 2}
+			opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, Procs: 2}
 			dst := make([]int64, l.Len())
 			for i := range dst {
 				dst[i] = sentinel
@@ -161,7 +162,7 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 			ScanInto(dst, l, opt, nil)
 			for i, got := range dst {
 				if got == sentinel {
-					t.Fatalf("d=%d alg=%d: dst[%d] never written", d, alg, i)
+					t.Fatalf("lanes=%d alg=%d: dst[%d] never written", lw, alg, i)
 				}
 			}
 			equal(t, dst, want, "sentinel scan")
@@ -171,7 +172,7 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 			RanksInto(dst, l, opt, nil)
 			for i, got := range dst {
 				if got == sentinel {
-					t.Fatalf("rank d=%d alg=%d: dst[%d] never written", d, alg, i)
+					t.Fatalf("rank lanes=%d alg=%d: dst[%d] never written", lw, alg, i)
 				}
 			}
 			equal(t, dst, wantRank, "sentinel rank")

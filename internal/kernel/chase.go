@@ -2,8 +2,8 @@ package kernel
 
 import "unsafe"
 
-// Chase kernels: run sublists [lo, hi) to completion for the
-// natural/auto traversal discipline, K lanes at a time. Each kernel
+// Chase kernels: run sublists [lo, hi) to completion for Phases 1
+// and 3, K lanes at a time. Each kernel
 // takes the virtual-processor arrays by slice (heads h, and for the
 // Phase 1 kernels the sum and tail-cursor result columns), validates
 // the chunk bounds once, and then runs entirely on unchecked accesses

@@ -5,8 +5,8 @@ import "unsafe"
 // Jump kernels: one round of Wyllie pointer doubling over the Phase 2
 // reduced list, on the engine's double-buffered value/link columns.
 // The iterations are independent (each reads the old buffers, writes
-// the new), so like the step kernels they expose one gather per
-// element to the memory system; the kernels remove the three implicit
+// the new), so they expose one gather per element to the memory
+// system; the kernels remove the three implicit
 // bounds checks per element the safe form pays on the data-dependent
 // link reads.
 

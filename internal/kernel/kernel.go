@@ -1,6 +1,6 @@
 // Package kernel provides the lane-interleaved traversal kernels that
-// every hot chase, step and jump loop of the sublist engine runs on —
-// the software analog of the paper's vector lanes (§1.1, §3).
+// every hot chase and jump loop of the sublist engine runs on — the
+// software analog of the paper's vector lanes (§1.1, §3).
 //
 // Reid-Miller's result is fundamentally about keeping the memory
 // system saturated: on the Cray C-90 the sublist chase is expressed as
@@ -22,18 +22,17 @@
 // kernel: it remains both the small-chunk fast path and the
 // correctness oracle the lane paths are tested against.
 //
-// Three kernel families cover the engine's hot loops:
+// Two kernel families cover the sublist engine's hot loops:
 //
-//   - Chase kernels (chase.go): run whole sublists to completion for
-//     the natural/auto discipline — Phase 1 sums and Phase 3
-//     expansions, in encoded single-gather (§3), integer-addition and
-//     generic-operator flavors.
-//   - Step kernels (step.go): advance every sublist of a lockstep
-//     active set by one link — the paper's vectorized InitialScan /
-//     FinalScan inner loops, used by the lockstep discipline and the
-//     §7 oversampling extension.
+//   - Chase kernels (chase.go): run whole sublists to completion —
+//     Phase 1 sums and Phase 3 expansions, in encoded single-gather
+//     (§3), integer-addition and generic-operator flavors.
 //   - Jump kernels (jump.go): one round of Wyllie pointer doubling
 //     over the reduced list, used by Phase 2.
+//
+// The sequential kernels (seq.go) serve lists the reorder cache has
+// laid out in list order, and the broadcast kernels (broadcast.go) run
+// segmented ranking's Phase 3; neither follows a link.
 //
 // All kernels are branch-lean and free of compiler-inserted bounds
 // checks, which CI enforces by building this package with

@@ -238,108 +238,6 @@ func TestChaseKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestStepKernelsMatchOracle(t *testing.T) {
-	r := rng.New(7)
-	for name, lengths := range shapes(r) {
-		s := makeSublists(lengths, uint64(len(name))*3)
-		e := s.enc()
-		k := len(s.h)
-		active := make([]int32, 0, k)
-		for j := 0; j < k; j++ {
-			active = append(active, int32(j))
-		}
-		// Reference lockstep state advanced with plain Go.
-		curA := append([]int64(nil), s.h...)
-		sumA := make([]int64, k)
-		curB := append([]int64(nil), s.h...)
-		sumB := make([]int64, k)
-		visited := make([]bool, len(s.next))
-		visitedB := make([]bool, len(s.next))
-		for step := 0; step < 70; step++ {
-			for _, j := range active {
-				c := curA[j]
-				sumA[j] += s.values[c]
-				visited[c] = true
-				curA[j] = s.next[c]
-			}
-			StepSumAddMark(s.next, s.values, curB, sumB, visitedB, active)
-			for j := 0; j < k; j++ {
-				if curA[j] != curB[j] || sumA[j] != sumB[j] {
-					t.Fatalf("%s step %d vp %d: got (%d,%d), want (%d,%d)", name, step, j, curB[j], sumB[j], curA[j], sumA[j])
-				}
-			}
-		}
-		for v := range visited {
-			if visited[v] != visitedB[v] {
-				t.Fatalf("%s: visited[%d] = %v, want %v", name, v, visitedB[v], visited[v])
-			}
-		}
-
-		// StepSumAdd and StepSumEnc: one pass over a partial active set.
-		part := active[:k/2]
-		cur1 := append([]int64(nil), s.h...)
-		sum1 := make([]int64, k)
-		StepSumAdd(s.next, s.values, cur1, sum1, part)
-		cur2 := append([]int64(nil), s.h...)
-		sum2 := make([]int64, k)
-		for _, j := range part {
-			c := cur2[j]
-			sum2[j] += s.values[c]
-			cur2[j] = s.next[c]
-		}
-		for j := 0; j < k; j++ {
-			if cur1[j] != cur2[j] || sum1[j] != sum2[j] {
-				t.Fatalf("%s StepSumAdd vp %d mismatch", name, j)
-			}
-		}
-		curE := append([]int64(nil), s.h...)
-		sumE := make([]int64, k)
-		StepSumEnc(e, curE, sumE, part)
-		for _, j := range part {
-			c := s.h[j]
-			wantAdd := int64(1)
-			if s.next[c] == c {
-				wantAdd = 0
-			}
-			if sumE[j] != wantAdd || curE[j] != s.next[c] {
-				t.Fatalf("%s StepSumEnc vp %d: got (%d,%d), want (%d,%d)", name, j, sumE[j], curE[j], wantAdd, s.next[c])
-			}
-		}
-
-		// Expand steps, with a worker-local accumulator window.
-		base := 0
-		acc1 := make([]int64, k)
-		acc2 := make([]int64, k)
-		for j := range acc1 {
-			acc1[j] = int64(100 * j)
-			acc2[j] = int64(100 * j)
-		}
-		out1 := make([]int64, len(s.next))
-		out2 := make([]int64, len(s.next))
-		cur1 = append(cur1[:0], s.h...)
-		cur2 = append(cur2[:0], s.h...)
-		StepExpandAdd(out1, s.next, s.values, cur1, acc1, base, active)
-		for _, j32 := range active {
-			j := int(j32)
-			c := cur2[j]
-			a := acc2[j-base]
-			out2[c] = a
-			acc2[j-base] = a + s.values[c]
-			cur2[j] = s.next[c]
-		}
-		for v := range out1 {
-			if out1[v] != out2[v] {
-				t.Fatalf("%s StepExpandAdd out[%d] mismatch", name, v)
-			}
-		}
-		for j := 0; j < k; j++ {
-			if acc1[j] != acc2[j] || cur1[j] != cur2[j] {
-				t.Fatalf("%s StepExpandAdd state vp %d mismatch", name, j)
-			}
-		}
-	}
-}
-
 func TestJumpKernelsMatchOracle(t *testing.T) {
 	r := rng.New(11)
 	const k = 257
@@ -418,7 +316,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 		"ExpandAdd": func() { ExpandAdd(out, s.next, s.values, s.h, pfx, 0, k, 16) },
 		"ExpandEnc": func() { ExpandEnc(out, e, s.h, pfx, 0, k, 16) },
 		"ExpandOp":  func() { ExpandOp(out, s.next, s.values, s.h, pfx, op, 0, k, 16) },
-		"StepSum":   func() { StepSumAdd(s.next, s.values, cur, sum, active) },
 	}
 	lnk := make([]int32, k)
 	lnk2 := make([]int32, k)

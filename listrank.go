@@ -184,11 +184,6 @@ type Options struct {
 	// M overrides the sublist algorithm's splitter count (0 = auto,
 	// ≈ n/log n).
 	M int
-	// Discipline selects the sublist algorithm's traversal discipline:
-	// auto (the lane-interleaved chase — many independent cache misses
-	// in flight per worker), natural single-cursor walks (the serial
-	// oracle), or the paper's vector-faithful lockstep.
-	Discipline Discipline
 	// LaneWidth is the number of independent sublist cursors each
 	// worker interleaves in the sublist algorithm's hot chase loops —
 	// the software analog of the paper's vector lanes. 0 selects the
@@ -204,17 +199,6 @@ type Options struct {
 	// directly; the reference algorithms do not poll it.
 	cancel *core.Cancel
 }
-
-// Discipline selects the sublist algorithm's Phase 1/3 traversal
-// style; see the core package for the tradeoff.
-type Discipline = core.Discipline
-
-// Discipline values.
-const (
-	DisciplineAuto     = core.DisciplineAuto
-	DisciplineNatural  = core.DisciplineNatural
-	DisciplineLockstep = core.DisciplineLockstep
-)
 
 func (o Options) procs() int {
 	if o.Procs > 0 {
@@ -291,11 +275,10 @@ func ScanOpWith(l *List, op func(a, b int64) int64, identity int64, opt Options)
 
 func coreOptions(opt Options) core.Options {
 	return core.Options{
-		Seed:       opt.Seed,
-		M:          opt.M,
-		Procs:      opt.procs(),
-		Discipline: opt.Discipline,
-		LaneWidth:  opt.LaneWidth,
-		Cancel:     opt.cancel,
+		Seed:      opt.Seed,
+		M:         opt.M,
+		Procs:     opt.procs(),
+		LaneWidth: opt.LaneWidth,
+		Cancel:    opt.cancel,
 	}
 }

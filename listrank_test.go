@@ -91,7 +91,7 @@ func TestOptionsKnobs(t *testing.T) {
 	want := Rank(l)
 	for _, opt := range []Options{
 		{Procs: 1}, {Procs: 4}, {M: 100}, {M: 5000},
-		{Discipline: DisciplineLockstep}, {Discipline: DisciplineNatural, Procs: 2}, {Seed: 99},
+		{LaneWidth: 32}, {LaneWidth: 1, Procs: 2}, {Seed: 99},
 	} {
 		equal(t, RankWith(l, opt), want, "options variant")
 	}

@@ -109,8 +109,7 @@ type Request struct {
 	Dst []int64
 	// Opt tunes the run. The server owns parallelism — each shard
 	// dispatches on its own worker pool — so Opt.Procs is ignored;
-	// Algorithm, Seed, M, Discipline and LaneWidth are honored per
-	// request.
+	// Algorithm, Seed, M and LaneWidth are honored per request.
 	Opt Options
 	// Deadline, if non-zero, is the wall-clock instant after which the
 	// request must not keep running: a request that expires while
