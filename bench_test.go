@@ -318,9 +318,9 @@ func BenchmarkAblation_BankConflicts(b *testing.B) {
 }
 
 // BenchmarkAblation_EncodedRank measures the §3 single-gather
-// optimization on the goroutine track: ranking over encoded
-// link+addend words (one memory stream per link) against the generic
-// scan over a ones array (two streams).
+// optimization on the goroutine track: ranking on the encoded engine
+// (one gather per link, Phase 3 streamed) against the generic scan
+// over a ones array (two gathers per link, Phase 3 chased again).
 func BenchmarkAblation_EncodedRank(b *testing.B) {
 	l := list.NewRandom(1<<20, rng.New(11))
 	for _, tc := range []struct {
@@ -576,11 +576,13 @@ func BenchmarkEngineReuseBatch(b *testing.B) {
 // analog of the paper's vector lanes, internal/kernel) on a warm
 // engine: "warm" is a cache-resident list, "cold" is far past the
 // last-level cache of typical hosts, where each link is a DRAM miss
-// and the lanes' overlapped misses pay off most. K=1 is the serial
-// single-cursor oracle; K=0 is the tuned per-regime default. Results
-// are identical at every width. CI's bench-smoke leg records the warm
-// sweep in BENCH_kernels.json via cmd/benchjson; cmd/tune -lanes runs
-// the same sweep standalone with per-regime recommendations.
+// and the lanes' overlapped misses pay off most. The plain legs rank;
+// the "-scan" legs run the int32-valued addition scan, which shares the
+// encoded engine. K=1 is the serial single-cursor oracle; K=0 is the
+// tuned per-regime default. Results are identical at every width. CI's
+// bench-smoke leg records the warm sweeps in BENCH_kernels.json via
+// cmd/benchjson; cmd/tune -lanes runs the rank sweep standalone with
+// per-regime recommendations.
 func BenchmarkLaneWidth(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -596,21 +598,34 @@ func BenchmarkLaneWidth(b *testing.B) {
 				return
 			}
 			l = NewRandomList(tc.n, 6)
+			for i := range l.Value {
+				l.Value[i] = int64(i%201) - 100
+			}
 			dst = make([]int64, tc.n)
 			e = NewEngine()
 			e.RankInto(dst, l, Options{Seed: 6, Procs: 1}) // warm the arena
 		}
-		for _, k := range []int{1, 2, 4, 8, 16, 32, 0} {
-			b.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(b *testing.B) {
-				setup()
-				opt := Options{Seed: 6, Procs: 1, LaneWidth: k}
-				b.SetBytes(int64(8 * tc.n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.RankInto(dst, l, opt)
-				}
-			})
+		for _, scan := range []bool{false, true} {
+			leg := tc.name
+			if scan {
+				leg += "-scan"
+			}
+			for _, k := range []int{1, 2, 4, 8, 16, 32, 0} {
+				b.Run(fmt.Sprintf("%s/K=%d", leg, k), func(b *testing.B) {
+					setup()
+					opt := Options{Seed: 6, Procs: 1, LaneWidth: k}
+					b.SetBytes(int64(8 * tc.n))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if scan {
+							e.ScanInto(dst, l, opt)
+						} else {
+							e.RankInto(dst, l, opt)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -40,6 +40,12 @@ var ErrCanceled = errors.New("core: run canceled")
 // and the latency of noticing a cancellation.
 const cancelStride = 1024
 
+// streamStride is the number of vertices the encoded engine's Phase 3
+// stream handles between cancellation checks. A streamed vertex costs
+// a fraction of a chased link, so the stride is larger than
+// cancelStride·log n links for about the same tens of microseconds.
+const streamStride = 1 << 16
+
 // Cancel is a reusable cooperative cancellation token: a trip flag, an
 // optional wall-clock deadline and an optional context, polled
 // together by the engine's bounded checkpoints. The zero value is an

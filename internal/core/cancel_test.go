@@ -43,25 +43,28 @@ func checkRestored(t *testing.T, l *list.List) {
 
 // TestCancelPreTripped: a run whose token is tripped before it starts
 // must abandon at the first phase boundary with ErrCanceled, restoring
-// the list on the way out. Exercised across both engines (rank and
-// generic scan) and both Procs regimes.
+// the list on the way out. Exercised across both engines (encoded, and
+// generic via DisableEncoding — the one that cuts the list in place),
+// rank and scan, and both Procs regimes.
 func TestCancelPreTripped(t *testing.T) {
 	const n = 1 << 15
-	for _, procs := range []int{1, 4} {
-		l := list.NewRandom(n, rng.New(7))
-		out := make([]int64, n)
-		var cn Cancel
-		cn.Trip()
-		mustCancel(t, func() {
-			RanksInto(out, l, Options{Procs: procs, Cancel: &cn}, nil)
-		})
-		checkRestored(t, l)
+	for _, de := range []bool{false, true} {
+		for _, procs := range []int{1, 4} {
+			l := list.NewRandom(n, rng.New(7))
+			out := make([]int64, n)
+			var cn Cancel
+			cn.Trip()
+			mustCancel(t, func() {
+				RanksInto(out, l, Options{Procs: procs, Cancel: &cn, DisableEncoding: de}, nil)
+			})
+			checkRestored(t, l)
 
-		sl := list.NewRandom(n, rng.New(8))
-		mustCancel(t, func() {
-			ScanInto(out, sl, Options{Procs: procs, Cancel: &cn}, nil)
-		})
-		checkRestored(t, sl)
+			sl := list.NewRandom(n, rng.New(8))
+			mustCancel(t, func() {
+				ScanInto(out, sl, Options{Procs: procs, Cancel: &cn, DisableEncoding: de}, nil)
+			})
+			checkRestored(t, sl)
+		}
 	}
 }
 
@@ -165,21 +168,23 @@ func BenchmarkCancelOverhead(b *testing.B) {
 	}
 }
 
-// TestCancelScanAndOp: the addition scan at both the single-cursor and
-// the default lane width, and the generic operator engine, honor
-// pre-tripped tokens too.
+// TestCancelScanAndOp: the addition scan on both engines at both the
+// single-cursor and the default lane width, and the generic operator
+// engine, honor pre-tripped tokens too.
 func TestCancelScanAndOp(t *testing.T) {
 	const n = 1 << 14
 	var cn Cancel
 	cn.Trip()
 	out := make([]int64, n)
 	for _, procs := range []int{1, 2} {
-		for _, lw := range []int{1, 0} {
-			l := list.NewRandom(n, rng.New(3))
-			mustCancel(t, func() {
-				ScanInto(out, l, Options{Procs: procs, LaneWidth: lw, Cancel: &cn}, nil)
-			})
-			checkRestored(t, l)
+		for _, de := range []bool{false, true} {
+			for _, lw := range []int{1, 0} {
+				l := list.NewRandom(n, rng.New(3))
+				mustCancel(t, func() {
+					ScanInto(out, l, Options{Procs: procs, LaneWidth: lw, Cancel: &cn, DisableEncoding: de}, nil)
+				})
+				checkRestored(t, l)
+			}
 		}
 
 		ol := list.NewRandom(n, rng.New(4))

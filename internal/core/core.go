@@ -14,8 +14,8 @@
 //	         recursively with this same algorithm when it is large).
 //	         The scan values become the scan values of the sublist
 //	         heads.
-//	Phase 3: traverse each sublist again, expanding the head's scan
-//	         value across the sublist.
+//	Phase 3: give every vertex its sublist head's scan value
+//	         combined with the values before it in its sublist.
 //
 // The implementation mirrors the paper's engineering devices:
 //
@@ -38,15 +38,23 @@
 //     on its share independently, and only a constant number of
 //     synchronizations occur (§5).
 //
-// Phases 1 and 3 walk every sublist to completion with the
-// lane-interleaved chase of internal/kernel: each worker advances
-// Options.LaneWidth independent sublist cursors round-robin and
-// refills a lane the moment its sublist ends, so many cache misses are
-// in flight per worker and no step is spent idling on a finished
-// sublist. That is the goroutine-track analogue of the latency hiding
-// the paper gets from vector gathers over virtual processors (§1.1).
-// The paper's lockstep traversal with §4 packing, which a vector
-// machine forces, lives in package vecalg on the simulated C-90.
+// Phase 1 walks every sublist to completion with the lane-interleaved
+// chase of internal/kernel: each worker advances Options.LaneWidth
+// independent sublist cursors round-robin and refills a lane the
+// moment its sublist ends, so many cache misses are in flight per
+// worker and no step is spent idling on a finished sublist. That is
+// the goroutine-track analogue of the latency hiding the paper gets
+// from vector gathers over virtual processors (§1.1). The paper's
+// lockstep traversal with §4 packing, which a vector machine forces,
+// lives in package vecalg on the simulated C-90.
+//
+// Phase 3 takes one of two shapes. Ranks and addition scans whose
+// values fit in int32 run the encoded engine (encoded.go), which
+// records each vertex's sublist and offset in Phase 1 — in the very
+// word the single-gather loop (§3) just read — and finishes with one
+// streaming pass in vertex order. Every other problem runs the generic
+// engine, which traverses each sublist again, expanding the head's
+// scan value across it.
 //
 // All working space — the virtual-processor table, splitter buffers,
 // encoded words and Phase 2 storage — lives in a reusable Scratch
@@ -103,8 +111,11 @@ type Stats struct {
 	// cutoff reports exactly 2n at every lane width. A recursive
 	// Phase 2's own visits are not included.
 	LinksTraversed int64
-	// Encoded reports whether the run used the rank-specialized
-	// single-gather encoded-word engine (§3).
+	// Encoded reports whether the run used the single-gather
+	// encoded-word engine (§3, encoded.go): ranks, and addition scans
+	// whose values all fit in int32, of lists longer than the serial
+	// cutoff and shorter than 2^31 vertices, unless DisableEncoding is
+	// set.
 	Encoded bool
 }
 
@@ -140,10 +151,11 @@ type Options struct {
 	// are identical for every width; only the number of memory loads
 	// in flight differs.
 	LaneWidth int
-	// DisableEncoding turns off the rank-specialized single-gather
-	// encoded-word engine (§3, see rank.go), forcing Ranks through the
-	// generic scan over a ones array. It exists for the
-	// BenchmarkAblation_EncodedRank comparison.
+	// DisableEncoding turns off the single-gather encoded-word engine
+	// (§3, see encoded.go), forcing ranks through the generic scan over
+	// a ones array and addition scans through the generic two-stream
+	// engine. It exists for the BenchmarkAblation_EncodedRank
+	// comparison and to test the generic engine directly.
 	DisableEncoding bool
 	// Cancel, if non-nil, makes the run cooperatively cancelable: it is
 	// polled at phase boundaries and between kernel chunk strips (see
@@ -188,9 +200,9 @@ func (o Options) withDefaults(n int) Options {
 
 // Ranks returns, for each vertex of l, the number of vertices that
 // precede it in the list. Unless disabled (or the list is enormous),
-// it runs the rank-specialized single-gather engine over encoded
-// link+addend words (§3), which reads one memory stream per link and
-// never mutates l. Working space comes from a pooled Scratch.
+// it runs the single-gather encoded engine (§3), which reads one
+// memory stream per link, streams Phase 3, and never mutates l.
+// Working space comes from a pooled Scratch.
 func Ranks(l *list.List, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	sc := getScratch()
@@ -211,17 +223,18 @@ func RanksInto(dst []int64, l *list.List, opt Options, sc *Scratch) {
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	n := l.Len()
-	o := opt.withDefaults(n)
-	if !o.DisableEncoding && n > o.SerialCutoff && n < encMaxLen && o.M >= 1 {
-		ranksEnc(dst, l, o, 0, sc)
+	tail, ok := encoded(dst, l, nil, opt, 0, sc)
+	if ok {
 		return
 	}
-	ones := sc.onesFor(n)
-	scanAdd(dst, l, ones, opt, 0, sc)
+	ones := sc.onesFor(l.Len())
+	scanAdd(dst, l, ones, tail, opt, 0, sc)
 }
 
 // Scan returns the exclusive list scan of l under integer addition.
+// When every value fits in int32 it runs the encoded engine, like
+// Ranks, and never mutates l; otherwise the generic engine cuts l in
+// place and restores it before returning.
 func Scan(l *list.List, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	sc := getScratch()
@@ -238,7 +251,7 @@ func ScanInto(dst []int64, l *list.List, opt Options, sc *Scratch) {
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	scanAdd(dst, l, l.Value, opt, 0, sc)
+	addScan(dst, l, l.Value, opt, 0, sc)
 }
 
 // ScanOp returns the exclusive list scan of l under an arbitrary
@@ -474,16 +487,19 @@ func taskCompactWinners(c any, w, lo, hi int) {
 // setup draws opt.M splitters, runs the duplicate-elimination
 // competition (using out as the scratch cells the paper borrows from
 // list storage), cuts the list, and returns the virtual processor
-// table. Every stage — tail search, splitter draw, competition, cut
-// and identity overwrite — runs in parallel chunks under opt.Procs,
-// with results identical to the single-worker run. On return the list
-// is mutated: every splitter and the global tail are self-looped(*)
-// with identity values; restore() undoes this.
+// table. Every stage — tail search (skipped when the caller passes a
+// tail >= 0), splitter draw, competition, cut and identity overwrite —
+// runs in parallel chunks under opt.Procs, with results identical to
+// the single-worker run. On return the list is mutated: every splitter
+// and the global tail are self-looped(*) with identity values;
+// restore() undoes this.
 // (*) splitters are self-looped; the global tail already is.
-func setup(out []int64, l *list.List, values []int64, identity int64, opt Options, sc *Scratch) (*vps, int64, int64) {
+func setup(out []int64, l *list.List, values []int64, identity, tail int64, opt Options, sc *Scratch) (*vps, int64, int64) {
 	n := l.Len()
 	p := par.Procs(opt.Procs, n)
-	tail := findTail(l, p, sc)
+	if tail < 0 {
+		tail = findTail(l, p, sc)
+	}
 	kept, dropped := drawSplitters(out, n, tail, opt.M, opt.Seed, p, sc)
 
 	k := len(kept)
@@ -545,9 +561,13 @@ func restore(l *list.List, values []int64, v *vps, tail, savedTail int64) {
 // vp owns the tail sublist. It uses out as scratch; the marker cells
 // are deliberately not cleaned here, because Phase 3 unconditionally
 // writes every vertex of every sublist — splitter vertices included —
-// so no marker can survive into the results. Every engine path runs
-// Phase 3 after this; TestPhase3OverwritesSuccessorMarkers asserts the
-// invariant.
+// so no marker can survive into the results. Only the generic engine
+// runs this competition — scanAdd (a rank or scan the encoded engine
+// declined: DisableEncoding, a value outside int32, n >= 2^31) and
+// scanOp — and both run Phase 3 after it;
+// TestPhase3OverwritesSuccessorMarkers asserts the invariant with
+// DisableEncoding set. The encoded engine reads successors from its
+// Phase 1 records instead (linkSuccessors).
 func findSuccessors(out []int64, v *vps, p int, sc *Scratch) {
 	k := len(v.r)
 	if p == 1 {
@@ -587,9 +607,22 @@ func readSuccessors(out []int64, v *vps, lo, hi int) {
 	}
 }
 
-// scanAdd runs the full algorithm specialized to integer addition.
-// The identity is 0. It writes the exclusive scan into out.
-func scanAdd(out []int64, l *list.List, values []int64, opt Options, depth int, sc *Scratch) {
+// addScan is the dispatcher every integer-addition scan goes through
+// — ScanInto, the boundary-list scan and Phase 2's recursion: the
+// encoded engine when the problem qualifies and every value fits in
+// int32, the generic engine (scanAdd) otherwise.
+func addScan(out []int64, l *list.List, values []int64, opt Options, depth int, sc *Scratch) {
+	if tail, ok := encoded(out, l, values, opt, depth, sc); !ok {
+		scanAdd(out, l, values, tail, opt, depth, sc)
+	}
+}
+
+// scanAdd runs the generic algorithm specialized to integer addition,
+// two memory streams (Next and values) per link: the path for scans
+// the encoded engine cannot take. The identity is 0. tail is the
+// list's tail if the caller already knows it, -1 otherwise. It writes
+// the exclusive scan into out.
+func scanAdd(out []int64, l *list.List, values []int64, tail int64, opt Options, depth int, sc *Scratch) {
 	n := l.Len()
 	opt = opt.withDefaults(n)
 	if st := opt.Stats; st != nil {
@@ -599,7 +632,7 @@ func scanAdd(out []int64, l *list.List, values []int64, opt Options, depth int, 
 		serialScanAddInto(out, l, values)
 		return
 	}
-	v, tail, savedTail := setup(out, l, values, 0, opt, sc)
+	v, tail, savedTail := setup(out, l, values, 0, tail, opt, sc)
 	defer restore(l, values, v, tail, savedTail)
 	k := len(v.r)
 	p := par.Procs(opt.Procs, k)
@@ -619,7 +652,7 @@ func scanAdd(out []int64, l *list.List, values []int64, opt Options, depth int, 
 	}
 
 	// A canceled Phase 1 leaves v.cur partially stale (see the same
-	// guard in ranksEnc); abandon before any stage consumes it.
+	// guard in encoded); abandon before any stage consumes it.
 	if opt.Cancel.Canceled() {
 		panic(ErrCanceled)
 	}

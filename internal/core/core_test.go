@@ -50,8 +50,10 @@ func TestProcsVariants(t *testing.T) {
 	l := list.NewRandom(20000, r)
 	l.RandomValues(-50, 50, r)
 	want := serial.Scan(l)
-	for _, p := range []int{1, 2, 3, 4, 8, 16} {
-		equal(t, Scan(l, Options{Seed: 6, Procs: p}), want, "Scan procs")
+	for _, de := range []bool{false, true} { // encoded and generic engines
+		for _, p := range []int{1, 2, 3, 4, 8, 16} {
+			equal(t, Scan(l, Options{Seed: 6, Procs: p, DisableEncoding: de}), want, "Scan procs")
+		}
 	}
 }
 
@@ -76,21 +78,26 @@ func TestPhase2Variants(t *testing.T) {
 	l := list.NewRandom(50000, r)
 	l.RandomValues(-10, 10, r)
 	want := serial.Scan(l)
-	for _, alg := range []Phase2Algorithm{Phase2Auto, Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-		equal(t, Scan(l, Options{Seed: 11, Phase2: alg}), want, "phase2")
+	for _, de := range []bool{false, true} {
+		for _, alg := range []Phase2Algorithm{Phase2Auto, Phase2Serial, Phase2Wyllie, Phase2Recursive} {
+			equal(t, Scan(l, Options{Seed: 11, Phase2: alg, DisableEncoding: de}), want, "phase2")
+		}
 	}
 }
 
 // TestSingleLaneMatchesSerial: the single-cursor chase (LaneWidth 1,
-// the K=1 oracle) agrees with the serial scan at several Procs.
+// the K=1 oracle) agrees with the serial scan at several Procs, on
+// both the encoded and the generic engine.
 func TestSingleLaneMatchesSerial(t *testing.T) {
 	r := rng.New(12)
 	l := list.NewRandom(30000, r)
 	l.RandomValues(-20, 20, r)
 	want := serial.Scan(l)
-	for _, p := range []int{1, 2, 4} {
-		got := Scan(l, Options{Seed: 13, Procs: p, LaneWidth: 1})
-		equal(t, got, want, "single lane")
+	for _, de := range []bool{false, true} {
+		for _, p := range []int{1, 2, 4} {
+			got := Scan(l, Options{Seed: 13, Procs: p, LaneWidth: 1, DisableEncoding: de})
+			equal(t, got, want, "single lane")
+		}
 	}
 }
 
@@ -99,11 +106,15 @@ func TestInputRestoredAfterRun(t *testing.T) {
 	l := list.NewRandom(9000, r)
 	l.RandomValues(-5, 5, r)
 	before := l.Clone()
-	_ = Scan(l, Options{Seed: 17})
-	_ = Ranks(l, Options{Seed: 18, LaneWidth: 1})
-	for i := range before.Next {
-		if l.Next[i] != before.Next[i] || l.Value[i] != before.Value[i] {
-			t.Fatalf("input not restored at vertex %d", i)
+	// The generic engine (DisableEncoding) cuts the list in place and
+	// must restore it; the encoded engine must never write it.
+	for _, de := range []bool{false, true} {
+		_ = Scan(l, Options{Seed: 17, DisableEncoding: de})
+		_ = Ranks(l, Options{Seed: 18, LaneWidth: 1, DisableEncoding: de})
+		for i := range before.Next {
+			if l.Next[i] != before.Next[i] || l.Value[i] != before.Value[i] {
+				t.Fatalf("DisableEncoding=%v: input not restored at vertex %d", de, i)
+			}
 		}
 	}
 }
@@ -117,11 +128,13 @@ func TestScanIntoDirtyBuffer(t *testing.T) {
 	l.RandomValues(-9, 9, r)
 	want := serial.Scan(l)
 	dst := make([]int64, l.Len())
-	for i := range dst {
-		dst[i] = int64(i)*7 + 3 // garbage, including at the tail
+	for _, de := range []bool{false, true} {
+		for i := range dst {
+			dst[i] = int64(i)*7 + 3 // garbage, including at the tail
+		}
+		ScanInto(dst, l, Options{Seed: 20, DisableEncoding: de}, nil)
+		equal(t, dst, want, "dirty dst")
 	}
-	ScanInto(dst, l, Options{Seed: 20}, nil)
-	equal(t, dst, want, "dirty dst")
 }
 
 func TestStatsPopulated(t *testing.T) {

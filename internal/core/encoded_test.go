@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"listrank/internal/kernel"
 	"listrank/internal/list"
 	"listrank/internal/rng"
 	"listrank/internal/serial"
@@ -143,6 +146,99 @@ func TestRanksEncodedSingleVertexSublists(t *testing.T) {
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("lanes=%d: rank[%d] = %d, want %d", lw, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// TestScanEncodedDispatch: an addition scan takes the encoded engine
+// exactly when every value fits in int32 — int32 extremes included —
+// and stays exact on the generic engine when one does not.
+// DisableEncoding sends rank and scan alike to the generic engine.
+func TestScanEncodedDispatch(t *testing.T) {
+	r := rng.New(21)
+	l := list.NewRandom(1<<13, r)
+	l.RandomValues(-1000, 1000, r)
+	l.Value[17] = math.MaxInt32
+	l.Value[18] = math.MinInt32
+	for _, tc := range []struct {
+		name    string
+		wide    int64 // stored at vertex 5 when non-zero
+		disable bool
+		encoded bool
+	}{
+		{"int32", 0, false, true},
+		{"wide-positive", 1 << 40, false, false},
+		{"wide-negative", math.MinInt32 - 1, false, false},
+		{"disabled", 0, true, false},
+	} {
+		sl := l.Clone()
+		if tc.wide != 0 {
+			sl.Value[5] = tc.wide
+		}
+		want := serial.Scan(sl)
+		for _, procs := range []int{1, 2} {
+			var st Stats
+			got := Scan(sl, Options{Seed: 3, Procs: procs, DisableEncoding: tc.disable, Stats: &st})
+			if st.Encoded != tc.encoded {
+				t.Errorf("%s procs=%d: Stats.Encoded = %v, want %v", tc.name, procs, st.Encoded, tc.encoded)
+			}
+			if st.LinksTraversed != 2*int64(sl.Len()) {
+				t.Errorf("%s procs=%d: LinksTraversed = %d, want 2n", tc.name, procs, st.LinksTraversed)
+			}
+			equal(t, got, want, tc.name)
+		}
+	}
+	var st Stats
+	equal(t, Ranks(l, Options{DisableEncoding: true, Stats: &st}), l.Ranks(), "disabled rank")
+	if st.Encoded {
+		t.Error("DisableEncoding rank: Stats.Encoded = true")
+	}
+}
+
+// TestEncodedScanDoesNotMutate: like a rank, an encoded scan cuts only
+// its derived words, never the caller's list.
+func TestEncodedScanDoesNotMutate(t *testing.T) {
+	r := rng.New(22)
+	l := list.NewRandom(9000, r)
+	l.RandomValues(-50, 50, r)
+	before := l.Clone()
+	var st Stats
+	Scan(l, Options{Procs: 2, Stats: &st})
+	if !st.Encoded {
+		t.Fatal("encoded engine not used")
+	}
+	for v := range l.Next {
+		if l.Next[v] != before.Next[v] || l.Value[v] != before.Value[v] {
+			t.Fatalf("vertex %d mutated", v)
+		}
+	}
+}
+
+// TestEncodedMatchesGeneric is the differential suite of the encoded
+// engine: for random and ordered layouts, several seeds, Procs 1, 2
+// and 4 and every lane width 1..32, encoded ranks and scans equal the
+// generic engine's bit for bit (and the serial walk's).
+func TestEncodedMatchesGeneric(t *testing.T) {
+	r := rng.New(23)
+	lists := map[string]*list.List{
+		"random":  list.NewRandom(5000, r),
+		"ordered": list.NewOrdered(3000),
+	}
+	for name, l := range lists {
+		l.RandomValues(math.MinInt32, math.MaxInt32, r)
+		wantRank, wantScan := l.Ranks(), serial.Scan(l)
+		for seed := uint64(1); seed <= 3; seed++ {
+			for _, procs := range []int{1, 2, 4} {
+				gen := Options{Seed: seed, Procs: procs, DisableEncoding: true}
+				equal(t, Ranks(l, gen), wantRank, name+" generic rank")
+				equal(t, Scan(l, gen), wantScan, name+" generic scan")
+				for K := 1; K <= kernel.MaxLanes; K++ {
+					what := fmt.Sprintf("%s seed=%d procs=%d K=%d", name, seed, procs, K)
+					opt := Options{Seed: seed, Procs: procs, LaneWidth: K}
+					equal(t, Ranks(l, opt), wantRank, what+" rank")
+					equal(t, Scan(l, opt), wantScan, what+" scan")
+				}
 			}
 		}
 	}

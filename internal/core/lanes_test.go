@@ -11,9 +11,10 @@ import (
 
 // The lane-interleaved kernels must be invisible in the results: for
 // every lane width, every Procs and every engine path (encoded rank,
-// addition scan, generic-operator scan), the output must equal the
-// single-cursor serial oracle's — and, since the splitter draw depends
-// only on the seed, must be bit-identical across all of them.
+// addition scan on the encoded and the generic engine, generic-operator
+// scan), the output must equal the single-cursor serial oracle's — and,
+// since the splitter draw depends only on the seed, must be
+// bit-identical across all of them.
 
 var laneTestWidths = []int{1, 2, 4, 8, 16, 32}
 
@@ -50,10 +51,13 @@ func TestLaneWidthsAgree(t *testing.T) {
 							t.Fatalf("Ranks: vertex %d: got %d, want %d", v, got[v], want[v])
 						}
 					}
-					got = Scan(l, opt)
-					for v := 0; v < n; v++ {
-						if got[v] != wantScan[v] {
-							t.Fatalf("Scan: vertex %d: got %d, want %d", v, got[v], wantScan[v])
+					for _, de := range []bool{false, true} { // encoded, generic
+						opt.DisableEncoding = de
+						got = Scan(l, opt)
+						for v := 0; v < n; v++ {
+							if got[v] != wantScan[v] {
+								t.Fatalf("Scan (generic=%v): vertex %d: got %d, want %d", de, v, got[v], wantScan[v])
+							}
 						}
 					}
 					got = ScanOp(l, op, 0, opt)
@@ -87,10 +91,11 @@ func TestLaneWidthExtremes(t *testing.T) {
 	}
 }
 
-// TestLaneWidthStatsInvariant: every engine path — encoded rank,
-// addition scan, generic-operator scan — visits each vertex once in
-// Phase 1 and once in Phase 3, so the link count is exactly 2n at
-// every lane width: lanes add memory-level parallelism, not work.
+// TestLaneWidthStatsInvariant: every engine path — rank and addition
+// scan on the encoded and the generic engine, generic-operator scan —
+// visits each vertex once in Phase 1 and once in Phase 3, so the link
+// count is exactly 2n at every lane width: lanes add memory-level
+// parallelism, not work.
 func TestLaneWidthStatsInvariant(t *testing.T) {
 	l := list.NewRandom(1<<15, rng.New(2))
 	want := int64(2 * l.Len())
@@ -99,6 +104,14 @@ func TestLaneWidthStatsInvariant(t *testing.T) {
 			"Ranks":  func(o Options) { Ranks(l, o) },
 			"Scan":   func(o Options) { Scan(l, o) },
 			"ScanOp": func(o Options) { ScanOp(l, func(a, b int64) int64 { return max(a, b) }, 0, o) },
+			"Ranks/generic": func(o Options) {
+				o.DisableEncoding = true
+				Ranks(l, o)
+			},
+			"Scan/generic": func(o Options) {
+				o.DisableEncoding = true
+				Scan(l, o)
+			},
 		} {
 			var st Stats
 			run(Options{Seed: 3, LaneWidth: K, Stats: &st})

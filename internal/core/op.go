@@ -25,7 +25,7 @@ func scanOp(out []int64, l *list.List, values []int64, op func(a, b int64) int64
 		serialScanOpInto(out, l, values, op, identity)
 		return
 	}
-	v, tail, savedTail := setup(out, l, values, identity, opt, sc)
+	v, tail, savedTail := setup(out, l, values, identity, -1, opt, sc)
 	defer restore(l, values, v, tail, savedTail)
 	k := len(v.r)
 	p := par.Procs(opt.Procs, k)
@@ -48,7 +48,7 @@ func scanOp(out []int64, l *list.List, values []int64, op func(a, b int64) int64
 	}
 
 	// A canceled Phase 1 leaves v.cur partially stale (see the same
-	// guard in ranksEnc); abandon before any stage consumes it.
+	// guard in encoded); abandon before any stage consumes it.
 	if opt.Cancel.Canceled() {
 		panic(ErrCanceled)
 	}

@@ -44,9 +44,9 @@ func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Option
 	switch alg {
 	case Phase2Serial:
 		if op == nil {
-			phase2SerialAdd(v)
+			phase2SerialAdd(v, k)
 		} else {
-			phase2SerialOp(v, op, identity)
+			phase2SerialOp(v, k, op, identity)
 		}
 	case Phase2Wyllie:
 		if op == nil {
@@ -67,7 +67,7 @@ func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Option
 		}
 		child := sc.childScratch()
 		if op == nil {
-			scanAdd(v.pfx, rl, rl.Value, sub, depth+1, child)
+			addScan(v.pfx, rl, rl.Value, sub, depth+1, child)
 		} else {
 			scanOp(v.pfx, rl, rl.Value, op, identity, sub, depth+1, child)
 		}
@@ -77,31 +77,40 @@ func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Option
 	}
 }
 
-// phase2SerialAdd and phase2SerialOp walk the reduced list from the
-// head vp, writing each sublist's exclusive prefix.
-func phase2SerialAdd(v *vps) {
+// phase2SerialAdd and phase2SerialOp walk the reduced list of k
+// sublists from the head vp, writing each sublist's exclusive prefix.
+// A walk that has not reached the tail sublist after k steps is going
+// around a cycle, which only a malformed list produces; it panics
+// rather than spin.
+func phase2SerialAdd(v *vps, k int) {
 	var acc int64
 	j := int32(0)
-	for {
+	for steps := 1; ; steps++ {
 		v.pfx[j] = acc
 		acc += v.sum[j]
 		s := v.succ[j]
 		if s == j {
 			return
 		}
+		if steps == k {
+			panic("core: reduced list has no end (malformed list)")
+		}
 		j = s
 	}
 }
 
-func phase2SerialOp(v *vps, op func(a, b int64) int64, identity int64) {
+func phase2SerialOp(v *vps, k int, op func(a, b int64) int64, identity int64) {
 	acc := identity
 	j := int32(0)
-	for {
+	for steps := 1; ; steps++ {
 		v.pfx[j] = acc
 		acc = op(acc, v.sum[j])
 		s := v.succ[j]
 		if s == j {
 			return
+		}
+		if steps == k {
+			panic("core: reduced list has no end (malformed list)")
 		}
 		j = s
 	}

@@ -37,11 +37,15 @@ type Scratch struct {
 	counts  []int
 	kept    []int64
 
-	// tails holds per-worker results of the parallel tail search.
+	// tails holds per-worker results of the parallel tail search
+	// (findTail, or the encoded engine's encode pass).
 	tails []int64
 
-	// enc is the rank engine's encoded link+addend word array (§3).
-	enc []uint64
+	// enc is the encoded engine's link+addend word array (§3), which
+	// Phase 1 overwrites with records; encOK holds the encode pass's
+	// per-worker "every word encoded exactly" flags.
+	enc   []uint64
+	encOK []bool
 
 	// ones is the generic rank fallback's all-ones value array. Its
 	// entire capacity is kept filled with 1: the engine only ever
@@ -90,6 +94,7 @@ type Scratch struct {
 		seed              uint64
 		k, p, rounds      int
 		lanes             int
+		scan              bool
 		val, val2         []int64
 		lnk, lnk2         []int32
 		total             int64

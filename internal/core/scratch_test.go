@@ -62,17 +62,19 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // TestZeroAllocSteadyState is the engine's allocation contract: with a
 // warm arena, rank and scan calls perform zero heap allocations —
 // at the default lane width and the natural single-cursor walk
-// (LaneWidth 1), in the encoded and generic rank engines, the
+// (LaneWidth 1), in the encoded and generic rank and scan engines, the
 // generic-operator scan, and all three Phase 2 solvers — at Procs == 1
-// (everything inline) *and* at Procs == 4, where every fan-out
+// (everything inline) *and* at Procs == 2 and 4, where every fan-out
 // dispatches closure-free onto the arena's resident worker pool. The
-// Procs > 1 leg uses an arena-owned pool sized to the job so the
-// guarantee holds regardless of the host machine's core count.
+// Procs > 1 legs use an arena-owned pool sized to the job so the
+// guarantee holds regardless of the host machine's core count. The
+// list's values fit in int32, so the scan cases without
+// DisableEncoding run on the encoded engine.
 func TestZeroAllocSteadyState(t *testing.T) {
 	n := 1 << 18 // large enough that Phase2Auto picks Wyllie, not serial
 	l := list.NewRandom(n, rng.New(44))
 	dst := make([]int64, n)
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		sc := NewScratch()
 		if procs > 1 {
 			pool := par.NewPool(procs)
@@ -88,6 +90,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			{"scan-natural", func() { ScanInto(dst, l, opt(Options{Seed: 7, LaneWidth: 1}), sc) }},
 			{"scan-wyllie-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Wyllie}), sc) }},
 			{"scan-recursive-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Recursive}), sc) }},
+			{"scan-generic", func() { ScanInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
 			{"rank-encoded", func() { RanksInto(dst, l, opt(Options{Seed: 7}), sc) }},
 			{"rank-generic", func() { RanksInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
 			{"scanop-min", func() {
@@ -144,7 +147,10 @@ func TestParallelSetupDeterministic(t *testing.T) {
 // TestPhase3OverwritesSuccessorMarkers asserts the invariant the
 // findSuccessors comment relies on: the competition markers it leaves
 // in out are all overwritten by Phase 3, so a dst pre-filled with a
-// sentinel never shows it after any engine path.
+// sentinel never shows it after any engine path. The competition runs
+// only on the generic engine (DisableEncoding); the encoded engine,
+// which reads successors from its records, must also write every
+// vertex.
 func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	const sentinel = int64(-1) << 62
 	r := rng.New(48)
@@ -152,30 +158,32 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	l.RandomValues(-5, 5, r)
 	want := serial.Scan(l)
 	wantRank := l.Ranks()
-	for _, lw := range []int{1, 0} {
-		for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-			opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, Procs: 2}
-			dst := make([]int64, l.Len())
-			for i := range dst {
-				dst[i] = sentinel
-			}
-			ScanInto(dst, l, opt, nil)
-			for i, got := range dst {
-				if got == sentinel {
-					t.Fatalf("lanes=%d alg=%d: dst[%d] never written", lw, alg, i)
+	for _, de := range []bool{false, true} {
+		for _, lw := range []int{1, 0} {
+			for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
+				opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, Procs: 2, DisableEncoding: de}
+				dst := make([]int64, l.Len())
+				for i := range dst {
+					dst[i] = sentinel
 				}
-			}
-			equal(t, dst, want, "sentinel scan")
-			for i := range dst {
-				dst[i] = sentinel
-			}
-			RanksInto(dst, l, opt, nil)
-			for i, got := range dst {
-				if got == sentinel {
-					t.Fatalf("rank lanes=%d alg=%d: dst[%d] never written", lw, alg, i)
+				ScanInto(dst, l, opt, nil)
+				for i, got := range dst {
+					if got == sentinel {
+						t.Fatalf("generic=%v lanes=%d alg=%d: dst[%d] never written", de, lw, alg, i)
+					}
 				}
+				equal(t, dst, want, "sentinel scan")
+				for i := range dst {
+					dst[i] = sentinel
+				}
+				RanksInto(dst, l, opt, nil)
+				for i, got := range dst {
+					if got == sentinel {
+						t.Fatalf("rank generic=%v lanes=%d alg=%d: dst[%d] never written", de, lw, alg, i)
+					}
+				}
+				equal(t, dst, wantRank, "sentinel rank")
 			}
-			equal(t, dst, wantRank, "sentinel rank")
 		}
 	}
 }

@@ -29,7 +29,7 @@ func BoundaryScanAddInto(pfx, next, sum []int64, head int64, opt Options, sc *Sc
 	defer sc.releaseCall()
 	defer func() { sc.bl = list.List{} }()
 	sc.bl = list.List{Next: next, Value: sum, Head: head}
-	scanAdd(pfx, &sc.bl, sum, opt, 0, sc)
+	addScan(pfx, &sc.bl, sum, opt, 0, sc)
 }
 
 // BoundaryScanOpInto is BoundaryScanAddInto under an arbitrary

@@ -20,12 +20,16 @@ func checkChunk(lo, hi, l1, l2, l3 int) {
 	}
 }
 
-// SumEnc is Phase 1 of the rank-specialized single-gather engine (§3)
-// over sublists [lo, hi): for each sublist j it chases the encoded
-// words from h[j], accumulating addends, and retires sum[j] = the
-// sublist's vertex count and cur[j] = the tail reached. The addend
-// stream is folded from the same word as the link, so each lane-step
-// touches one cache line — with lanes of them in flight per worker.
+// SumEnc is the single-gather (§3) rank chase over sublists [lo, hi)
+// in the chase-twice encoding, where every sublist tail has a zero
+// addend: for each sublist j it chases the encoded words from h[j],
+// accumulating addends, and retires sum[j] = the sublist's vertex
+// count (the addends plus one for the tail) and cur[j] = the tail
+// reached. The addend stream is folded from the same word as the link,
+// so each lane-step touches one cache line — with lanes of them in
+// flight per worker. The engine now records and streams instead
+// (record.go); SumEnc and ExpandEnc stay for the benchmark's kernel
+// rung.
 func SumEnc(enc []uint64, h, sum, cur []int64, lo, hi, lanes int) {
 	if hi <= lo {
 		return
@@ -94,9 +98,9 @@ func SumEnc(enc []uint64, h, sum, cur []int64, lo, hi, lanes int) {
 	}
 }
 
-// ExpandEnc is Phase 3 of the encoded rank engine over sublists
-// [lo, hi): consecutive ranks are assigned along each sublist starting
-// from its head's prefix pfx[j].
+// ExpandEnc is SumEnc's Phase 3 twin over sublists [lo, hi): it
+// chases each sublist again, assigning consecutive ranks from its
+// head's prefix pfx[j].
 func ExpandEnc(out []int64, enc []uint64, h, pfx []int64, lo, hi, lanes int) {
 	if hi <= lo {
 		return

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzLaneChase drives the lane-interleaved chase kernels against the
-// single-cursor oracle (lanes == 1) over fuzz-chosen sublist
-// populations, chunk boundaries and lane widths. The chunk boundaries
+// single-cursor oracle (lanes == 1), and the record and stream kernels
+// against safe reference walks, over fuzz-chosen sublist populations,
+// chunk boundaries, vertex windows and lane widths. The chunk boundaries
 // are the interesting part: a lane that retires with the chunk nearly
 // drained must refill exactly from its own worker's [lo, hi) range and
 // then park without touching neighboring chunks' slots.
@@ -81,6 +82,25 @@ func FuzzLaneChase(f *testing.F) {
 		for j := lo; j < hi; j++ {
 			if sum[j] != int64(lengths[j]) {
 				t.Fatalf("SumEnc K=%d vp %d: length %d, want %d", K, j, sum[j], lengths[j])
+			}
+		}
+
+		// The record kernels over the same chunk, then the streams over
+		// a fuzz-chosen vertex window of the fully recorded words.
+		n := len(s.next)
+		vlo := int(loRaw) * n / 256
+		vhi := vlo + int(hiRaw)*(n-vlo)/255
+		for _, scan := range []bool{false, true} {
+			base := s.words(scan)
+			if d := diffRecorded(runRecord(s, base, scan, lo, hi, K), refRecord(s, base, scan, lo, hi)); d != "" {
+				t.Fatalf("record scan=%v K=%d chunk [%d,%d): %s", scan, K, lo, hi, d)
+			}
+			full := refRecord(s, base, scan, 0, k)
+			got, want := runStream(full, pfx, scan, vlo, vhi), refStream(s, full, pfx, scan, vlo, vhi)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("stream scan=%v [%d,%d) vertex %d: got %d, want %d", scan, vlo, vhi, v, got[v], want[v])
+				}
 			}
 		}
 	})

@@ -22,11 +22,18 @@
 // kernel: it remains both the small-chunk fast path and the
 // correctness oracle the lane paths are tested against.
 //
-// Two kernel families cover the sublist engine's hot loops:
+// Three kernel families cover the sublist engine's hot loops:
 //
 //   - Chase kernels (chase.go): run whole sublists to completion —
-//     Phase 1 sums and Phase 3 expansions, in encoded single-gather
-//     (§3), integer-addition and generic-operator flavors.
+//     Phase 1 sums and Phase 3 expansions, in integer-addition and
+//     generic-operator flavors for the generic engine. SumEnc and
+//     ExpandEnc, an encoded single-gather (§3) pair with zero-addend
+//     tails that chases twice, serve only the benchmark's kernel rung.
+//   - Record and stream kernels (record.go): the encoded engine's
+//     Phases 1 and 3. RecordRank and RecordScan chase like the others
+//     but overwrite every encoded word they read with a record of the
+//     vertex's sublist and offset; StreamRank and StreamScan then
+//     finish every vertex in one sequential pass.
 //   - Jump kernels (jump.go): one round of Wyllie pointer doubling
 //     over the reduced list, used by Phase 2.
 //
@@ -101,7 +108,7 @@ func clampLanes(lanes int) int {
 	return lanes
 }
 
-// The encoded-word layout shared with the rank engine (§3):
+// The encoded-word layout shared with the encoded engine (§3):
 // enc[v] = next(v)<<encShift | addend(v).
 const (
 	encShift   = 32

@@ -72,6 +72,138 @@ func (s *sublists) enc() []uint64 {
 	return e
 }
 
+// words builds the record-then-stream encoding: link<<32 |
+// uint32(addend), the addend 1 for a rank and the value for a scan,
+// every tail a self-loop that keeps its addend.
+func (s *sublists) words(scan bool) []uint64 {
+	e := make([]uint64, len(s.next))
+	for v, nx := range s.next {
+		a := uint64(1)
+		if scan {
+			a = uint64(uint32(s.values[v]))
+		}
+		e[v] = uint64(nx)<<32 | a
+	}
+	return e
+}
+
+// recorded is the state a record kernel must leave: the words (records
+// for every vertex of the chased sublists, base words elsewhere), the
+// local exclusive prefixes a scan stores in out, and the retired sums
+// and tails.
+type recorded struct {
+	enc           []uint64
+	out, sum, cur []int64
+}
+
+// newRecorded is the state before a record kernel runs: a copy of
+// base and zeroed columns.
+func newRecorded(s *sublists, base []uint64) recorded {
+	return recorded{
+		enc: append([]uint64(nil), base...),
+		out: make([]int64, len(s.next)),
+		sum: make([]int64, len(s.h)),
+		cur: make([]int64, len(s.h)),
+	}
+}
+
+// refRecord is the safe reference for RecordRank (scan false) and
+// RecordScan (scan true) over sublists [lo, hi), starting from base.
+func refRecord(s *sublists, base []uint64, scan bool, lo, hi int) recorded {
+	r := newRecorded(s, base)
+	for j := lo; j < hi; j++ {
+		c := s.h[j]
+		var off, acc int64
+		for {
+			if scan {
+				r.enc[c] = RecBit | uint64(j)<<32
+				r.out[c] = acc
+				acc += s.values[c]
+			} else {
+				r.enc[c] = RecBit | uint64(j)<<32 | uint64(off)
+				acc++
+			}
+			off++
+			if s.next[c] == c {
+				break
+			}
+			c = s.next[c]
+		}
+		r.sum[j], r.cur[j] = acc, c
+	}
+	return r
+}
+
+// runRecord runs the record kernel under test on a copy of base.
+func runRecord(s *sublists, base []uint64, scan bool, lo, hi, K int) recorded {
+	r := newRecorded(s, base)
+	if scan {
+		RecordScan(r.out, r.enc, s.h, r.sum, r.cur, lo, hi, K)
+	} else {
+		RecordRank(r.enc, s.h, r.sum, r.cur, lo, hi, K)
+	}
+	return r
+}
+
+// diffRecorded reports the first difference between two record
+// states, or "" when they agree everywhere (untouched slots included).
+func diffRecorded(got, want recorded) string {
+	for v := range want.enc {
+		if got.enc[v] != want.enc[v] {
+			return fmt.Sprintf("enc[%d] = %#x, want %#x", v, got.enc[v], want.enc[v])
+		}
+		if got.out[v] != want.out[v] {
+			return fmt.Sprintf("out[%d] = %d, want %d", v, got.out[v], want.out[v])
+		}
+	}
+	for j := range want.sum {
+		if got.sum[j] != want.sum[j] || got.cur[j] != want.cur[j] {
+			return fmt.Sprintf("vp %d: (sum, tail) = (%d, %d), want (%d, %d)", j, got.sum[j], got.cur[j], want.sum[j], want.cur[j])
+		}
+	}
+	return ""
+}
+
+// refStream is the safe reference for the Phase 3 streams over
+// vertices [vlo, vhi) after every sublist was recorded: each vertex
+// gets its sublist's prefix plus its offset (rank) or its local
+// exclusive prefix (scan); the rest of out keeps the recorded state.
+func refStream(s *sublists, full recorded, pfx []int64, scan bool, vlo, vhi int) []int64 {
+	out := append([]int64(nil), full.out...)
+	for j := range s.h {
+		c := s.h[j]
+		var off, acc int64
+		for {
+			if int(c) >= vlo && int(c) < vhi {
+				if scan {
+					out[c] = pfx[j] + acc
+				} else {
+					out[c] = pfx[j] + off
+				}
+			}
+			acc += s.values[c]
+			off++
+			if s.next[c] == c {
+				break
+			}
+			c = s.next[c]
+		}
+	}
+	return out
+}
+
+// runStream runs the stream kernel under test on a copy of the
+// recorded out column.
+func runStream(full recorded, pfx []int64, scan bool, vlo, vhi int) []int64 {
+	out := append([]int64(nil), full.out...)
+	if scan {
+		StreamScan(out, full.enc, pfx, vlo, vhi)
+	} else {
+		StreamRank(out, full.enc, pfx, vlo, vhi)
+	}
+	return out
+}
+
 // Reference implementations: the plain safe serial walks.
 
 func refSumAdd(s *sublists, lo, hi int) (sum, cur []int64) {
@@ -135,7 +267,14 @@ func shapes(r *rng.Rand) map[string][]int {
 	}
 }
 
-var laneWidths = []int{1, 2, 3, 4, 5, 8, 16, MaxLanes, MaxLanes + 50}
+// laneWidths is every supported width plus one past the clamp.
+var laneWidths = func() []int {
+	ws := []int{MaxLanes + 50}
+	for K := 1; K <= MaxLanes; K++ {
+		ws = append(ws, K)
+	}
+	return ws
+}()
 
 func TestChaseKernelsMatchOracle(t *testing.T) {
 	r := rng.New(42)
@@ -232,6 +371,25 @@ func TestChaseKernelsMatchOracle(t *testing.T) {
 							}
 						}
 					}
+
+					// Record-then-stream kernels: the records must have
+					// the documented layout and touch nothing outside
+					// the chunk's sublists; the streams run over a vertex
+					// window derived from the chunk.
+					vlo, vhi := lo*len(s.next)/k, hi*len(s.next)/k
+					for _, scan := range []bool{false, true} {
+						base := s.words(scan)
+						if d := diffRecorded(runRecord(s, base, scan, lo, hi, K), refRecord(s, base, scan, lo, hi)); d != "" {
+							t.Fatalf("record scan=%v: %s", scan, d)
+						}
+						full := refRecord(s, base, scan, 0, k)
+						got, want := runStream(full, pfx, scan, vlo, vhi), refStream(s, full, pfx, scan, vlo, vhi)
+						for v := range want {
+							if got[v] != want[v] {
+								t.Fatalf("stream scan=%v [%d,%d) vertex %d: got %d, want %d", scan, vlo, vhi, v, got[v], want[v])
+							}
+						}
+					}
 				})
 			}
 		}
@@ -292,6 +450,53 @@ func TestKernelPanicsOnMalformedList(t *testing.T) {
 		}()
 		SumAdd(s.next, s.values, s.h, sum, cur, 0, 3, 4)
 	}()
+
+	// The record kernels' sentinel: a lane that reaches a vertex some
+	// lane already recorded must panic, not chase the record. Three
+	// shapes: two sublists sharing a vertex, two sharing a head, and a
+	// cycle with no self-loop to end it.
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	for name, bend := range map[string]func(s *sublists){
+		"shared-vertex": func(s *sublists) { s.next[s.h[1]] = s.next[s.h[0]] },
+		"shared-head":   func(s *sublists) { s.h[1] = s.h[0] },
+		"cycle": func(s *sublists) {
+			c := s.h[0]
+			for s.next[c] != c {
+				c = s.next[c]
+			}
+			s.next[c] = s.h[0]
+		},
+	} {
+		for _, scan := range []bool{false, true} {
+			for _, K := range []int{1, 4} {
+				bad := makeSublists([]int{5, 5}, 1)
+				bend(bad)
+				mustPanic(fmt.Sprintf("%s scan=%v K=%d", name, scan, K), func() {
+					runRecord(bad, bad.words(scan), scan, 0, 2, K)
+				})
+			}
+		}
+	}
+	// A stream over a vertex no lane recorded must panic too, as must a
+	// stream window past the arrays. The prefix table is wider than any
+	// link, so only the sentinel can reject an unrecorded word.
+	ok := makeSublists([]int{5, 5}, 1)
+	pfx := make([]int64, len(ok.next)+1)
+	for _, scan := range []bool{false, true} {
+		base := ok.words(scan)
+		part := refRecord(ok, base, scan, 0, 1) // sublist 1 never chased
+		mustPanic(fmt.Sprintf("unrecorded scan=%v", scan), func() { runStream(part, pfx, scan, 0, 10) })
+		full := refRecord(ok, base, scan, 0, 2)
+		mustPanic(fmt.Sprintf("window scan=%v", scan), func() { runStream(full, pfx, scan, 0, 11) })
+	}
 }
 
 // TestKernelsAllocationFree: lane state is a stack array; a kernel
@@ -317,6 +522,16 @@ func TestKernelsAllocationFree(t *testing.T) {
 		"ExpandEnc": func() { ExpandEnc(out, e, s.h, pfx, 0, k, 16) },
 		"ExpandOp":  func() { ExpandOp(out, s.next, s.values, s.h, pfx, op, 0, k, 16) },
 	}
+	// The record kernels consume their words, so each run re-encodes a
+	// working copy first (copy never allocates).
+	rankWords, scanWords := s.words(false), s.words(true)
+	work := make([]uint64, len(s.next))
+	cases["RecordRank"] = func() { copy(work, rankWords); RecordRank(work, s.h, sum, cur, 0, k, 16) }
+	cases["RecordScan"] = func() { copy(work, scanWords); RecordScan(out, work, s.h, sum, cur, 0, k, 16) }
+	rankRec := refRecord(s, rankWords, false, 0, k).enc
+	scanRec := refRecord(s, scanWords, true, 0, k).enc
+	cases["StreamRank"] = func() { StreamRank(out, rankRec, pfx, 0, len(out)) }
+	cases["StreamScan"] = func() { StreamScan(out, scanRec, pfx, 0, len(out)) }
 	lnk := make([]int32, k)
 	lnk2 := make([]int32, k)
 	copy(lnk, active)

@@ -382,7 +382,10 @@ type Server struct {
 	// goroutine, outside any shard, so their outcome buckets are these
 	// server-level counters; segActive bounds live orchestrators
 	// (beyond the cap a parent degrades to monolithic service), and
-	// segWG lets Close wait for them.
+	// segWG lets Close wait for them. segPool is the orchestrators'
+	// own worker pool for the fan-outs they run inline (Prepare, the
+	// boundary rank); Close closes it, after which an orchestrator's
+	// fan-outs fall back to spawn-per-call, which cannot leak.
 	procs       int
 	autoSegment int
 	segmented   atomic.Int64
@@ -392,6 +395,7 @@ type Server struct {
 	segPoisoned atomic.Int64
 	segActive   atomic.Int64
 	segWG       sync.WaitGroup
+	segPool     *WorkerPool
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -513,6 +517,7 @@ func NewServer(opt ServerOptions) *Server {
 	}
 	s := &Server{bins: fleet.NewBins(bounds)}
 	s.procs = procs
+	s.segPool = NewWorkerPool(procs)
 	s.autoSegment = opt.AutoSegment
 	s.shedOn = opt.Shed
 	s.gov = opt.Governor
@@ -825,6 +830,7 @@ func (s *Server) Close() {
 	// dispatchers drained before exiting); any later wave fails
 	// admission and is finished inline, so this wait is bounded.
 	s.segWG.Wait()
+	s.segPool.Close()
 	for _, sh := range s.shards {
 		sh.pool.Close()
 		// Release the shard's cached reorder layouts so the governor's

@@ -277,3 +277,57 @@ func TestSubmitTimeout(t *testing.T) {
 	}
 	checkIdentity(t, s)
 }
+
+// TestServerMalformedProbesPoisoned: the malformed-list probes of
+// internal/core's TestMalformedProbesPanic — a 4096-vertex chain whose
+// end closes into a 2-cycle or a long cycle, leaving the self-loop
+// tail unreachable — used to spin an engine forever, wedging its shard.
+// Served without input validation, each must now end ErrPanic
+// (poisoned) within the watchdog bound, rank and scan alike, with the
+// accounting identity exact. The seeds are ones at which the engine
+// used to hang. Procs 1: at Procs > 1 two sublists reaching one vertex
+// of a malformed list race on its record.
+func TestServerMalformedProbesPoisoned(t *testing.T) {
+	const n = 4096
+	probe := func(back int64) *List {
+		l := &List{Next: make([]int64, n), Value: make([]int64, n)}
+		for i := range l.Next {
+			l.Next[i] = int64(i + 1)
+			l.Value[i] = int64(i%7) - 3
+		}
+		l.Next[n-2] = back
+		l.Next[n-1] = n - 1
+		return l
+	}
+	s := NewServer(ServerOptions{Procs: 1})
+	var tickets []*Ticket
+	for _, pr := range []struct {
+		back int64
+		seed uint64
+	}{{n - 3, 3}, {1000, 1}} {
+		for _, op := range []Op{OpRank, OpScan} {
+			tickets = append(tickets, s.Submit(Request{Op: op, List: probe(pr.back), Opt: Options{Seed: pr.seed}}))
+		}
+	}
+	for i, tk := range tickets {
+		done := make(chan error, 1)
+		go func(tk *Ticket) {
+			_, err := tk.Wait()
+			done <- err
+		}(tk)
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrPanic) {
+				t.Fatalf("probe request %d: %v, want ErrPanic", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			// Close would wait on the wedged shard; leave the server.
+			t.Fatalf("probe request %d still running after 10s (hang)", i)
+		}
+	}
+	if st := s.Stats(); st.Poisoned != int64(len(tickets)) {
+		t.Errorf("poisoned %d, want %d", st.Poisoned, len(tickets))
+	}
+	checkIdentity(t, s)
+	s.Close()
+}

@@ -103,6 +103,10 @@ func (s *Server) serveSegmented(t *Ticket, S int) {
 	sc := getSegScratch()
 	defer putSegScratch(sc)
 	defer sc.Release()
+	// The orchestrator's own fan-outs run on the server's pool, not the
+	// process-wide shared one, so no worker outlives Close.
+	sc.SetPool(s.segPool)
+	defer sc.SetPool(nil)
 	// Account the orchestrator's arena footprint as ClassSegment for
 	// the parent's lifetime, re-measured after each growth point, so
 	// the governor sees segmented traffic's real memory (the pressure
