@@ -53,8 +53,8 @@ func batchAll(pool []*List, opt Options, op Op) [][]int64 {
 		tickets[i] = s.Submit(Request{Op: op, List: l, Dst: out[i], Opt: opt})
 	}
 	// Wait every ticket before reporting a failure: panicking with
-	// requests still in flight would leave the fleet mutating the
-	// caller's lists and result slices during the unwind.
+	// requests still in flight would leave the fleet writing the
+	// caller's result slices during the unwind.
 	var firstErr error
 	for _, t := range tickets {
 		if _, err := t.Wait(); err != nil && firstErr == nil {

@@ -18,6 +18,7 @@ package listrank
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"listrank/internal/core"
@@ -318,15 +319,16 @@ func BenchmarkAblation_BankConflicts(b *testing.B) {
 }
 
 // BenchmarkAblation_EncodedRank measures the §3 single-gather
-// optimization on the goroutine track: ranking on the encoded engine
-// (one gather per link, Phase 3 streamed) against the generic scan
-// over a ones array (two gathers per link, Phase 3 chased again).
+// encoding on the goroutine track: ranking on the narrow 8-byte word
+// against the wide 16-byte {link, value} pair (DisableEncoding), both
+// with one gather per link and Phase 3 streamed, so the difference is
+// the footprint the encoding saves.
 func BenchmarkAblation_EncodedRank(b *testing.B) {
 	l := list.NewRandom(1<<20, rng.New(11))
 	for _, tc := range []struct {
 		name    string
 		disable bool
-	}{{"encoded", false}, {"two-gathers", true}} {
+	}{{"encoded", false}, {"wide", true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(8 << 20)
 			b.ReportAllocs()
@@ -578,12 +580,14 @@ func BenchmarkEngineReuseBatch(b *testing.B) {
 // last-level cache of typical hosts, where each link is a DRAM miss
 // and the lanes' overlapped misses pay off most. The plain legs rank;
 // the "-scan" legs run the int32-valued addition scan, which shares the
-// encoded engine. K=1 is the serial single-cursor oracle; K=0 is the
-// tuned per-regime default. Results are identical at every width. CI's
+// narrow encoded word; the "-scanop" legs run a max scan, which chases
+// the wide {link, value} pair. K=1 is the serial single-cursor oracle;
+// K=0 is the tuned per-regime default. Results are identical at every width. CI's
 // bench-smoke leg records the warm sweeps in BENCH_kernels.json via
 // cmd/benchjson; cmd/tune -lanes runs the rank sweep standalone with
 // per-regime recommendations.
 func BenchmarkLaneWidth(b *testing.B) {
+	benchMax := func(x, y int64) int64 { return max(x, y) }
 	for _, tc := range []struct {
 		name string
 		n    int
@@ -605,22 +609,21 @@ func BenchmarkLaneWidth(b *testing.B) {
 			e = NewEngine()
 			e.RankInto(dst, l, Options{Seed: 6, Procs: 1}) // warm the arena
 		}
-		for _, scan := range []bool{false, true} {
-			leg := tc.name
-			if scan {
-				leg += "-scan"
-			}
+		for _, op := range []string{"", "-scan", "-scanop"} {
 			for _, k := range []int{1, 2, 4, 8, 16, 32, 0} {
-				b.Run(fmt.Sprintf("%s/K=%d", leg, k), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s%s/K=%d", tc.name, op, k), func(b *testing.B) {
 					setup()
 					opt := Options{Seed: 6, Procs: 1, LaneWidth: k}
 					b.SetBytes(int64(8 * tc.n))
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if scan {
+						switch op {
+						case "-scan":
 							e.ScanInto(dst, l, opt)
-						} else {
+						case "-scanop":
+							e.ScanOpInto(dst, l, benchMax, math.MinInt64, opt)
+						default:
 							e.RankInto(dst, l, opt)
 						}
 					}

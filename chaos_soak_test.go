@@ -117,9 +117,9 @@ func TestChaosSoak(t *testing.T) {
 					req.List = poison
 				case kind < 12: // queue-full burst against the small queue
 					// Back-to-back submissions with no intervening Wait;
-					// the serial path does not mutate the list, so the
-					// burst can share one small list (as the existing
-					// backpressure tests do).
+					// the engines only read the list, so the burst can
+					// share one small list (as the existing backpressure
+					// tests do).
 					for b := range burst {
 						burst[b] = s.Submit(Request{Op: OpRank, List: good[0]})
 						submitted.Add(1)

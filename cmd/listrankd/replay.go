@@ -63,11 +63,11 @@ func runReplay(args []string) {
 	sizes := trace.Sizes(r, *n, *minSize, *maxSize, *zipfS)
 
 	// A fixed set of lists is cycled through by size so the trace's
-	// working set is bounded. The serving engines temporarily mutate a
-	// list in place (and restore it), so a list must never be in two
-	// in-flight requests at once: each problem carries a mutex held
-	// from submission until its ticket completes, serializing requests
-	// per list while keeping the lists themselves concurrent.
+	// working set is bounded. The engines only read a list, but each
+	// problem's rank and sc result buffers are shared by every request
+	// on it, so each problem carries a mutex held from submission until
+	// its ticket completes, serializing requests per problem while
+	// keeping the problems themselves concurrent.
 	type problem struct {
 		mu       sync.Mutex
 		l        *listrank.List
@@ -97,9 +97,8 @@ func runReplay(args []string) {
 	}
 
 	// Poisoned traffic cycles through a small ring of corrupt lists
-	// (out-of-range link at the head), serialized per list exactly like
-	// the good problems: a contained fault restores the list on unwind,
-	// but two in-flight engines must still never share one.
+	// (out-of-range link at the head), serialized per problem exactly
+	// like the good ones, since they share result buffers the same way.
 	var poisons []*problem
 	if *poisonRate > 0 {
 		for i := 0; i < 8; i++ {

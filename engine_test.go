@@ -1,6 +1,7 @@
 package listrank
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -165,4 +166,92 @@ func TestIntoLengthMismatchPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// sharedProblems is the shared-list fixture: one list with int32
+// values, and a second that shares its Next array but carries one value
+// outside int32, plus the serial oracle for each call the shared-list
+// tests make on them.
+type sharedProblems struct {
+	l, wl      *List
+	next, vals []int64 // pristine copies of the shared arrays
+	wvals      []int64
+	want       [4][]int64 // rank, scan, max-scan of l; scan of wl
+}
+
+func sharedMax(a, b int64) int64 { return max(a, b) }
+
+func newSharedProblems(n int) *sharedProblems {
+	l := NewRandomList(n, 71)
+	for i := range l.Value {
+		l.Value[i] = int64(i%201) - 100
+	}
+	wl := &List{Next: l.Next, Value: append([]int64(nil), l.Value...), Head: l.Head}
+	wl.Value[7] = 1 << 40
+	serial := Options{Algorithm: Serial}
+	return &sharedProblems{
+		l: l, wl: wl,
+		next:  append([]int64(nil), l.Next...),
+		vals:  append([]int64(nil), l.Value...),
+		wvals: append([]int64(nil), wl.Value...),
+		want: [4][]int64{
+			RankWith(l, serial),
+			ScanWith(l, serial),
+			ScanOpWith(l, sharedMax, -1<<62, serial),
+			ScanWith(wl, serial),
+		},
+	}
+}
+
+// checkUntouched asserts the shared arrays are bit-identical to their
+// pristine copies.
+func (sp *sharedProblems) checkUntouched(t *testing.T) {
+	t.Helper()
+	for i := range sp.next {
+		if sp.l.Next[i] != sp.next[i] || sp.l.Value[i] != sp.vals[i] || sp.wl.Value[i] != sp.wvals[i] {
+			t.Fatalf("shared list written at vertex %d", i)
+		}
+	}
+}
+
+// TestSharedListConcurrent: the engines only read the list, so four
+// goroutines may run a rank, an int32 scan, a generic-operator scan
+// and a wide-value scan on one shared list at the same time. Every
+// answer must equal the serial oracle and the list must be
+// bit-identical afterwards; under -race any engine write to the list
+// is a reported race.
+func TestSharedListConcurrent(t *testing.T) {
+	sp := newSharedProblems(1 << 14)
+	calls := [4]func(dst []int64, opt Options){
+		func(dst []int64, opt Options) { RankInto(dst, sp.l, opt) },
+		func(dst []int64, opt Options) { ScanInto(dst, sp.l, opt) },
+		func(dst []int64, opt Options) { ScanOpInto(dst, sp.l, sharedMax, -1<<62, opt) },
+		func(dst []int64, opt Options) { ScanInto(dst, sp.wl, opt) },
+	}
+	const rounds = 6
+	var wg sync.WaitGroup
+	errs := make(chan string, len(calls))
+	for g := range calls {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := make([]int64, sp.l.Len())
+			for r := 0; r < rounds; r++ {
+				c := (g + r) % len(calls) // every round runs all four at once
+				calls[c](dst, Options{Seed: uint64(r), Procs: 1 + r%2})
+				for i, w := range sp.want[c] {
+					if dst[i] != w {
+						errs <- fmt.Sprintf("goroutine %d call %d: dst[%d] = %d, want %d", g, c, i, dst[i], w)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	sp.checkUntouched(t)
 }

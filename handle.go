@@ -37,11 +37,10 @@ import (
 // Handle is a list registered with a Server — the "list the Server
 // remembers across requests". Submit a Request with Handle set (and
 // List nil) to serve against it; repeat traffic on the same handle
-// becomes eligible for the reorder cache. The registered list is
-// owned by the handle for serving purposes: as with Request.List, the
-// engines may temporarily mutate it in place, so the caller must not
-// read or mutate it while requests on the handle are in flight. To
-// mutate the list between requests, quiesce the handle (no requests
+// becomes eligible for the reorder cache. The engines only read the
+// registered list, so any number of requests on one handle may be in
+// flight at once, but the caller must not mutate the list while any
+// are. To mutate it between requests, quiesce the handle (no requests
 // in flight), mutate, then call Invalidate before submitting again.
 type Handle struct {
 	srv  *Server
@@ -53,12 +52,11 @@ type Handle struct {
 	// while its recorded version matches.
 	version atomic.Uint64
 
-	// mu serializes cold serves on this handle: the engines mutate the
-	// list in place, so two requests on one handle must not occupy
-	// engines at the same time. Warm hits read only the immutable
-	// layout and bypass mu entirely. hits/hitsVer (guarded by mu)
-	// count serves within the current version toward the reorder
-	// threshold.
+	// mu guards hits/hitsVer, which count cold serves within the
+	// current version toward the reorder threshold, and the layout
+	// build that crossing it triggers (maybeBuild). The serves
+	// themselves run outside it, so cold serves on one handle proceed
+	// concurrently; warm hits never take it.
 	mu      sync.Mutex
 	hits    int
 	hitsVer uint64
@@ -288,10 +286,10 @@ func (rc *reorderCache) moveFront(lay *layout) {
 
 // runHandle serves one handle request: the warm path runs the
 // sequential kernels against the immutable cached layout (zero
-// allocations, no engine, no handle lock); the cold path serializes
-// on the handle — the engines mutate the list in place — serves with
-// the lane kernels exactly like an anonymous request, and counts the
-// serve toward the reorder threshold.
+// allocations, no engine, no handle lock); the cold path serves with
+// the lane kernels exactly like an anonymous request, concurrently
+// with other cold serves on the handle, and then counts the serve
+// toward the reorder threshold under the handle lock.
 func (sh *shard) runHandle(t *Ticket, e *Engine, procs int) {
 	req := &t.req
 	h := req.Handle
@@ -315,8 +313,6 @@ func (sh *shard) runHandle(t *Ticket, e *Engine, procs int) {
 		}
 		rc.misses.Add(1)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if sh.validate {
 		if err := sh.checkList(h.list, procs); err != nil {
 			t.err = err
@@ -335,6 +331,8 @@ func (sh *shard) runHandle(t *Ticket, e *Engine, procs int) {
 		e.RankInto(req.Dst, h.list, opt)
 	}
 	if rc.enabled() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
 		sh.maybeBuild(h, e, procs, req)
 	}
 }

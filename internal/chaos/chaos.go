@@ -23,7 +23,7 @@
 //     workers, exercising slow-worker barrier and coalescing paths.
 //   - panic-at-phase-K: ArmPanic on a "core.phaseK" point panics the
 //     engine mid-run, exercising orchestrator-level containment and
-//     setup/restore unwinding.
+//     the unwind of a half-finished run.
 //   - queue-full bursts: driven by the soak test's open-throttle
 //     submission against a small admission queue. No hook needed.
 package chaos

@@ -23,8 +23,8 @@ import (
 // run that observes cancellation abandons the problem at the next
 // boundary by panicking with ErrCanceled, which the caller's
 // containment (listrank.Server's per-ticket recover) converts into the
-// ticket's error. The engine's setup/restore pair is deferred, so an
-// abandoned run still restores the caller's list before unwinding.
+// ticket's error. The engine never writes the caller's list, so an
+// abandoned run leaves nothing to undo but a partial dst.
 
 // ErrCanceled is the panic value a canceled run unwinds with at its
 // next cancellation checkpoint. It escapes only to callers that armed
@@ -40,9 +40,9 @@ var ErrCanceled = errors.New("core: run canceled")
 // and the latency of noticing a cancellation.
 const cancelStride = 1024
 
-// streamStride is the number of vertices the encoded engine's Phase 3
-// stream handles between cancellation checks. A streamed vertex costs
-// a fraction of a chased link, so the stride is larger than
+// streamStride is the number of vertices the engine's Phase 3 stream
+// handles between cancellation checks. A streamed vertex costs a
+// fraction of a chased link, so the stride is larger than
 // cancelStride·log n links for about the same tens of microseconds.
 const streamStride = 1 << 16
 

@@ -27,25 +27,24 @@ func mustCancel(t *testing.T, f func()) {
 	f()
 }
 
-// checkRestored asserts the engine's deferred restore ran: the list is
-// a valid single chain again and the all-ones values are untouched.
+// checkRestored asserts a canceled run left the list as it found it:
+// still a valid single chain, the all-ones values untouched.
 func checkRestored(t *testing.T, l *list.List) {
 	t.Helper()
 	if err := l.Validate(); err != nil {
-		t.Fatalf("list not restored after canceled run: %v", err)
+		t.Fatalf("list written by canceled run: %v", err)
 	}
 	for i, v := range l.Value {
 		if v != 1 {
-			t.Fatalf("Value[%d] = %d after canceled run, want 1 (restored)", i, v)
+			t.Fatalf("Value[%d] = %d after canceled run, want 1 (untouched)", i, v)
 		}
 	}
 }
 
 // TestCancelPreTripped: a run whose token is tripped before it starts
-// must abandon at the first phase boundary with ErrCanceled, restoring
-// the list on the way out. Exercised across both engines (encoded, and
-// generic via DisableEncoding — the one that cuts the list in place),
-// rank and scan, and both Procs regimes.
+// must abandon at the first phase boundary with ErrCanceled, leaving
+// the list untouched. Exercised across both layouts (narrow, and wide
+// via DisableEncoding), rank and scan, and both Procs regimes.
 func TestCancelPreTripped(t *testing.T) {
 	const n = 1 << 15
 	for _, de := range []bool{false, true} {
@@ -168,9 +167,9 @@ func BenchmarkCancelOverhead(b *testing.B) {
 	}
 }
 
-// TestCancelScanAndOp: the addition scan on both engines at both the
-// single-cursor and the default lane width, and the generic operator
-// engine, honor pre-tripped tokens too.
+// TestCancelScanAndOp: the addition scan in both layouts at both the
+// single-cursor and the default lane width, and the generic-operator
+// scan, honor pre-tripped tokens too.
 func TestCancelScanAndOp(t *testing.T) {
 	const n = 1 << 14
 	var cn Cancel

@@ -25,14 +25,18 @@
 //     by the paper's write/read competition: every virtual processor
 //     writes its index at its chosen position and the ones that read a
 //     different index back drop out.
-//   - Each sublist tail is terminated with a self-loop and its value is
-//     destructively set to the operator identity (§3, Phase 1), so the
-//     traversal folds the tail like any other vertex and stops where a
-//     link points back at itself.
-//   - Successor sublists are discovered by writing the virtual
-//     processor index at the chosen position and reading the index
-//     stored at the tail the traversal reached (Fig. 6). The processor
-//     that finds no index owns the tail sublist.
+//   - Each sublist tail is terminated with a self-loop (§3, Phase 1),
+//     so the traversal stops where a link points back at itself. The
+//     cut is made in words the engine derives from the list, never in
+//     the list itself, and the tail keeps its value, so a sublist's
+//     fold is complete when its chase stops. The paper's destructive
+//     variant — cutting the list in place and overwriting each tail's
+//     value with the operator identity — and its Fig. 6 successor
+//     competition, which writes each virtual processor's index at its
+//     splitter and reads the index at the tail its traversal reached,
+//     live only in package vecalg on the simulated C-90. Here a
+//     sublist's successor is read from the Phase 1 record at the head
+//     that follows its tail.
 //   - On multiple processors, the virtual processors (sublists) are
 //     assigned to workers once, each worker completes Phases 1 and 3
 //     on its share independently, and only a constant number of
@@ -48,16 +52,18 @@
 // lockstep traversal with §4 packing, which a vector machine forces,
 // lives in package vecalg on the simulated C-90.
 //
-// Phase 3 takes one of two shapes. Ranks and addition scans whose
-// values fit in int32 run the encoded engine (encoded.go), which
-// records each vertex's sublist and offset in Phase 1 — in the very
-// word the single-gather loop (§3) just read — and finishes with one
-// streaming pass in vertex order. Every other problem runs the generic
-// engine, which traverses each sublist again, expanding the head's
-// scan value across it.
+// Phase 1 records and Phase 3 streams (encoded.go): as a lane reads a
+// vertex's words it overwrites them with the vertex's sublist and its
+// offset or local prefix, and Phase 3 is one streaming pass in vertex
+// order. The words come in two layouts, picked once per call: ranks
+// and addition scans whose values fit in int32 chase the paper's
+// single-gather encoded word (§3, 8 bytes per vertex); every other
+// problem — any operator, a wide value, a list of 2^31 vertices or
+// more — chases a 16-byte {link, value} pair. Neither writes the
+// caller's list.
 //
 // All working space — the virtual-processor table, splitter buffers,
-// encoded words and Phase 2 storage — lives in a reusable Scratch
+// derived words and Phase 2 storage — lives in a reusable Scratch
 // arena (scratch.go). The package-level entry points draw arenas from
 // a pool; callers with a steady stream of problems hold one Scratch
 // (via listrank.Engine) and perform zero heap allocations per call
@@ -68,8 +74,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"listrank/internal/chaos"
-	"listrank/internal/kernel"
 	"listrank/internal/list"
 	"listrank/internal/par"
 	"listrank/internal/rng"
@@ -111,11 +115,11 @@ type Stats struct {
 	// cutoff reports exactly 2n at every lane width. A recursive
 	// Phase 2's own visits are not included.
 	LinksTraversed int64
-	// Encoded reports whether the run used the single-gather
-	// encoded-word engine (§3, encoded.go): ranks, and addition scans
-	// whose values all fit in int32, of lists longer than the serial
-	// cutoff and shorter than 2^31 vertices, unless DisableEncoding is
-	// set.
+	// Encoded reports whether the run chased the narrow single-gather
+	// word (§3, encoded.go): ranks, and addition scans whose values all
+	// fit in int32, of lists longer than the serial cutoff and shorter
+	// than 2^31 vertices, unless DisableEncoding is set. Every other
+	// run above the cutoff chases the wide {link, value} pair.
 	Encoded bool
 }
 
@@ -151,19 +155,19 @@ type Options struct {
 	// are identical for every width; only the number of memory loads
 	// in flight differs.
 	LaneWidth int
-	// DisableEncoding turns off the single-gather encoded-word engine
-	// (§3, see encoded.go), forcing ranks through the generic scan over
-	// a ones array and addition scans through the generic two-stream
-	// engine. It exists for the BenchmarkAblation_EncodedRank
-	// comparison and to test the generic engine directly.
+	// DisableEncoding sends every problem to the wide {link, value}
+	// layout (see encoded.go), ranks and addition scans included,
+	// instead of the narrow single-gather word (§3). It exists for the
+	// BenchmarkAblation_EncodedRank comparison and so the differential
+	// suites can compare the two layouts.
 	DisableEncoding bool
 	// Cancel, if non-nil, makes the run cooperatively cancelable: it is
 	// polled at phase boundaries and between kernel chunk strips (see
 	// cancel.go for the cost bound), and a run that observes
-	// cancellation panics with ErrCanceled at its next phase boundary —
-	// after the deferred restore has un-mutated the caller's list. Nil
-	// (the default) compiles the checks down to nil-receiver
-	// short-circuits.
+	// cancellation panics with ErrCanceled at its next phase boundary.
+	// The list is never written, so an abandoned run leaves nothing to
+	// undo; only dst is partial. Nil (the default) compiles the checks
+	// down to nil-receiver short-circuits.
 	Cancel *Cancel
 	// Stats, if non-nil, is filled with run statistics.
 	Stats *Stats
@@ -199,10 +203,8 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // Ranks returns, for each vertex of l, the number of vertices that
-// precede it in the list. Unless disabled (or the list is enormous),
-// it runs the single-gather encoded engine (§3), which reads one
-// memory stream per link, streams Phase 3, and never mutates l.
-// Working space comes from a pooled Scratch.
+// precede it in the list. It never writes l. Working space comes from
+// a pooled Scratch.
 func Ranks(l *list.List, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	sc := getScratch()
@@ -223,18 +225,11 @@ func RanksInto(dst []int64, l *list.List, opt Options, sc *Scratch) {
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	tail, ok := encoded(dst, l, nil, opt, 0, sc)
-	if ok {
-		return
-	}
-	ones := sc.onesFor(l.Len())
-	scanAdd(dst, l, ones, tail, opt, 0, sc)
+	encoded(dst, l, nil, nil, 0, opt, 0, sc)
 }
 
-// Scan returns the exclusive list scan of l under integer addition.
-// When every value fits in int32 it runs the encoded engine, like
-// Ranks, and never mutates l; otherwise the generic engine cuts l in
-// place and restores it before returning.
+// Scan returns the exclusive list scan of l under integer addition. It
+// never writes l.
 func Scan(l *list.List, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	sc := getScratch()
@@ -251,12 +246,13 @@ func ScanInto(dst []int64, l *list.List, opt Options, sc *Scratch) {
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	addScan(dst, l, l.Value, opt, 0, sc)
+	encoded(dst, l, l.Value, nil, 0, opt, 0, sc)
 }
 
 // ScanOp returns the exclusive list scan of l under an arbitrary
 // associative operator with the given identity, combining strictly
 // preceding values in list order (safe for non-commutative operators).
+// It never writes l.
 func ScanOp(l *list.List, op func(a, b int64) int64, identity int64, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	sc := getScratch()
@@ -273,64 +269,19 @@ func ScanOpInto(dst []int64, l *list.List, op func(a, b int64) int64, identity i
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	scanOp(dst, l, l.Value, op, identity, opt, 0, sc)
+	encoded(dst, l, l.Value, op, identity, opt, 0, sc)
 }
 
-// vp holds the per-virtual-processor (per-sublist) state. The paper
-// stores five words per virtual processor (Table II: 5p+c space); we
-// keep the same asymptotics with parallel arrays, backed by the
-// Scratch arena so they are allocated once and reused.
+// vps holds the per-virtual-processor (per-sublist) state: the paper's
+// five words per virtual processor (Table II: 5p+c space), kept as
+// parallel arrays backed by the Scratch arena so they are allocated
+// once and reused.
 type vps struct {
-	r     []int64 // splitter vertex: tail of the *previous* sublist (-1 for vp 0)
-	h     []int64 // sublist head
-	saved []int64 // original value at the splitter (identity-overwritten)
-	sum   []int64 // Phase 1 accumulation / Phase 2 reduced value
-	cur   []int64 // traversal cursor / tail reached
-	succ  []int32 // successor sublist index (self for the tail sublist)
-	pfx   []int64 // Phase 2 result: scan value for the sublist head
-}
-
-// findTail locates the list's tail (the unique self-loop) by scanning
-// the Next array in parallel chunks. This replaces the O(n) serial
-// pointer chase of list.Tail with a memory-sequential search that both
-// vectorizes and parallelizes — part of removing the serial prologue
-// from the otherwise-parallel algorithm.
-func findTail(l *list.List, p int, sc *Scratch) int64 {
-	next := l.Next
-	n := len(next)
-	p = par.Procs(p, n)
-	if p == 1 {
-		for i, nx := range next {
-			if nx == int64(i) {
-				return int64(i)
-			}
-		}
-		panic("core: list has no tail self-loop")
-	}
-	sc.tails = grow(sc.tails, p)
-	found := sc.tails
-	sc.fc.next = next
-	sc.fanout().ForChunksCtx(n, p, sc, taskFindTail)
-	for _, t := range found {
-		if t >= 0 {
-			return t
-		}
-	}
-	panic("core: list has no tail self-loop")
-}
-
-// taskFindTail scans chunk [lo, hi) of the Next array for the
-// self-loop, parking the find (or -1) in the worker's tails slot.
-func taskFindTail(c any, w, lo, hi int) {
-	sc := c.(*Scratch)
-	next := sc.fc.next
-	sc.tails[w] = -1
-	for i := lo; i < hi; i++ {
-		if next[i] == int64(i) {
-			sc.tails[w] = int64(i)
-			return
-		}
-	}
+	h    []int64 // sublist head
+	sum  []int64 // Phase 1 fold of the sublist / Phase 2 reduced value
+	cur  []int64 // tail the Phase 1 chase reached
+	succ []int32 // successor sublist index (self for the tail sublist)
+	pfx  []int64 // Phase 2 result: scan value for the sublist head
 }
 
 // splitterChunk is the fixed granule of the parallel splitter draw:
@@ -340,13 +291,6 @@ func taskFindTail(c any, w, lo, hi int) {
 // the worker count — so runs are reproducible across Procs settings.
 const splitterChunk = 4096
 
-// drawSplitters draws m splitter positions (avoiding the tail), runs
-// the paper's write/read duplicate-elimination competition in out, and
-// returns the kept table (kept[0] is the -1 sentinel for the head
-// sublist; kept[j] for j >= 1 is the j-th surviving splitter, in draw
-// order) plus the number of duplicates dropped. On return every
-// competition cell of out is zeroed again, including out[tail], which
-// the later successor competition relies on.
 // drawPosChunks fills draw-grid chunks [clo, chi) of pos from their
 // seed-derived streams. It is a named function (not a closure) so the
 // single-worker path calls it with no per-call allocation; closure
@@ -384,6 +328,13 @@ func compactWinners(out, pos, winners []int64, lo, hi int) int {
 	return cnt
 }
 
+// drawSplitters draws m splitter positions (avoiding the tail), runs
+// the paper's write/read duplicate-elimination competition in out, and
+// returns the kept table (kept[0] is the -1 sentinel for the head
+// sublist; kept[j] for j >= 1 is the j-th surviving splitter, in draw
+// order) plus the number of duplicates dropped.
+// The competition leaves markers in out, which the engine's Phase 3
+// overwrites.
 func drawSplitters(out []int64, n int, tail int64, m int, seed uint64, p int, sc *Scratch) ([]int64, int) {
 	sc.pos = grow(sc.pos, m)
 	pos := sc.pos
@@ -430,20 +381,7 @@ func drawSplitters(out []int64, n int, tail int64, m int, seed uint64, p int, sc
 		kept = append(kept, winners[lo:lo+counts[w]]...)
 	}
 	sc.kept = kept
-	dropped := m - (len(kept) - 1)
-
-	// Clean the competition cells for the successor competition, which
-	// relies on 0 meaning "nobody cut here" — including at the tail,
-	// since out (the caller's dst) may have arrived dirty.
-	if pm == 1 {
-		for _, q := range pos {
-			out[q] = 0
-		}
-	} else {
-		sc.fanout().ForChunksCtx(m, pm, sc, taskClearCells)
-	}
-	out[tail] = 0
-	return kept, dropped
+	return kept, m - (len(kept) - 1)
 }
 
 // taskDrawPos, taskClearCells, taskCASMax and taskCompactWinners are
@@ -484,242 +422,37 @@ func taskCompactWinners(c any, w, lo, hi int) {
 	sc.counts[w] = compactWinners(sc.fc.out, sc.pos, sc.winners, lo, hi)
 }
 
-// setup draws opt.M splitters, runs the duplicate-elimination
-// competition (using out as the scratch cells the paper borrows from
-// list storage), cuts the list, and returns the virtual processor
-// table. Every stage — tail search (skipped when the caller passes a
-// tail >= 0), splitter draw, competition, cut and identity overwrite —
-// runs in parallel chunks under opt.Procs, with results identical to
-// the single-worker run. On return the list is mutated: every splitter
-// and the global tail are self-looped(*) with identity values;
-// restore() undoes this.
-// (*) splitters are self-looped; the global tail already is.
-func setup(out []int64, l *list.List, values []int64, identity, tail int64, opt Options, sc *Scratch) (*vps, int64, int64) {
-	n := l.Len()
-	p := par.Procs(opt.Procs, n)
-	if tail < 0 {
-		tail = findTail(l, p, sc)
-	}
-	kept, dropped := drawSplitters(out, n, tail, opt.M, opt.Seed, p, sc)
-
-	k := len(kept)
-	v := sc.vps(k)
-	v.h[0] = l.Head
-	v.r[0] = -1
-	v.saved[0] = identity // never a real splitter; defensive
-	savedTail := values[tail]
-	// Cut the list and identity-overwrite the values at every sublist
-	// tail so the branch-free traversal loops can run past the end
-	// harmlessly. Splitter positions are distinct, so the per-j writes
-	// touch disjoint cells and parallelize freely.
-	if p == 1 {
-		cutChunk(l.Next, values, v, kept, identity, 0, k-1)
-	} else {
-		sc.fc.next, sc.fc.values, sc.fc.identity = l.Next, values, identity
-		sc.fanout().ForChunksCtx(k-1, p, sc, taskCut)
-	}
-	values[tail] = identity
-	if st := opt.Stats; st != nil {
-		st.Sublists = k
-		st.DuplicatesDropped = dropped
-	}
-	return v, tail, savedTail
-}
-
-func taskCut(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	cutChunk(sc.fc.next, sc.fc.values, &sc.v, sc.kept, sc.fc.identity, lo, hi)
-}
-
-// cutChunk self-loops splitters kept[lo+1 .. hi] and records them in
-// the vp table; index translation matches the chunked fan-out over k-1.
-func cutChunk(next, values []int64, v *vps, kept []int64, identity int64, lo, hi int) {
-	for j := lo + 1; j < hi+1; j++ {
-		q := kept[j]
-		v.r[j] = q
-		v.h[j] = next[q]
-		v.saved[j] = values[q]
-		next[q] = q // terminate the previous sublist with a self-loop
-		values[q] = identity
-	}
-}
-
-// restore undoes the list mutations performed by setup.
-func restore(l *list.List, values []int64, v *vps, tail, savedTail int64) {
-	for j := 1; j < len(v.r); j++ {
-		p := v.r[j]
-		l.Next[p] = v.h[j]
-		values[p] = v.saved[j]
-	}
-	values[tail] = savedTail
-}
-
-// findSuccessors runs the Fig. 6 write/read competition that links the
-// sublist sums into the reduced list: vp j writes its (1-offset) index
-// at its splitter, then reads the index at the tail its Phase 1
-// traversal reached. Reading 0 means no processor cut there, i.e. the
-// vp owns the tail sublist. It uses out as scratch; the marker cells
-// are deliberately not cleaned here, because Phase 3 unconditionally
-// writes every vertex of every sublist — splitter vertices included —
-// so no marker can survive into the results. Only the generic engine
-// runs this competition — scanAdd (a rank or scan the encoded engine
-// declined: DisableEncoding, a value outside int32, n >= 2^31) and
-// scanOp — and both run Phase 3 after it;
-// TestPhase3OverwritesSuccessorMarkers asserts the invariant with
-// DisableEncoding set. The encoded engine reads successors from its
-// Phase 1 records instead (linkSuccessors).
-func findSuccessors(out []int64, v *vps, p int, sc *Scratch) {
-	k := len(v.r)
-	if p == 1 {
-		writeSuccMarkers(out, v, 0, k-1)
-		readSuccessors(out, v, 0, k)
-		return
-	}
-	sc.fc.out = out
-	sc.fanout().ForChunksCtx(k-1, p, sc, taskWriteSuccMarkers)
-	sc.fanout().ForChunksCtx(k, p, sc, taskReadSuccessors)
-}
-
-func taskWriteSuccMarkers(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	writeSuccMarkers(sc.fc.out, &sc.v, lo, hi)
-}
-
-func taskReadSuccessors(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	readSuccessors(sc.fc.out, &sc.v, lo, hi)
-}
-
-func writeSuccMarkers(out []int64, v *vps, lo, hi int) {
-	for j := lo + 1; j < hi+1; j++ {
-		out[v.r[j]] = int64(j)
-	}
-}
-
-func readSuccessors(out []int64, v *vps, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		s := out[v.cur[j]]
-		if s == 0 {
-			v.succ[j] = int32(j) // tail sublist
-		} else {
-			v.succ[j] = int32(s)
-		}
-	}
-}
-
-// addScan is the dispatcher every integer-addition scan goes through
-// — ScanInto, the boundary-list scan and Phase 2's recursion: the
-// encoded engine when the problem qualifies and every value fits in
-// int32, the generic engine (scanAdd) otherwise.
-func addScan(out []int64, l *list.List, values []int64, opt Options, depth int, sc *Scratch) {
-	if tail, ok := encoded(out, l, values, opt, depth, sc); !ok {
-		scanAdd(out, l, values, tail, opt, depth, sc)
-	}
-}
-
-// scanAdd runs the generic algorithm specialized to integer addition,
-// two memory streams (Next and values) per link: the path for scans
-// the encoded engine cannot take. The identity is 0. tail is the
-// list's tail if the caller already knows it, -1 otherwise. It writes
-// the exclusive scan into out.
-func scanAdd(out []int64, l *list.List, values []int64, tail int64, opt Options, depth int, sc *Scratch) {
-	n := l.Len()
-	opt = opt.withDefaults(n)
-	if st := opt.Stats; st != nil {
-		st.Depth = depth
-	}
-	if n <= opt.SerialCutoff || opt.M < 1 {
-		serialScanAddInto(out, l, values)
-		return
-	}
-	v, tail, savedTail := setup(out, l, values, 0, tail, opt, sc)
-	defer restore(l, values, v, tail, savedTail)
-	k := len(v.r)
-	p := par.Procs(opt.Procs, k)
-	lanes := kernel.Width(opt.LaneWidth, n)
-
-	// Phase 1: sublist sums via the lane-interleaved chase.
-	opt.checkpoint(chaos.PointPhase1)
-	if p == 1 {
-		stripSumAdd(opt.Cancel, l.Next, values, v.h, v.sum, v.cur, 0, k, lanes)
-	} else {
-		sc.fc.next, sc.fc.values, sc.fc.lanes = l.Next, values, lanes
-		sc.fc.cancel = opt.Cancel
-		sc.fanout().ForChunksCtx(k, p, sc, taskSumAdd)
-	}
-	if opt.Stats != nil {
-		opt.Stats.LinksTraversed += int64(n) // every vertex visited once
-	}
-
-	// A canceled Phase 1 leaves v.cur partially stale (see the same
-	// guard in encoded); abandon before any stage consumes it.
-	if opt.Cancel.Canceled() {
-		panic(ErrCanceled)
-	}
-	findSuccessors(out, v, p, sc)
-
-	// Fold each sublist's tail value (identity-overwritten in list
-	// storage, preserved in saved) into the reduced value.
-	if p == 1 {
-		foldTailsAdd(v, 0, k)
-	} else {
-		sc.fanout().ForChunksCtx(k, p, sc, taskFoldTailsAdd)
-	}
-
-	// Phase 2: scan the reduced list of sublist sums.
-	opt.checkpoint(chaos.PointPhase2)
-	phase2(v, k, nil, 0, opt, depth, sc)
-
-	// Phase 3: expand the head scan values across the sublists.
-	opt.checkpoint(chaos.PointPhase3)
-	if p == 1 {
-		stripExpandAdd(opt.Cancel, out, l.Next, values, v.h, v.pfx, 0, k, lanes)
-	} else {
-		sc.fc.out, sc.fc.next, sc.fc.values, sc.fc.lanes = out, l.Next, values, lanes
-		sc.fc.cancel = opt.Cancel
-		sc.fanout().ForChunksCtx(k, p, sc, taskExpandAdd)
-	}
-	if opt.Stats != nil {
-		opt.Stats.LinksTraversed += int64(n)
-	}
-	// A cancellation observed mid-Phase 3 left out partially written;
-	// surface it (the deferred restore still un-mutates the list).
-	if opt.Cancel.Canceled() {
-		panic(ErrCanceled)
-	}
-}
-
-func taskSumAdd(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	stripSumAdd(sc.fc.cancel, sc.fc.next, sc.fc.values, sc.v.h, sc.v.sum, sc.v.cur, lo, hi, sc.fc.lanes)
-}
-
-func taskFoldTailsAdd(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	foldTailsAdd(&sc.v, lo, hi)
-}
-
-func taskExpandAdd(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	stripExpandAdd(sc.fc.cancel, sc.fc.out, sc.fc.next, sc.fc.values, sc.v.h, sc.v.pfx, lo, hi, sc.fc.lanes)
-}
-
-func foldTailsAdd(v *vps, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		s := v.succ[j]
-		if int(s) != j {
-			v.sum[j] += v.saved[s]
-		}
-	}
-}
-
+// serialScanAddInto writes the exclusive addition scan of values
+// into out — ranks when values is nil — with the serial walk: the
+// engine's path at or below the serial cutoff.
 func serialScanAddInto(out []int64, l *list.List, values []int64) {
 	v := l.Head
 	next := l.Next
 	var sum int64
 	for {
 		out[v] = sum
-		sum += values[v]
+		if values == nil {
+			sum++
+		} else {
+			sum += values[v]
+		}
+		nx := next[v]
+		if nx == v {
+			return
+		}
+		v = nx
+	}
+}
+
+// serialScanOpInto is serialScanAddInto under an arbitrary associative
+// operator with the given identity.
+func serialScanOpInto(out []int64, l *list.List, values []int64, op func(a, b int64) int64, identity int64) {
+	v := l.Head
+	next := l.Next
+	acc := identity
+	for {
+		out[v] = acc
+		acc = op(acc, values[v])
 		nx := next[v]
 		if nx == v {
 			return

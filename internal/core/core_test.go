@@ -50,7 +50,7 @@ func TestProcsVariants(t *testing.T) {
 	l := list.NewRandom(20000, r)
 	l.RandomValues(-50, 50, r)
 	want := serial.Scan(l)
-	for _, de := range []bool{false, true} { // encoded and generic engines
+	for _, de := range []bool{false, true} { // narrow and wide layouts
 		for _, p := range []int{1, 2, 3, 4, 8, 16} {
 			equal(t, Scan(l, Options{Seed: 6, Procs: p, DisableEncoding: de}), want, "Scan procs")
 		}
@@ -86,8 +86,8 @@ func TestPhase2Variants(t *testing.T) {
 }
 
 // TestSingleLaneMatchesSerial: the single-cursor chase (LaneWidth 1,
-// the K=1 oracle) agrees with the serial scan at several Procs, on
-// both the encoded and the generic engine.
+// the K=1 oracle) agrees with the serial scan at several Procs, in
+// both the narrow and the wide layout.
 func TestSingleLaneMatchesSerial(t *testing.T) {
 	r := rng.New(12)
 	l := list.NewRandom(30000, r)
@@ -106,11 +106,12 @@ func TestInputRestoredAfterRun(t *testing.T) {
 	l := list.NewRandom(9000, r)
 	l.RandomValues(-5, 5, r)
 	before := l.Clone()
-	// The generic engine (DisableEncoding) cuts the list in place and
-	// must restore it; the encoded engine must never write it.
+	// Neither layout may write the list: a rank, a scan and a ScanOp in
+	// the narrow and the wide (DisableEncoding) layout.
 	for _, de := range []bool{false, true} {
 		_ = Scan(l, Options{Seed: 17, DisableEncoding: de})
 		_ = Ranks(l, Options{Seed: 18, LaneWidth: 1, DisableEncoding: de})
+		_ = ScanOp(l, func(a, b int64) int64 { return max(a, b) }, -1<<62, Options{Seed: 19, DisableEncoding: de})
 		for i := range before.Next {
 			if l.Next[i] != before.Next[i] || l.Value[i] != before.Value[i] {
 				t.Fatalf("DisableEncoding=%v: input not restored at vertex %d", de, i)
@@ -120,8 +121,8 @@ func TestInputRestoredAfterRun(t *testing.T) {
 }
 
 func TestScanIntoDirtyBuffer(t *testing.T) {
-	// The algorithm borrows the output array for its write/read
-	// competitions; a caller-provided buffer full of garbage must not
+	// The algorithm borrows the output array for its splitter
+	// competition; a caller-provided buffer full of garbage must not
 	// confuse it.
 	r := rng.New(19)
 	l := list.NewRandom(5000, r)
@@ -312,8 +313,8 @@ func BenchmarkScanSingleCursor1M(b *testing.B) {
 }
 
 // TestScanOpLaneWidths runs non-commutative and order-sensitive
-// operators through the generic engine at the single-cursor width and
-// the default width.
+// operators through the wide layout at the single-cursor width and the
+// default width.
 func TestScanOpLaneWidths(t *testing.T) {
 	packAffine := func(a, b int64) int64 { return a<<32 | (b & 0xffffffff) }
 	affine := func(f, g int64) int64 {

@@ -12,8 +12,8 @@ import (
 	"listrank/internal/serial"
 )
 
-// TestRanksEncodedMatchesSerial drives the single-gather engine across
-// shapes, lane widths and processor counts.
+// TestRanksEncodedMatchesSerial drives the narrow single-gather layout
+// across shapes, lane widths and processor counts.
 func TestRanksEncodedMatchesSerial(t *testing.T) {
 	shapes := map[string]*list.List{
 		"random-2k":   list.NewRandom(2048, rng.New(1)),
@@ -42,13 +42,15 @@ func TestRanksEncodedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRanksEncodedDoesNotMutate checks the encoded engine's
-// no-mutation guarantee (the cuts live only in the derived array).
+// TestRanksEncodedDoesNotMutate checks the engine's no-mutation
+// guarantee (the cuts live only in the derived words) for a rank and,
+// in the wide layout, a ScanOp.
 func TestRanksEncodedDoesNotMutate(t *testing.T) {
 	l := list.NewRandom(8192, rng.New(7))
 	l.RandomValues(-5, 5, rng.New(8))
 	before := l.Clone()
 	Ranks(l, Options{Procs: 3})
+	ScanOp(l, func(a, b int64) int64 { return max(a, b) }, -1<<62, Options{Procs: 3})
 	for v := range l.Next {
 		if l.Next[v] != before.Next[v] || l.Value[v] != before.Value[v] {
 			t.Fatalf("vertex %d mutated", v)
@@ -59,8 +61,8 @@ func TestRanksEncodedDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestRanksDisableEncoding checks the ablation escape hatch routes
-// through the generic engine and still agrees.
+// TestRanksDisableEncoding checks the ablation escape hatch routes a
+// rank through the wide layout and still agrees.
 func TestRanksDisableEncoding(t *testing.T) {
 	l := list.NewRandom(6000, rng.New(9))
 	want := serial.Ranks(l)
@@ -93,8 +95,8 @@ func TestRanksEncodedSerialCutoff(t *testing.T) {
 	}
 }
 
-// TestRanksEncodedStats: the encoded run reports the same link and
-// sublist counts as the generic engine.
+// TestRanksEncodedStats: the narrow run reports the same link and
+// sublist counts as the wide one.
 func TestRanksEncodedStats(t *testing.T) {
 	l := list.NewRandom(1<<14, rng.New(11))
 	var st, gen Stats
@@ -115,8 +117,8 @@ func TestRanksEncodedStats(t *testing.T) {
 	}
 }
 
-// TestQuickRanksEncodedEqualGeneric: property — for random lists,
-// encoded and generic engines agree vertex for vertex.
+// TestQuickRanksEncodedEqualGeneric: property — for random lists, the
+// narrow and wide layouts agree vertex for vertex.
 func TestQuickRanksEncodedEqualGeneric(t *testing.T) {
 	f := func(seed uint64, sz uint16) bool {
 		n := int(sz)%8000 + defaultSerialCutoff + 1
@@ -151,10 +153,10 @@ func TestRanksEncodedSingleVertexSublists(t *testing.T) {
 	}
 }
 
-// TestScanEncodedDispatch: an addition scan takes the encoded engine
+// TestScanEncodedDispatch: an addition scan takes the narrow layout
 // exactly when every value fits in int32 — int32 extremes included —
-// and stays exact on the generic engine when one does not.
-// DisableEncoding sends rank and scan alike to the generic engine.
+// and stays exact in the wide layout when one does not.
+// DisableEncoding sends rank and scan alike to the wide layout.
 func TestScanEncodedDispatch(t *testing.T) {
 	r := rng.New(21)
 	l := list.NewRandom(1<<13, r)
@@ -196,8 +198,9 @@ func TestScanEncodedDispatch(t *testing.T) {
 	}
 }
 
-// TestEncodedScanDoesNotMutate: like a rank, an encoded scan cuts only
-// its derived words, never the caller's list.
+// TestEncodedScanDoesNotMutate: like a rank, a scan cuts only its
+// derived words, never the caller's list — a narrow scan, and a ScanOp
+// in the wide layout.
 func TestEncodedScanDoesNotMutate(t *testing.T) {
 	r := rng.New(22)
 	l := list.NewRandom(9000, r)
@@ -208,6 +211,10 @@ func TestEncodedScanDoesNotMutate(t *testing.T) {
 	if !st.Encoded {
 		t.Fatal("encoded engine not used")
 	}
+	ScanOp(l, func(a, b int64) int64 { return a*3 + b }, 1, Options{Procs: 2, Stats: &st})
+	if st.Encoded {
+		t.Fatal("ScanOp reported the narrow layout")
+	}
 	for v := range l.Next {
 		if l.Next[v] != before.Next[v] || l.Value[v] != before.Value[v] {
 			t.Fatalf("vertex %d mutated", v)
@@ -215,10 +222,10 @@ func TestEncodedScanDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestEncodedMatchesGeneric is the differential suite of the encoded
-// engine: for random and ordered layouts, several seeds, Procs 1, 2
-// and 4 and every lane width 1..32, encoded ranks and scans equal the
-// generic engine's bit for bit (and the serial walk's).
+// TestEncodedMatchesGeneric is the differential suite of the two
+// layouts: for random and ordered lists, several seeds, Procs 1, 2 and
+// 4 and every lane width 1..32, narrow ranks and scans equal the wide
+// layout's (DisableEncoding) bit for bit, and the serial walk's.
 func TestEncodedMatchesGeneric(t *testing.T) {
 	r := rng.New(23)
 	lists := map[string]*list.List{

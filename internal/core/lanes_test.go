@@ -10,8 +10,8 @@ import (
 )
 
 // The lane-interleaved kernels must be invisible in the results: for
-// every lane width, every Procs and every engine path (encoded rank,
-// addition scan on the encoded and the generic engine, generic-operator
+// every lane width, every Procs and every engine path (narrow rank,
+// addition scan in the narrow and the wide layout, generic-operator
 // scan), the output must equal the single-cursor serial oracle's — and,
 // since the splitter draw depends only on the seed, must be
 // bit-identical across all of them.
@@ -51,7 +51,7 @@ func TestLaneWidthsAgree(t *testing.T) {
 							t.Fatalf("Ranks: vertex %d: got %d, want %d", v, got[v], want[v])
 						}
 					}
-					for _, de := range []bool{false, true} { // encoded, generic
+					for _, de := range []bool{false, true} { // narrow, wide
 						opt.DisableEncoding = de
 						got = Scan(l, opt)
 						for v := 0; v < n; v++ {
@@ -92,7 +92,7 @@ func TestLaneWidthExtremes(t *testing.T) {
 }
 
 // TestLaneWidthStatsInvariant: every engine path — rank and addition
-// scan on the encoded and the generic engine, generic-operator scan —
+// scan in the narrow and the wide layout, generic-operator scan —
 // visits each vertex once in Phase 1 and once in Phase 3, so the link
 // count is exactly 2n at every lane width: lanes add memory-level
 // parallelism, not work.

@@ -25,7 +25,7 @@ const probeN = 4096
 var probeBacks = map[string]int64{"2-cycle": probeN - 3, "long-cycle": 1000}
 
 // probeList builds the probe closing at back, with small int32 values
-// so a scan takes the encoded engine.
+// so a scan takes the narrow layout.
 func probeList(back int64) *list.List {
 	l := &list.List{Next: make([]int64, probeN), Value: make([]int64, probeN)}
 	for i := range l.Next {
@@ -61,29 +61,41 @@ func mustPanicWithin(t *testing.T, what string, f func()) {
 	}
 }
 
-// TestMalformedProbesPanic: on both probes, rank and int32 scan — the
-// encoded engine — panic at every seed instead of hanging.
+// TestMalformedProbesPanic: on both probes, every operator and both
+// layouts panic at every seed instead of hanging — rank and int32 scan
+// on the narrow word; ScanOp, a scan with a value outside int32 and a
+// DisableEncoding rank on the wide pair.
 func TestMalformedProbesPanic(t *testing.T) {
 	for name, back := range probeBacks {
 		l := probeList(back)
+		wl := probeList(back)
+		wl.Value[7] = 1 << 40
 		dst := make([]int64, probeN)
 		for seed := uint64(1); seed <= 50; seed++ {
 			opt := Options{Seed: seed, Procs: 1}
-			mustPanicWithin(t, fmt.Sprintf("%s rank seed %d", name, seed), func() {
-				RanksInto(dst, l, opt, nil)
-			})
-			mustPanicWithin(t, fmt.Sprintf("%s scan seed %d", name, seed), func() {
-				ScanInto(dst, l, opt, nil)
-			})
+			for what, run := range map[string]func(){
+				"rank":      func() { RanksInto(dst, l, opt, nil) },
+				"scan":      func() { ScanInto(dst, l, opt, nil) },
+				"scanop":    func() { ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0, opt, nil) },
+				"wide-scan": func() { ScanInto(dst, wl, opt, nil) },
+				"wide-rank": func() {
+					wide := opt
+					wide.DisableEncoding = true
+					RanksInto(dst, l, wide, nil)
+				},
+			} {
+				mustPanicWithin(t, fmt.Sprintf("%s %s seed %d", name, what, seed), run)
+			}
 		}
 	}
 }
 
-// TestSerialPhase2GuardsCycle: the generic engine has no revisit
-// guard, so on the long-cycle probe its Phase 1 ends at the cycle's
-// splitters and hands Phase 2 a reduced list with no tail sublist. The
-// serial Phase 2 walk, under addition (a generic rank) and under an
-// operator (ScanOp), must panic after k steps instead of spinning.
+// TestSerialPhase2GuardsCycle: on the long-cycle probe, the wide
+// layout under addition (a DisableEncoding rank) and under an operator
+// (ScanOp) must panic instead of spinning. The record sentinel fires
+// in Phase 1; behind it, the serial Phase 2 walk still panics after k
+// steps on a reduced list with no tail sublist, which is what a chase
+// without a revisit guard hands it.
 func TestSerialPhase2GuardsCycle(t *testing.T) {
 	l := probeList(probeBacks["long-cycle"])
 	dst := make([]int64, probeN)

@@ -65,12 +65,7 @@ func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Option
 			// Stats; only its depth is reported.
 			sub.Stats = new(Stats)
 		}
-		child := sc.childScratch()
-		if op == nil {
-			addScan(v.pfx, rl, rl.Value, sub, depth+1, child)
-		} else {
-			scanOp(v.pfx, rl, rl.Value, op, identity, sub, depth+1, child)
-		}
+		encoded(v.pfx, rl, rl.Value, op, identity, sub, depth+1, sc.childScratch())
 		if opt.Stats != nil {
 			opt.Stats.Depth = sub.Stats.Depth
 		}

@@ -37,20 +37,16 @@ type Scratch struct {
 	counts  []int
 	kept    []int64
 
-	// tails holds per-worker results of the parallel tail search
-	// (findTail, or the encoded engine's encode pass).
+	// tails holds the encode pass's per-worker tail finds.
 	tails []int64
 
-	// enc is the encoded engine's link+addend word array (§3), which
-	// Phase 1 overwrites with records; encOK holds the encode pass's
-	// per-worker "every word encoded exactly" flags.
+	// enc holds the words the engine derives from the list — n narrow
+	// words (§3) or 2n wide ones — which Phase 1 overwrites with
+	// records; encOK holds the encode pass's per-worker "every word
+	// encoded exactly" flags. One buffer serves both layouts, so an
+	// arena never holds more than 16 bytes per vertex here.
 	enc   []uint64
 	encOK []bool
-
-	// ones is the generic rank fallback's all-ones value array. Its
-	// entire capacity is kept filled with 1: the engine only ever
-	// mutates it through setup, whose restore puts the 1s back.
-	ones []int64
 
 	// Phase 2 pointer-jumping buffers (values and links, double
 	// buffered), shared by the add and generic-operator solvers.
@@ -94,7 +90,7 @@ type Scratch struct {
 		seed              uint64
 		k, p, rounds      int
 		lanes             int
-		scan              bool
+		lay               layout
 		val, val2         []int64
 		lnk, lnk2         []int32
 		total             int64
@@ -152,11 +148,9 @@ func putScratch(s *Scratch) { scratchPool.Put(s) }
 func grow[T any](b []T, n int) []T { return arena.Grow(b, n) }
 
 // vps returns the virtual-processor table resized to k entries.
-// Contents are unspecified; setup fills every field it reads.
+// Contents are unspecified; each phase fills every field it reads.
 func (sc *Scratch) vps(k int) *vps {
-	sc.v.r = grow(sc.v.r, k)
 	sc.v.h = grow(sc.v.h, k)
-	sc.v.saved = grow(sc.v.saved, k)
 	sc.v.sum = grow(sc.v.sum, k)
 	sc.v.cur = grow(sc.v.cur, k)
 	sc.v.succ = grow(sc.v.succ, k)
@@ -164,30 +158,10 @@ func (sc *Scratch) vps(k int) *vps {
 	return &sc.v
 }
 
-// onesFor returns an all-ones value array of length n. The invariant
-// that the whole backing array holds 1s is maintained jointly with
-// setup/restore: the engine overwrites entries only through setup,
-// which restores them before returning (even on panic, via defer).
-func (sc *Scratch) onesFor(n int) []int64 {
-	if cap(sc.ones) < n {
-		c := 2 * cap(sc.ones)
-		if c < n {
-			c = n
-		}
-		b := make([]int64, c)
-		for i := range b {
-			b[i] = 1
-		}
-		sc.ones = b
-	}
-	return sc.ones[:n]
-}
-
 // reducedView materializes a list.List view of the reduced list for
 // Phase 2 recursion without per-call allocation: the int32 succ links
 // are widened into a reused buffer and v.sum is shared as the value
-// array (it is dead after Phase 2 and the recursive call's own
-// setup/restore pair leaves it unchanged).
+// array (the recursive call only reads it).
 func (sc *Scratch) reducedView(v *vps, k, p int) *list.List {
 	sc.rlNext = grow(sc.rlNext, k)
 	rn := sc.rlNext

@@ -145,12 +145,10 @@ func TestParallelSetupDeterministic(t *testing.T) {
 }
 
 // TestPhase3OverwritesSuccessorMarkers asserts the invariant the
-// findSuccessors comment relies on: the competition markers it leaves
+// drawSplitters comment relies on: the competition markers it leaves
 // in out are all overwritten by Phase 3, so a dst pre-filled with a
-// sentinel never shows it after any engine path. The competition runs
-// only on the generic engine (DisableEncoding); the encoded engine,
-// which reads successors from its records, must also write every
-// vertex.
+// sentinel never shows it, and no marker survives into the result, in
+// either layout (narrow, and wide via DisableEncoding).
 func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	const sentinel = int64(-1) << 62
 	r := rng.New(48)
@@ -188,7 +186,7 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	}
 }
 
-// TestScanOpIntoScratchNonCommutative exercises the generic engine's
+// TestScanOpIntoScratchNonCommutative exercises the wide layout's
 // arena path (including the predecessor-oriented Phase 2 jumping) with
 // a non-commutative operator, reusing one arena across calls.
 func TestScanOpIntoScratchNonCommutative(t *testing.T) {

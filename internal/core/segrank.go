@@ -11,11 +11,8 @@ import "listrank/internal/list"
 // the parallel arrays segmented ranking naturally produces (per-run
 // sums linked by per-run successor node indices); the reused header in
 // the Scratch keeps the view conversion off the heap, so these calls
-// inherit the engine's zero-allocation steady state.
-//
-// The arrays are temporarily mutated exactly as any list handed to the
-// engine is (the sublist algorithm cuts at its splitters) and restored
-// before returning, even on unwind.
+// inherit the engine's zero-allocation steady state. Like any list
+// handed to the engine, the arrays are only read.
 
 // BoundaryScanAddInto writes the exclusive integer-addition scan of
 // the boundary list — values `sum` linked by `next`, first node
@@ -29,7 +26,7 @@ func BoundaryScanAddInto(pfx, next, sum []int64, head int64, opt Options, sc *Sc
 	defer sc.releaseCall()
 	defer func() { sc.bl = list.List{} }()
 	sc.bl = list.List{Next: next, Value: sum, Head: head}
-	addScan(pfx, &sc.bl, sum, opt, 0, sc)
+	encoded(pfx, &sc.bl, sum, nil, 0, opt, 0, sc)
 }
 
 // BoundaryScanOpInto is BoundaryScanAddInto under an arbitrary
@@ -43,5 +40,5 @@ func BoundaryScanOpInto(pfx, next, sum []int64, head int64, op func(a, b int64) 
 	defer sc.releaseCall()
 	defer func() { sc.bl = list.List{} }()
 	sc.bl = list.List{Next: next, Value: sum, Head: head}
-	scanOp(pfx, &sc.bl, sum, op, identity, opt, 0, sc)
+	encoded(pfx, &sc.bl, sum, op, identity, opt, 0, sc)
 }

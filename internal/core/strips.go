@@ -18,80 +18,44 @@ import (
 // streamed vertices), which is the "bounded check cost" EXPERIMENTS.md
 // quantifies.
 
-func stripSumAdd(cn *Cancel, next, values, h, sum, cur []int64, lo, hi, lanes int) {
+// stripRecord runs the Phase 1 record kernel of layout lay over
+// sublists [lo, hi); op (nil for addition) and identity are the wide
+// layout's.
+func stripRecord(cn *Cancel, out []int64, enc []uint64, h, sum, cur []int64, lay layout, op func(a, b int64) int64, identity int64, lo, hi, lanes int) {
 	for s := lo; s < hi; s += cancelStride {
 		chaos.Point(chaos.PointChunk)
 		if cn.Canceled() {
 			return
 		}
 		e := min(s+cancelStride, hi)
-		kernel.SumAdd(next, values, h, sum, cur, s, e, lanes)
-	}
-}
-
-func stripExpandAdd(cn *Cancel, out, next, values, h, pfx []int64, lo, hi, lanes int) {
-	for s := lo; s < hi; s += cancelStride {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return
-		}
-		e := min(s+cancelStride, hi)
-		kernel.ExpandAdd(out, next, values, h, pfx, s, e, lanes)
-	}
-}
-
-// stripRecord runs the encoded engine's Phase 1 record kernel — the
-// scan or the rank flavor — over sublists [lo, hi).
-func stripRecord(cn *Cancel, out []int64, enc []uint64, h, sum, cur []int64, scan bool, lo, hi, lanes int) {
-	for s := lo; s < hi; s += cancelStride {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return
-		}
-		e := min(s+cancelStride, hi)
-		if scan {
-			kernel.RecordScan(out, enc, h, sum, cur, s, e, lanes)
-		} else {
+		switch lay {
+		case narrowRank:
 			kernel.RecordRank(enc, h, sum, cur, s, e, lanes)
+		case narrowScan:
+			kernel.RecordScan(out, enc, h, sum, cur, s, e, lanes)
+		default:
+			kernel.RecordOp(enc, h, sum, cur, op, identity, s, e, lanes)
 		}
 	}
 }
 
-// stripStream runs the encoded engine's Phase 3 stream over vertices
-// [lo, hi), in streamStride-vertex strips.
-func stripStream(cn *Cancel, out []int64, enc []uint64, pfx []int64, scan bool, lo, hi int) {
+// stripStream runs the Phase 3 stream of layout lay over vertices
+// [lo, hi), in streamStride-vertex strips; op (nil for addition) is
+// the wide layout's.
+func stripStream(cn *Cancel, out []int64, enc []uint64, pfx []int64, lay layout, op func(a, b int64) int64, lo, hi int) {
 	for s := lo; s < hi; s += streamStride {
 		chaos.Point(chaos.PointChunk)
 		if cn.Canceled() {
 			return
 		}
 		e := min(s+streamStride, hi)
-		if scan {
-			kernel.StreamScan(out, enc, pfx, s, e)
-		} else {
+		switch lay {
+		case narrowRank:
 			kernel.StreamRank(out, enc, pfx, s, e)
+		case narrowScan:
+			kernel.StreamScan(out, enc, pfx, s, e)
+		default:
+			kernel.StreamOp(out, enc, pfx, op, s, e)
 		}
-	}
-}
-
-func stripSumOp(cn *Cancel, next, values, h, sum, cur []int64, op func(a, b int64) int64, identity int64, lo, hi, lanes int) {
-	for s := lo; s < hi; s += cancelStride {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return
-		}
-		e := min(s+cancelStride, hi)
-		kernel.SumOp(next, values, h, sum, cur, op, identity, s, e, lanes)
-	}
-}
-
-func stripExpandOp(cn *Cancel, out, next, values, h, pfx []int64, op func(a, b int64) int64, lo, hi, lanes int) {
-	for s := lo; s < hi; s += cancelStride {
-		chaos.Point(chaos.PointChunk)
-		if cn.Canceled() {
-			return
-		}
-		e := min(s+cancelStride, hi)
-		kernel.ExpandOp(out, next, values, h, pfx, op, s, e, lanes)
 	}
 }

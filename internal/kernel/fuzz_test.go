@@ -85,21 +85,22 @@ func FuzzLaneChase(f *testing.F) {
 			}
 		}
 
-		// The record kernels over the same chunk, then the streams over
-		// a fuzz-chosen vertex window of the fully recorded words.
+		// The record kernels of every layout over the same chunk, then
+		// the streams over a fuzz-chosen vertex window of the fully
+		// recorded words.
 		n := len(s.next)
 		vlo := int(loRaw) * n / 256
 		vhi := vlo + int(hiRaw)*(n-vlo)/255
-		for _, scan := range []bool{false, true} {
-			base := s.words(scan)
-			if d := diffRecorded(runRecord(s, base, scan, lo, hi, K), refRecord(s, base, scan, lo, hi)); d != "" {
-				t.Fatalf("record scan=%v K=%d chunk [%d,%d): %s", scan, K, lo, hi, d)
+		for _, lay := range layouts {
+			base := s.words(lay)
+			if d := diffRecorded(runRecord(s, base, lay, lo, hi, K), refRecord(s, base, lay, lo, hi)); d != "" {
+				t.Fatalf("record layout %d K=%d chunk [%d,%d): %s", lay, K, lo, hi, d)
 			}
-			full := refRecord(s, base, scan, 0, k)
-			got, want := runStream(full, pfx, scan, vlo, vhi), refStream(s, full, pfx, scan, vlo, vhi)
+			full := refRecord(s, base, lay, 0, k)
+			got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, full, pfx, lay, vlo, vhi)
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("stream scan=%v [%d,%d) vertex %d: got %d, want %d", scan, vlo, vhi, v, got[v], want[v])
+					t.Fatalf("stream layout %d [%d,%d) vertex %d: got %d, want %d", lay, vlo, vhi, v, got[v], want[v])
 				}
 			}
 		}

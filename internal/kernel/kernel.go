@@ -22,20 +22,23 @@
 // kernel: it remains both the small-chunk fast path and the
 // correctness oracle the lane paths are tested against.
 //
-// Three kernel families cover the sublist engine's hot loops:
+// Two kernel families cover the sublist engine's hot loops:
 //
-//   - Chase kernels (chase.go): run whole sublists to completion —
-//     Phase 1 sums and Phase 3 expansions, in integer-addition and
-//     generic-operator flavors for the generic engine. SumEnc and
-//     ExpandEnc, an encoded single-gather (§3) pair with zero-addend
-//     tails that chases twice, serve only the benchmark's kernel rung.
-//   - Record and stream kernels (record.go): the encoded engine's
-//     Phases 1 and 3. RecordRank and RecordScan chase like the others
-//     but overwrite every encoded word they read with a record of the
-//     vertex's sublist and offset; StreamRank and StreamScan then
-//     finish every vertex in one sequential pass.
+//   - Record and stream kernels (record.go): the engine's Phases 1 and
+//     3, in two word layouts. RecordRank and RecordScan chase the
+//     narrow §3 encoded word, RecordOp the wide {link, value} pair
+//     under any associative operator; each overwrites every word it
+//     reads with a record of the vertex's sublist and offset or local
+//     prefix, and StreamRank, StreamScan and StreamOp then finish every
+//     vertex in one sequential pass.
 //   - Jump kernels (jump.go): one round of Wyllie pointer doubling
 //     over the reduced list, used by Phase 2.
+//
+// The chase-twice kernels (chase.go) — SumEnc/ExpandEnc over a
+// zero-addend encoded word and SumAdd/ExpandAdd over separate Next and
+// value arrays — are the vector-machine shape of Phases 1 and 3. The
+// engine does not run them; they serve only the benchmark's kernel
+// rung.
 //
 // The sequential kernels (seq.go) serve lists the reorder cache has
 // laid out in list order, and the broadcast kernels (broadcast.go) run
@@ -108,7 +111,7 @@ func clampLanes(lanes int) int {
 	return lanes
 }
 
-// The encoded-word layout shared with the encoded engine (§3):
+// The narrow encoded-word layout shared with the engine (§3):
 // enc[v] = next(v)<<encShift | addend(v).
 const (
 	encShift   = 32
@@ -120,4 +123,13 @@ const (
 // (unused by the expand kernels, which retire nothing).
 type lane struct {
 	cur, acc, slot int64
+}
+
+// checkChunk validates a chunk [lo, hi) against the vp-column lengths
+// the kernel will index with slot values (explicit checks; the hot
+// loops carry none).
+func checkChunk(lo, hi, l1, l2, l3 int) {
+	if lo < 0 || hi < lo || hi > l1 || hi > l2 || hi > l3 {
+		panic("kernel: chunk out of range of the virtual-processor table")
+	}
 }

@@ -72,14 +72,50 @@ func (s *sublists) enc() []uint64 {
 	return e
 }
 
-// words builds the record-then-stream encoding: link<<32 |
-// uint32(addend), the addend 1 for a rank and the value for a scan,
-// every tail a self-loop that keeps its addend.
-func (s *sublists) words(scan bool) []uint64 {
+// The record and stream kernels' three layouts.
+const (
+	layRank    = iota // narrow word, addend 1: RecordRank, StreamRank
+	layScan           // narrow word, int32 addend: RecordScan, StreamScan
+	layWide           // {link, value} pair under wideOp: RecordOp, StreamOp
+	layWideAdd        // {link, value} pair, nil op (inline addition)
+)
+
+var layouts = []int{layRank, layScan, layWide, layWideAdd}
+
+// wideOp and wideID are the wide kernels' probe operator and identity.
+// The op is deliberately non-commutative and non-associative, so any
+// deviation from the serial per-sublist fold order, or folding the
+// sublist prefix on the wrong side, changes the result; the identity is
+// not a neutral element, so a kernel that drops it shows too.
+func wideOp(a, b int64) int64 { return 3*a + b }
+
+const wideID = 7
+
+// wideFold returns a wide layout's kernel operator and identity, and
+// the fold the references apply.
+func wideFold(lay int) (op func(a, b int64) int64, id int64, fold func(a, b int64) int64) {
+	if lay == layWideAdd {
+		return nil, 0, func(a, b int64) int64 { return a + b }
+	}
+	return wideOp, wideID, wideOp
+}
+
+// words builds a layout's words from the sublists: narrow link<<32 |
+// uint32(addend), the addend 1 for a rank and the value for a scan;
+// wide {link, value} pairs. Every tail is a self-loop that keeps its
+// value.
+func (s *sublists) words(lay int) []uint64 {
+	if lay >= layWide {
+		w := make([]uint64, 2*len(s.next))
+		for v, nx := range s.next {
+			w[2*v], w[2*v+1] = uint64(nx), uint64(s.values[v])
+		}
+		return w
+	}
 	e := make([]uint64, len(s.next))
 	for v, nx := range s.next {
 		a := uint64(1)
-		if scan {
+		if lay == layScan {
 			a = uint64(uint32(s.values[v]))
 		}
 		e[v] = uint64(nx)<<32 | a
@@ -89,8 +125,8 @@ func (s *sublists) words(scan bool) []uint64 {
 
 // recorded is the state a record kernel must leave: the words (records
 // for every vertex of the chased sublists, base words elsewhere), the
-// local exclusive prefixes a scan stores in out, and the retired sums
-// and tails.
+// local exclusive prefixes a narrow scan stores in out, and the retired
+// sums and tails.
 type recorded struct {
 	enc           []uint64
 	out, sum, cur []int64
@@ -107,21 +143,29 @@ func newRecorded(s *sublists, base []uint64) recorded {
 	}
 }
 
-// refRecord is the safe reference for RecordRank (scan false) and
-// RecordScan (scan true) over sublists [lo, hi), starting from base.
-func refRecord(s *sublists, base []uint64, scan bool, lo, hi int) recorded {
+// refRecord is the safe reference for the record kernel of layout lay
+// over sublists [lo, hi), starting from base.
+func refRecord(s *sublists, base []uint64, lay, lo, hi int) recorded {
 	r := newRecorded(s, base)
+	_, id, fold := wideFold(lay)
 	for j := lo; j < hi; j++ {
 		c := s.h[j]
 		var off, acc int64
+		if lay >= layWide {
+			acc = id
+		}
 		for {
-			if scan {
+			switch lay {
+			case layRank:
+				r.enc[c] = RecBit | uint64(j)<<32 | uint64(off)
+				acc++
+			case layScan:
 				r.enc[c] = RecBit | uint64(j)<<32
 				r.out[c] = acc
 				acc += s.values[c]
-			} else {
-				r.enc[c] = RecBit | uint64(j)<<32 | uint64(off)
-				acc++
+			default:
+				r.enc[2*c], r.enc[2*c+1] = RecBit|uint64(j), uint64(acc)
+				acc = fold(acc, s.values[c])
 			}
 			off++
 			if s.next[c] == c {
@@ -135,12 +179,16 @@ func refRecord(s *sublists, base []uint64, scan bool, lo, hi int) recorded {
 }
 
 // runRecord runs the record kernel under test on a copy of base.
-func runRecord(s *sublists, base []uint64, scan bool, lo, hi, K int) recorded {
+func runRecord(s *sublists, base []uint64, lay, lo, hi, K int) recorded {
 	r := newRecorded(s, base)
-	if scan {
-		RecordScan(r.out, r.enc, s.h, r.sum, r.cur, lo, hi, K)
-	} else {
+	switch lay {
+	case layRank:
 		RecordRank(r.enc, s.h, r.sum, r.cur, lo, hi, K)
+	case layScan:
+		RecordScan(r.out, r.enc, s.h, r.sum, r.cur, lo, hi, K)
+	default:
+		op, id, _ := wideFold(lay)
+		RecordOp(r.enc, s.h, r.sum, r.cur, op, id, lo, hi, K)
 	}
 	return r
 }
@@ -148,10 +196,12 @@ func runRecord(s *sublists, base []uint64, scan bool, lo, hi, K int) recorded {
 // diffRecorded reports the first difference between two record
 // states, or "" when they agree everywhere (untouched slots included).
 func diffRecorded(got, want recorded) string {
-	for v := range want.enc {
-		if got.enc[v] != want.enc[v] {
-			return fmt.Sprintf("enc[%d] = %#x, want %#x", v, got.enc[v], want.enc[v])
+	for i := range want.enc {
+		if got.enc[i] != want.enc[i] {
+			return fmt.Sprintf("word %d = %#x, want %#x", i, got.enc[i], want.enc[i])
 		}
+	}
+	for v := range want.out {
 		if got.out[v] != want.out[v] {
 			return fmt.Sprintf("out[%d] = %d, want %d", v, got.out[v], want.out[v])
 		}
@@ -167,21 +217,33 @@ func diffRecorded(got, want recorded) string {
 // refStream is the safe reference for the Phase 3 streams over
 // vertices [vlo, vhi) after every sublist was recorded: each vertex
 // gets its sublist's prefix plus its offset (rank) or its local
-// exclusive prefix (scan); the rest of out keeps the recorded state.
-func refStream(s *sublists, full recorded, pfx []int64, scan bool, vlo, vhi int) []int64 {
+// exclusive prefix (scan), or its sublist's prefix folded with its
+// local prefix (wide); the rest of out keeps the recorded state.
+func refStream(s *sublists, full recorded, pfx []int64, lay, vlo, vhi int) []int64 {
 	out := append([]int64(nil), full.out...)
+	_, id, fold := wideFold(lay)
 	for j := range s.h {
 		c := s.h[j]
 		var off, acc int64
+		if lay >= layWide {
+			acc = id
+		}
 		for {
 			if int(c) >= vlo && int(c) < vhi {
-				if scan {
-					out[c] = pfx[j] + acc
-				} else {
+				switch lay {
+				case layRank:
 					out[c] = pfx[j] + off
+				case layScan:
+					out[c] = pfx[j] + acc
+				default:
+					out[c] = fold(pfx[j], acc)
 				}
 			}
-			acc += s.values[c]
+			if lay >= layWide {
+				acc = fold(acc, s.values[c])
+			} else {
+				acc += s.values[c]
+			}
 			off++
 			if s.next[c] == c {
 				break
@@ -194,12 +256,16 @@ func refStream(s *sublists, full recorded, pfx []int64, scan bool, vlo, vhi int)
 
 // runStream runs the stream kernel under test on a copy of the
 // recorded out column.
-func runStream(full recorded, pfx []int64, scan bool, vlo, vhi int) []int64 {
+func runStream(full recorded, pfx []int64, lay, vlo, vhi int) []int64 {
 	out := append([]int64(nil), full.out...)
-	if scan {
-		StreamScan(out, full.enc, pfx, vlo, vhi)
-	} else {
+	switch lay {
+	case layRank:
 		StreamRank(out, full.enc, pfx, vlo, vhi)
+	case layScan:
+		StreamScan(out, full.enc, pfx, vlo, vhi)
+	default:
+		op, _, _ := wideFold(lay)
+		StreamOp(out, full.enc, pfx, op, vlo, vhi)
 	}
 	return out
 }
@@ -340,53 +406,21 @@ func TestChaseKernelsMatchOracle(t *testing.T) {
 						}
 					}
 
-					// Operator twins under an order-sensitive probe op
-					// (deliberately non-associative: any deviation from
-					// the serial per-sublist fold order changes the
-					// result, so this catches reordering the sharpest).
-					op := func(a, b int64) int64 { return 3*a + b }
-					SumOp(s.next, s.values, s.h, sum, cur, op, 0, lo, hi, K)
-					for j := lo; j < hi; j++ {
-						acc := int64(0)
-						for c := s.h[j]; ; c = s.next[c] {
-							acc = op(acc, s.values[c])
-							if s.next[c] == c {
-								break
-							}
-						}
-						if sum[j] != acc || cur[j] != wantCur[j] {
-							t.Fatalf("SumOp vp %d: got (%d,%d), want (%d,%d)", j, sum[j], cur[j], acc, wantCur[j])
-						}
-					}
-					ExpandOp(out, s.next, s.values, s.h, pfx, op, lo, hi, K)
-					for j := lo; j < hi; j++ {
-						acc := pfx[j]
-						for c := s.h[j]; ; c = s.next[c] {
-							if out[c] != acc {
-								t.Fatalf("ExpandOp vp %d vertex %d: got %d, want %d", j, c, out[c], acc)
-							}
-							acc = op(acc, s.values[c])
-							if s.next[c] == c {
-								break
-							}
-						}
-					}
-
-					// Record-then-stream kernels: the records must have
-					// the documented layout and touch nothing outside
-					// the chunk's sublists; the streams run over a vertex
-					// window derived from the chunk.
+					// Record-then-stream kernels, all three layouts: the
+					// records must have the documented layout and touch
+					// nothing outside the chunk's sublists; the streams
+					// run over a vertex window derived from the chunk.
 					vlo, vhi := lo*len(s.next)/k, hi*len(s.next)/k
-					for _, scan := range []bool{false, true} {
-						base := s.words(scan)
-						if d := diffRecorded(runRecord(s, base, scan, lo, hi, K), refRecord(s, base, scan, lo, hi)); d != "" {
-							t.Fatalf("record scan=%v: %s", scan, d)
+					for _, lay := range layouts {
+						base := s.words(lay)
+						if d := diffRecorded(runRecord(s, base, lay, lo, hi, K), refRecord(s, base, lay, lo, hi)); d != "" {
+							t.Fatalf("record layout %d: %s", lay, d)
 						}
-						full := refRecord(s, base, scan, 0, k)
-						got, want := runStream(full, pfx, scan, vlo, vhi), refStream(s, full, pfx, scan, vlo, vhi)
+						full := refRecord(s, base, lay, 0, k)
+						got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, full, pfx, lay, vlo, vhi)
 						for v := range want {
 							if got[v] != want[v] {
-								t.Fatalf("stream scan=%v [%d,%d) vertex %d: got %d, want %d", scan, vlo, vhi, v, got[v], want[v])
+								t.Fatalf("stream layout %d [%d,%d) vertex %d: got %d, want %d", lay, vlo, vhi, v, got[v], want[v])
 							}
 						}
 					}
@@ -451,10 +485,10 @@ func TestKernelPanicsOnMalformedList(t *testing.T) {
 		SumAdd(s.next, s.values, s.h, sum, cur, 0, 3, 4)
 	}()
 
-	// The record kernels' sentinel: a lane that reaches a vertex some
-	// lane already recorded must panic, not chase the record. Three
-	// shapes: two sublists sharing a vertex, two sharing a head, and a
-	// cycle with no self-loop to end it.
+	// The record kernels' sentinel, in every layout: a lane that reaches
+	// a vertex some lane already recorded must panic, not chase the
+	// record. Three shapes: two sublists sharing a vertex, two sharing a
+	// head, and a cycle with no self-loop to end it.
 	mustPanic := func(what string, f func()) {
 		t.Helper()
 		defer func() {
@@ -475,12 +509,12 @@ func TestKernelPanicsOnMalformedList(t *testing.T) {
 			s.next[c] = s.h[0]
 		},
 	} {
-		for _, scan := range []bool{false, true} {
+		for _, lay := range layouts {
 			for _, K := range []int{1, 4} {
 				bad := makeSublists([]int{5, 5}, 1)
 				bend(bad)
-				mustPanic(fmt.Sprintf("%s scan=%v K=%d", name, scan, K), func() {
-					runRecord(bad, bad.words(scan), scan, 0, 2, K)
+				mustPanic(fmt.Sprintf("%s layout %d K=%d", name, lay, K), func() {
+					runRecord(bad, bad.words(lay), lay, 0, 2, K)
 				})
 			}
 		}
@@ -490,12 +524,12 @@ func TestKernelPanicsOnMalformedList(t *testing.T) {
 	// link, so only the sentinel can reject an unrecorded word.
 	ok := makeSublists([]int{5, 5}, 1)
 	pfx := make([]int64, len(ok.next)+1)
-	for _, scan := range []bool{false, true} {
-		base := ok.words(scan)
-		part := refRecord(ok, base, scan, 0, 1) // sublist 1 never chased
-		mustPanic(fmt.Sprintf("unrecorded scan=%v", scan), func() { runStream(part, pfx, scan, 0, 10) })
-		full := refRecord(ok, base, scan, 0, 2)
-		mustPanic(fmt.Sprintf("window scan=%v", scan), func() { runStream(full, pfx, scan, 0, 11) })
+	for _, lay := range layouts {
+		base := ok.words(lay)
+		part := refRecord(ok, base, lay, 0, 1) // sublist 1 never chased
+		mustPanic(fmt.Sprintf("unrecorded layout %d", lay), func() { runStream(part, pfx, lay, 0, 10) })
+		full := refRecord(ok, base, lay, 0, 2)
+		mustPanic(fmt.Sprintf("window layout %d", lay), func() { runStream(full, pfx, lay, 0, 11) })
 	}
 }
 
@@ -513,25 +547,27 @@ func TestKernelsAllocationFree(t *testing.T) {
 	for j := range active {
 		active[j] = int32(j)
 	}
-	op := func(a, b int64) int64 { return a + b }
 	cases := map[string]func(){
 		"SumAdd":    func() { SumAdd(s.next, s.values, s.h, sum, cur, 0, k, 16) },
 		"SumEnc":    func() { SumEnc(e, s.h, sum, cur, 0, k, 16) },
-		"SumOp":     func() { SumOp(s.next, s.values, s.h, sum, cur, op, 0, 0, k, 16) },
 		"ExpandAdd": func() { ExpandAdd(out, s.next, s.values, s.h, pfx, 0, k, 16) },
 		"ExpandEnc": func() { ExpandEnc(out, e, s.h, pfx, 0, k, 16) },
-		"ExpandOp":  func() { ExpandOp(out, s.next, s.values, s.h, pfx, op, 0, k, 16) },
 	}
 	// The record kernels consume their words, so each run re-encodes a
 	// working copy first (copy never allocates).
-	rankWords, scanWords := s.words(false), s.words(true)
-	work := make([]uint64, len(s.next))
-	cases["RecordRank"] = func() { copy(work, rankWords); RecordRank(work, s.h, sum, cur, 0, k, 16) }
-	cases["RecordScan"] = func() { copy(work, scanWords); RecordScan(out, work, s.h, sum, cur, 0, k, 16) }
-	rankRec := refRecord(s, rankWords, false, 0, k).enc
-	scanRec := refRecord(s, scanWords, true, 0, k).enc
+	rankWords, scanWords, wideWords := s.words(layRank), s.words(layScan), s.words(layWide)
+	work := make([]uint64, len(wideWords))
+	cases["RecordRank"] = func() { copy(work, rankWords); RecordRank(work[:len(rankWords)], s.h, sum, cur, 0, k, 16) }
+	cases["RecordScan"] = func() { copy(work, scanWords); RecordScan(out, work[:len(scanWords)], s.h, sum, cur, 0, k, 16) }
+	cases["RecordOp"] = func() { copy(work, wideWords); RecordOp(work, s.h, sum, cur, wideOp, wideID, 0, k, 16) }
+	cases["RecordOp/add"] = func() { copy(work, wideWords); RecordOp(work, s.h, sum, cur, nil, 0, 0, k, 16) }
+	rankRec := refRecord(s, rankWords, layRank, 0, k).enc
+	scanRec := refRecord(s, scanWords, layScan, 0, k).enc
+	wideRec := refRecord(s, wideWords, layWide, 0, k).enc
 	cases["StreamRank"] = func() { StreamRank(out, rankRec, pfx, 0, len(out)) }
 	cases["StreamScan"] = func() { StreamScan(out, scanRec, pfx, 0, len(out)) }
+	cases["StreamOp"] = func() { StreamOp(out, wideRec, pfx, wideOp, 0, len(out)) }
+	cases["StreamOp/add"] = func() { StreamOp(out, wideRec, pfx, nil, 0, len(out)) }
 	lnk := make([]int32, k)
 	lnk2 := make([]int32, k)
 	copy(lnk, active)

@@ -32,14 +32,14 @@
 // ranked monolithically instead. Correctness never depends on the cut
 // choice; only performance does.
 //
-// Unlike the in-arena engine, segmented ranking never mutates the
-// input list, and it is fully structurally validating as a side
-// effect: per-segment run coverage catches intra-segment damage
-// (unreachable vertices, in-segment cycles, duplicate predecessors)
-// and the reduced-chain check catches cross-segment cycles, so any
-// input that is not a single chain over all n vertices panics
-// deterministically instead of producing garbage — the serving layer
-// contains that panic to the offending request.
+// Like the in-arena engine, segmented ranking never mutates the input
+// list; unlike it, segmented ranking is fully structurally validating
+// as a side effect: per-segment run coverage catches intra-segment
+// damage (unreachable vertices, in-segment cycles, duplicate
+// predecessors) and the reduced-chain check catches cross-segment
+// cycles, so any input that is not a single chain over all n vertices
+// panics deterministically instead of producing garbage — the serving
+// layer contains that panic to the offending request.
 package segment
 
 import "fmt"

@@ -90,8 +90,7 @@ type List struct {
 }
 
 // view returns the internal representation sharing this list's
-// storage. Algorithms that temporarily mutate the list restore it
-// before returning.
+// storage. Every algorithm only reads it.
 func (l *List) view() *list.List {
 	return &list.List{Next: l.Next, Value: l.Value, Head: l.Head}
 }

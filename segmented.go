@@ -16,11 +16,11 @@ import (
 // back the out-of-core engine (OutOfCore) and the server's
 // cross-shard dispatch (ServerOptions.AutoSegment, Request.Segments).
 //
-// Unlike the monolithic entry points, segmented calls never mutate
-// the input list and validate its structure for free: a list that is
-// not a single chain over all vertices panics (use Validate or the
-// serving layer, which contains the panic, when inputs are
-// untrusted).
+// Like the monolithic entry points, segmented calls never mutate the
+// input list; unlike them, they validate its structure for free: a
+// list that is not a single chain over all vertices panics (use
+// Validate or the serving layer, which contains the panic, when inputs
+// are untrusted).
 
 // SegmentedOptions configures the segmented entry points.
 type SegmentedOptions struct {

@@ -69,12 +69,10 @@ type Request struct {
 	// Op selects rank, scan, or generic-operator scan.
 	Op Op
 	// List is the problem; exactly one of List and Handle must be
-	// non-nil. The serving engines may temporarily mutate the list in
-	// place (the sublist algorithm cuts it at the splitters and
-	// restores it before completing), so a list must not be shared
-	// between requests that can be in flight at the same time, and
-	// must not be read or mutated by the caller until Wait returns. It
-	// is never retained past completion.
+	// non-nil. The serving engines only read the list, so one list may
+	// be shared by any number of requests in flight at the same time,
+	// but the caller must not mutate it until Wait returns. It is never
+	// retained past completion.
 	List *List
 	// Handle names a list registered with this server (Server.Register)
 	// in place of List: repeat traffic on the same handle becomes
@@ -146,7 +144,7 @@ var (
 	ErrBadRequest = errors.New("listrank: malformed request")
 	// ErrDeadlineExceeded reports a request whose Deadline passed —
 	// while queued (it never ran) or mid-run (it was cooperatively
-	// abandoned and its list restored).
+	// abandoned).
 	ErrDeadlineExceeded = errors.New("listrank: request deadline exceeded")
 	// ErrCanceled reports a request withdrawn by Ticket.Cancel or its
 	// Request.Ctx before completing.
@@ -186,8 +184,8 @@ type Ticket struct {
 
 // Cancel asks the server to abandon the request: if it is still
 // queued it will fail with ErrCanceled without running; if it is
-// mid-run the engine abandons it at its next cancellation checkpoint
-// (restoring the request's list). Cancel is safe to call at any time
+// mid-run the engine abandons it at its next cancellation
+// checkpoint. Cancel is safe to call at any time
 // between Submit and Wait, from any goroutine, and does not replace
 // Wait — exactly one Wait call is still required.
 func (t *Ticket) Cancel() { t.cancel.Trip() }
@@ -197,7 +195,7 @@ func (t *Ticket) Cancel() { t.cancel.Trip() }
 // nil) and the request's error: nil on success; ErrServerClosed /
 // ErrBackpressure / ErrBadRequest if the request never ran;
 // ErrDeadlineExceeded or ErrCanceled if it was withdrawn (queued or
-// mid-run — the list is restored either way); an ErrPanic-wrapped
+// mid-run); an ErrPanic-wrapped
 // error if a fault was contained while serving it.
 func (t *Ticket) Wait() ([]int64, error) {
 	<-t.done

@@ -283,10 +283,11 @@ func TestSubmitTimeout(t *testing.T) {
 // end closes into a 2-cycle or a long cycle, leaving the self-loop
 // tail unreachable — used to spin an engine forever, wedging its shard.
 // Served without input validation, each must now end ErrPanic
-// (poisoned) within the watchdog bound, rank and scan alike, with the
-// accounting identity exact. The seeds are ones at which the engine
-// used to hang. Procs 1: at Procs > 1 two sublists reaching one vertex
-// of a malformed list race on its record.
+// (poisoned) within the watchdog bound — rank, scan and a
+// generic-operator scan alike — with the accounting identity exact.
+// The seeds are ones at which the engine used to hang. Procs 1: at
+// Procs > 1 two sublists reaching one vertex of a malformed list race
+// on its record.
 func TestServerMalformedProbesPoisoned(t *testing.T) {
 	const n = 4096
 	probe := func(back int64) *List {
@@ -305,8 +306,12 @@ func TestServerMalformedProbesPoisoned(t *testing.T) {
 		back int64
 		seed uint64
 	}{{n - 3, 3}, {1000, 1}} {
-		for _, op := range []Op{OpRank, OpScan} {
-			tickets = append(tickets, s.Submit(Request{Op: op, List: probe(pr.back), Opt: Options{Seed: pr.seed}}))
+		for _, op := range []Op{OpRank, OpScan, OpScanOp} {
+			req := Request{Op: op, List: probe(pr.back), Opt: Options{Seed: pr.seed}}
+			if op == OpScanOp {
+				req.ScanOp = func(a, b int64) int64 { return max(a, b) }
+			}
+			tickets = append(tickets, s.Submit(req))
 		}
 	}
 	for i, tk := range tickets {

@@ -492,3 +492,48 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 	})
 }
+
+// TestServerSharedListConcurrent is TestSharedListConcurrent through a
+// Server: requests on one List, and on one cold Handle (its reorder
+// threshold is never reached, so every serve runs an engine), are all
+// in flight at once. Each answer must equal the serial oracle, the
+// shared arrays must be bit-identical afterwards, and the accounting
+// identity must hold.
+func TestServerSharedListConcurrent(t *testing.T) {
+	sp := newSharedProblems(1 << 14)
+	s := NewServer(ServerOptions{Procs: 2, ReorderAfter: 1 << 20})
+	defer s.Close()
+	h := s.Register(sp.l)
+	type job struct {
+		req  Request
+		want []int64
+	}
+	var jobs []job
+	for r := 0; r < 4; r++ {
+		opt := Options{Seed: uint64(r)}
+		for _, src := range []Request{{List: sp.l, Opt: opt}, {Handle: h, Opt: opt}} {
+			rank, scan, smax := src, src, src
+			rank.Op, scan.Op = OpRank, OpScan
+			smax.Op, smax.ScanOp, smax.Identity = OpScanOp, sharedMax, -1<<62
+			jobs = append(jobs, job{rank, sp.want[0]}, job{scan, sp.want[1]}, job{smax, sp.want[2]})
+		}
+		jobs = append(jobs, job{Request{Op: OpScan, List: sp.wl, Opt: opt}, sp.want[3]})
+	}
+	tickets := make([]*Ticket, len(jobs))
+	for i, j := range jobs {
+		tickets[i] = s.Submit(j.req)
+	}
+	for i, tk := range tickets {
+		got, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		for v, w := range jobs[i].want {
+			if got[v] != w {
+				t.Fatalf("request %d (op %d, handle %v): dst[%d] = %d, want %d", i, jobs[i].req.Op, jobs[i].req.Handle != nil, v, got[v], w)
+			}
+		}
+	}
+	sp.checkUntouched(t)
+	checkIdentity(t, s)
+}

@@ -141,8 +141,8 @@ func (t *Tree) Len() int { return t.n }
 // element v (v < n) enters vertex v with value +1, element n+v leaves
 // it with value −1, and the head is the root's entering element. The
 // returned list shares the tree's storage; callers must treat it as
-// read-only (every algorithm in package listrank restores any
-// temporary mutation before returning). Exposed so the tour can be
+// read-only (every algorithm in package listrank only reads it, so
+// concurrent calls may share it). Exposed so the tour can be
 // run on the evaluation substrates — e.g. handing it to
 // listrank.SimulateC90 prices the whole tree-statistics computation
 // in 1994 machine cycles.
