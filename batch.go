@@ -27,11 +27,10 @@ package listrank
 // size-binned fleet: small lists are coalesced into batch dispatches
 // with across-list parallelism, large lists run with within-list
 // parallelism on their shard's worker pool. Results are identical to
-// per-list RankWith calls. Opt's Algorithm, Seed, M and LaneWidth
-// apply to every list; Procs is owned by the fleet (see Request.Opt).
-// The pool's entries must be distinct lists: the whole batch is in
-// flight at once, and an in-flight list must not be shared (see
-// Request.List).
+// per-list RankWith calls. Opt's Seed, M and LaneWidth apply to every
+// list; Procs is owned by the fleet, and each list runs on a shard
+// engine — the serial walk if Algorithm is Serial, the sublist
+// algorithm otherwise (see Request.Opt).
 func RankAll(pool []*List, opt Options) [][]int64 {
 	return batchAll(pool, opt, OpRank)
 }

@@ -88,6 +88,10 @@ func TestBatchEmptyAndNarrowPool(t *testing.T) {
 	}
 }
 
+// TestBatchRespectsAlgorithmChoice: RankAll accepts any Algorithm. The
+// fleet's engines run the serial walk for Serial and the sublist
+// algorithm for the reference algorithms, and every answer must match
+// the serial reference.
 func TestBatchRespectsAlgorithmChoice(t *testing.T) {
 	pool := poolOf([]int{2000, 2000, 2000, 2000}, 5)
 	for _, alg := range []Algorithm{Serial, Wyllie, Sublist, RulingSet} {

@@ -1,10 +1,11 @@
 // Command listrankc is the open-loop load generator for listrankd. It
-// builds a working set of list problems (sizes drawn from the same
-// Zipf-over-geometric-buckets mix as the replay harness), pre-encodes
-// each as a wire frame, and fires them at the daemon with Poisson
-// inter-arrival times — open loop, so submission pressure does not
-// fall when the server slows down, and queueing delay shows up in the
-// latency tail instead of being hidden by client back-off.
+// builds a working set of list problems (sizes drawn from a
+// Zipf-over-geometric-buckets mix: many small requests, a heavy tail
+// of big ones, the mix the size-binned fleet is built for),
+// pre-encodes each as a wire frame, and fires them at the daemon with
+// Poisson inter-arrival times — open loop, so submission pressure does
+// not fall when the server slows down, and queueing delay shows up in
+// the latency tail instead of being hidden by client back-off.
 //
 //	listrankc [-addr 127.0.0.1:8347] [-n 5000] [-rate 0] [-conns 64]
 //	          [-lists 64] [-min 256] [-max 1048576] [-zipf 1.4]
@@ -84,7 +85,6 @@ import (
 	"time"
 
 	"listrank"
-	"listrank/internal/trace"
 	"listrank/internal/wire"
 )
 
@@ -308,7 +308,7 @@ func main() {
 			rp.earn()
 		}
 		if *rate > 0 {
-			time.Sleep(trace.PoissonWait(r, *rate))
+			time.Sleep(poissonWait(r, *rate))
 		} else {
 			sem <- struct{}{}
 		}
@@ -389,7 +389,7 @@ func main() {
 // pre-encoded once as a rank frame and a scan frame, with expected
 // answers computed locally for the verifiable sizes.
 func buildProblems(r *rand.Rand, lists, minN, maxN int, zipfS float64, verifyMax int, tagged bool) []*problem {
-	sizes := trace.Sizes(r, lists, minN, maxN, zipfS)
+	sizes := zipfSizes(r, lists, minN, maxN, zipfS)
 	probs := make([]*problem, len(sizes))
 	for i, n := range sizes {
 		l := listrank.NewRandomList(n, uint64(r.Int63()))
@@ -429,6 +429,37 @@ func buildProblems(r *rand.Rand, lists, minN, maxN int, zipfS float64, verifyMax
 		probs[i] = p
 	}
 	return probs
+}
+
+// zipfSizes draws n request sizes from geometric buckets
+// [min·2^k, min·2^k+1) with Zipf(k) frequency and uniform jitter
+// inside the bucket, clamped to max. zipfS must be > 1 and min >= 1.
+func zipfSizes(r *rand.Rand, n, min, max int, zipfS float64) []int {
+	buckets := 0
+	for s := min; s < max; s *= 2 {
+		buckets++
+	}
+	zipf := rand.NewZipf(r, zipfS, 1, uint64(buckets))
+	sizes := make([]int, n)
+	for i := range sizes {
+		s := min << zipf.Uint64()
+		s += r.Intn(s) // jitter within the bucket
+		if s > max {
+			s = max
+		}
+		sizes[i] = s
+	}
+	return sizes
+}
+
+// poissonWait returns one exponential inter-arrival wait for a Poisson
+// process at rate arrivals per second; 0 when rate <= 0 (open
+// throttle).
+func poissonWait(r *rand.Rand, rate float64) time.Duration {
+	if rate <= 0 {
+		return 0
+	}
+	return time.Duration(r.ExpFloat64() / rate * float64(time.Second))
 }
 
 // mustEncode builds a fresh random list of size n and encodes it with

@@ -5,7 +5,7 @@
 // straight into pooled fleet-owned arenas, zero per-request array
 // allocations warm.
 //
-// Serve mode (the default):
+// Usage:
 //
 //	listrankd [-addr 127.0.0.1:8347] [-addr-file path] [-procs 0]
 //	          [-bins 4096,262144] [-queue 1024] [-maxbatch 64]
@@ -27,41 +27,17 @@
 // along as Request.Ctx, so disconnects cancel queued or mid-run work.
 // The X-Tenant header selects a per-tenant token bucket (-quota-rate,
 // -quota-burst) checked before fleet admission. Responses carry an
-// X-Outcome header (served / rejected / expired / poisoned / quota /
-// badframe) mirroring the fleet's failure domains — cmd/listrankc
+// X-Outcome header (served / rejected / expired / poisoned / shed /
+// quota / badframe) mirroring the fleet's failure domains — cmd/listrankc
 // cross-checks its client-side tallies against /metrics through it.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, finish
 // in-flight requests (bounded by -drain-timeout), close the fleet,
 // then exit 0 only if the accounting identity
-// Submitted = Served + Rejected + Expired + Poisoned balanced and no
-// goroutines leaked.
-//
-// Replay mode (the original in-process trace harness, flags
-// unchanged):
-//
-//	listrankd -replay [-n 2000] [-procs 0] [-bins 4096,262144]
-//	          [-queue 1024] [-maxbatch 64] [-reject] [-rate 0]
-//	          [-zipf 1.4] [-min 256] [-max 1048576] [-lists 64]
-//	          [-seed 1] [-compare] [-deadline 0] [-poison-rate 0]
-//
-// -rate 0 (the default) replays the trace open-throttle; a positive
-// -rate submits at that many requests per second with exponential
-// inter-arrival times. -deadline attaches a per-request deadline so
-// the run exercises queued and mid-run expiry; -poison-rate mixes in
-// structurally corrupt requests, exercising fault containment.
+// Submitted = Served + Rejected + Expired + Poisoned + Shed balanced
+// and no goroutines leaked.
 package main
 
 import "os"
 
-func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "-replay", "--replay", "replay":
-			runReplay(args[1:])
-			return
-		}
-	}
-	os.Exit(runServe(args))
-}
+func main() { os.Exit(runServe(os.Args[1:])) }

@@ -13,6 +13,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -673,4 +674,40 @@ func waitGoroutines(limit int) bool {
 		time.Sleep(50 * time.Millisecond)
 	}
 	return runtime.NumGoroutine() <= limit
+}
+
+// parseBins parses the comma-separated -bins flag; empty selects the
+// server default.
+func parseBins(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	bounds := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad -bins value %q: %v", p, err)
+		}
+		bounds[i] = v
+	}
+	return bounds, nil
+}
+
+// parseSizes parses a comma-separated list of positive sizes (the
+// -warm flag).
+func parseSizes(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	sizes := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad size %q", p)
+		}
+		sizes[i] = v
+	}
+	return sizes, nil
 }

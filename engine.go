@@ -7,10 +7,7 @@ import (
 	"listrank/internal/core"
 	"listrank/internal/list"
 	"listrank/internal/par"
-	"listrank/internal/randmate"
-	"listrank/internal/ruling"
 	"listrank/internal/serial"
-	"listrank/internal/wyllie"
 )
 
 // WorkerPool is the persistent worker-pool runtime — layer 0 of the
@@ -49,6 +46,14 @@ func SharedWorkerPool() *WorkerPool { return par.Shared() }
 // machine allocates its working vectors once; Engine restores that
 // discipline on the goroutine track.
 //
+// An engine runs the sublist algorithm, or the serial walk when
+// Options.Algorithm is Serial; it treats every other Algorithm as
+// Sublist. The reference algorithms (Wyllie, MillerReif,
+// AndersonMiller, RulingSet) allocate per call and do not poll
+// cancellation, so they are reachable only through RankWith, ScanWith
+// and ScanOpWith, never through an engine — and so never through a
+// Server, RankAll/ScanAll or the tree and graph engines.
+//
 // An Engine may be reused across lists of any size and any Options,
 // growing its buffers geometrically to the largest problem seen. It
 // must not be used concurrently; for concurrent callers either hold
@@ -56,18 +61,15 @@ func SharedWorkerPool() *WorkerPool { return par.Shared() }
 // ScanInto / ScanOpInto functions, which draw engines from an internal
 // pool.
 //
-// Zero-allocation steady state holds for the Sublist (default) and
-// Serial algorithms once the arena is warm: parallel phases dispatch
-// closure-free onto resident pool workers instead of spawning
-// goroutines per call. At Procs > 1 the guarantee requires a pool at
-// least Procs wide with no competing dispatcher — an engine-owned
-// pool via SetPool always qualifies; the default process-wide shared
-// pool is hardware-sized and qualifies while this engine is the only
-// one fanning out. An undersized or contended pool degrades fan-outs
-// to spawn-per-call (costing the per-call allocations, never
-// correctness). The reference algorithms (Wyllie, MillerReif,
-// AndersonMiller, RulingSet) keep their own allocation and
-// spawn-per-call behavior and are supported for parity.
+// Zero-allocation steady state holds once the arena is warm: parallel
+// phases dispatch closure-free onto resident pool workers instead of
+// spawning goroutines per call. At Procs > 1 the guarantee requires a
+// pool at least Procs wide with no competing dispatcher — an
+// engine-owned pool via SetPool always qualifies; the default
+// process-wide shared pool is hardware-sized and qualifies while this
+// engine is the only one fanning out. An undersized or contended pool
+// degrades fan-outs to spawn-per-call (costing the per-call
+// allocations, never correctness).
 //
 // Engine is the middle layer of the three-layer arena architecture
 // (internal/arena → core.Scratch wrapped by this type → the
@@ -140,18 +142,9 @@ func checkDst(dst []int64, l *List, what string) {
 func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "RankInto")
 	il := e.view(l)
-	switch opt.Algorithm {
-	case Serial:
+	if opt.Algorithm == Serial {
 		serial.RanksInto(dst, il)
-	case Wyllie:
-		copy(dst, wyllie.RanksParallel(il, opt.procs()))
-	case MillerReif:
-		copy(dst, randmate.MillerReifRanks(il, randmate.Options{Seed: opt.Seed}))
-	case AndersonMiller:
-		copy(dst, randmate.AndersonMillerRanksParallel(il, randmate.Options{Seed: opt.Seed}, opt.procs()))
-	case RulingSet:
-		copy(dst, ruling.Ranks(il, ruling.Options{Procs: opt.procs()}))
-	default:
+	} else {
 		core.RanksInto(dst, il, e.engineOptions(opt), e.sc)
 	}
 	e.release()
@@ -163,18 +156,9 @@ func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "ScanInto")
 	il := e.view(l)
-	switch opt.Algorithm {
-	case Serial:
+	if opt.Algorithm == Serial {
 		serial.ScanInto(dst, il)
-	case Wyllie:
-		copy(dst, wyllie.ScanParallel(il, opt.procs()))
-	case MillerReif:
-		copy(dst, randmate.MillerReifScan(il, randmate.Options{Seed: opt.Seed}))
-	case AndersonMiller:
-		copy(dst, randmate.AndersonMillerScanParallel(il, randmate.Options{Seed: opt.Seed}, opt.procs()))
-	case RulingSet:
-		copy(dst, ruling.Scan(il, ruling.Options{Procs: opt.procs()}))
-	default:
+	} else {
 		core.ScanInto(dst, il, e.engineOptions(opt), e.sc)
 	}
 	e.release()
@@ -183,17 +167,13 @@ func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 // ScanOpInto writes the exclusive scan of l under an arbitrary
 // associative operator into dst, which must have length l.Len(),
 // combining strictly preceding values in list order (safe for
-// non-commutative operators). Only the Sublist, Serial and Wyllie
-// algorithms support general operators; others fall back to Sublist.
+// non-commutative operators).
 func (e *Engine) ScanOpInto(dst []int64, l *List, op func(a, b int64) int64, identity int64, opt Options) {
 	checkDst(dst, l, "ScanOpInto")
 	il := e.view(l)
-	switch opt.Algorithm {
-	case Serial:
+	if opt.Algorithm == Serial {
 		serial.ScanOpInto(dst, il, op, identity)
-	case Wyllie:
-		copy(dst, wyllie.ScanOpParallel(il, op, identity, opt.procs()))
-	default:
+	} else {
 		core.ScanOpInto(dst, il, op, identity, e.engineOptions(opt), e.sc)
 	}
 	e.release()

@@ -7,9 +7,11 @@ import (
 )
 
 // TestEngineReuseAcrossSizesAndAlgorithms drives one engine through
-// varying list sizes, every algorithm, and both the default lane width
-// and the single-cursor walk; each result must be byte-identical to
-// the fresh-allocation API.
+// varying list sizes, every Algorithm value, and both the default lane
+// width and the single-cursor walk. The engine runs the sublist
+// algorithm for every value but Serial, while RankWith and ScanWith run
+// the named reference algorithm, so each engine result must be
+// byte-identical to every reference algorithm's answer.
 func TestEngineReuseAcrossSizesAndAlgorithms(t *testing.T) {
 	e := NewEngine()
 	sizes := []int{2000, 100, 30000, 5000, 1 << 16, 999}

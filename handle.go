@@ -284,61 +284,37 @@ func (rc *reorderCache) moveFront(lay *layout) {
 	rc.pushFront(lay)
 }
 
-// runHandle serves one handle request: the warm path runs the
-// sequential kernels against the immutable cached layout (zero
-// allocations, no engine, no handle lock); the cold path serves with
-// the lane kernels exactly like an anonymous request, concurrently
-// with other cold serves on the handle, and then counts the serve
-// toward the reorder threshold under the handle lock.
-func (sh *shard) runHandle(t *Ticket, e *Engine, procs int) {
-	req := &t.req
-	h := req.Handle
-	if req.Dst == nil {
-		req.Dst = make([]int64, h.n)
+// serveHit serves a handle request from the handle's cached layout
+// when it has one for its current version, running the sequential
+// kernels against the immutable layout — zero allocations, no engine,
+// no handle lock — and counts the hit or miss. It reports whether it
+// served; on a miss the request is served cold with the lane kernels
+// like an anonymous one, concurrently with other cold serves on the
+// handle.
+func (rc *reorderCache) serveHit(req *Request) bool {
+	if !rc.enabled() {
+		return false
 	}
-	rc := &sh.cache
-	if rc.enabled() {
-		if lay := rc.acquire(h); lay != nil {
-			defer rc.release(lay)
-			rc.hits.Add(1)
-			switch req.Op {
-			case OpScan:
-				kernel.SeqScanAdd(req.Dst, lay.seq, lay.perm)
-			case OpScanOp:
-				kernel.SeqScanOp(req.Dst, lay.seq, lay.perm, req.ScanOp, req.Identity)
-			default:
-				copy(req.Dst, lay.rank)
-			}
-			return
-		}
+	lay := rc.acquire(req.Handle)
+	if lay == nil {
 		rc.misses.Add(1)
+		return false
 	}
-	if sh.validate {
-		if err := sh.checkList(h.list, procs); err != nil {
-			t.err = err
-			return
-		}
-	}
-	opt := req.Opt
-	opt.Procs = procs
-	opt.cancel = &t.cancel
+	defer rc.release(lay)
+	rc.hits.Add(1)
 	switch req.Op {
 	case OpScan:
-		e.ScanInto(req.Dst, h.list, opt)
+		kernel.SeqScanAdd(req.Dst, lay.seq, lay.perm)
 	case OpScanOp:
-		e.ScanOpInto(req.Dst, h.list, req.ScanOp, req.Identity, opt)
+		kernel.SeqScanOp(req.Dst, lay.seq, lay.perm, req.ScanOp, req.Identity)
 	default:
-		e.RankInto(req.Dst, h.list, opt)
+		copy(req.Dst, lay.rank)
 	}
-	if rc.enabled() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		sh.maybeBuild(h, e, procs, req)
-	}
+	return true
 }
 
-// maybeBuild runs after a successful cold serve, holding the handle
-// lock: it counts the serve toward the current version's threshold
+// maybeBuild runs after a successful cold serve: under the handle
+// lock it counts the serve toward the current version's threshold
 // and, on crossing it, builds the reordered layout — one rank (reused
 // from the request when it was a rank), a permutation inversion, and
 // a value gather — then publishes it unless the version moved. The
@@ -347,6 +323,11 @@ func (sh *shard) runHandle(t *Ticket, e *Engine, procs int) {
 // is bounded by one rank of a list the engine just ranked.
 func (sh *shard) maybeBuild(h *Handle, e *Engine, procs int, req *Request) {
 	rc := &sh.cache
+	if !rc.enabled() {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	ver := h.version.Load()
 	if h.hitsVer != ver {
 		h.hitsVer = ver

@@ -45,8 +45,8 @@
 // Submit/Wait future API with request coalescing, bounded admission
 // queues with backpressure, and deterministic draining Close. RankAll
 // and ScanAll batch over the process-wide SharedServer. cmd/listrankd
-// replays synthetic traffic traces against a server and reports
-// throughput, latency and coalescing statistics.
+// serves it over HTTP in a compact binary frame protocol, and
+// cmd/listrankc drives that daemon with synthetic traffic.
 //
 // # Downstream applications
 //
@@ -171,7 +171,11 @@ func (a Algorithm) String() string {
 // Options tunes a run. The zero value selects the sublist algorithm
 // with automatic parameters on all available CPUs.
 type Options struct {
-	// Algorithm selects the implementation (default Sublist).
+	// Algorithm selects the implementation (default Sublist). RankWith,
+	// ScanWith and ScanOpWith run any of them; engines — and so the
+	// *Into functions, Server requests, RankAll/ScanAll and the tree
+	// and graph engines — run Sublist, or the serial walk for Serial,
+	// and treat the reference algorithms as Sublist.
 	Algorithm Algorithm
 	// Procs is the number of worker goroutines; 0 means GOMAXPROCS.
 	// Serial and MillerReif are single-threaded and ignore it, as in
@@ -195,7 +199,7 @@ type Options struct {
 	// cancel is the serving layer's cooperative cancellation token,
 	// threaded through to the core engine. Requests carry deadlines and
 	// contexts (Request.Deadline, Request.Ctx) rather than setting this
-	// directly; the reference algorithms do not poll it.
+	// directly; the serial walk does not poll it.
 	cancel *core.Cancel
 }
 

@@ -88,10 +88,10 @@ type Request struct {
 	// fleet, with the reduced boundary list ranked in between (see
 	// internal/segment and DESIGN.md, "Ranking beyond one arena").
 	// 0 and 1 serve monolithically; negative values, or Segments with
-	// Handle, fail with ErrBadRequest. Segmented requests never mutate
-	// the list, validate its structure as a side effect, and ignore
-	// Opt.Algorithm; they are off the zero-allocation steady-state
-	// contract, and one that races Close may be finished inline by its
+	// Handle, fail with ErrBadRequest. Segmented requests validate the
+	// list's structure as a side effect and ignore Opt.Algorithm, even
+	// Serial; they are off the zero-allocation steady-state contract,
+	// and one that races Close may be finished inline by its
 	// orchestrator rather than on the fleet.
 	Segments int
 	// ScanOp and Identity define the OpScanOp operator: an associative
@@ -107,7 +107,10 @@ type Request struct {
 	Dst []int64
 	// Opt tunes the run. The server owns parallelism — each shard
 	// dispatches on its own worker pool — so Opt.Procs is ignored;
-	// Algorithm, Seed, M and LaneWidth are honored per request.
+	// Seed, M and LaneWidth are honored per request. Every request runs
+	// on a shard engine: the sublist algorithm, or the serial walk when
+	// Algorithm is Serial (the reference algorithms run as Sublist; see
+	// Engine).
 	Opt Options
 	// Deadline, if non-zero, is the wall-clock instant after which the
 	// request must not keep running: a request that expires while
@@ -115,8 +118,8 @@ type Request struct {
 	// engine, and one that expires mid-run is cooperatively abandoned
 	// at the engine's next cancellation checkpoint (phase boundary or
 	// kernel chunk strip — tens of microseconds of chasing, not the
-	// rest of the problem). The deadline applies to the default Sublist
-	// algorithm; the reference algorithms do not poll it.
+	// rest of the problem). The serial walk (Opt.Algorithm Serial) does
+	// not poll it once running.
 	Deadline time.Time
 	// Ctx, if non-nil, cancels the request when it is done: the run is
 	// abandoned exactly as for Deadline, and Wait reports ErrCanceled.
@@ -175,10 +178,11 @@ type Ticket struct {
 	// cancel is the request's cooperative cancellation token, armed at
 	// submission from Deadline/Ctx and recycled with the ticket.
 	cancel core.Cancel
-	// elems is the ticket's element count while it occupies a shard
-	// queue — the unit of the shard's backlog gauge for shed-wait
-	// estimation. Set just before the queue hand-off, zeroed by
-	// whichever completion path drains it (exactly one does).
+	// sh and elems are the ticket's share of a shard's backlog gauge —
+	// the unit of shed-wait estimation — from the queue hand-off until
+	// complete drains it; sh is nil for tickets that never reach a
+	// shard queue.
+	sh    *shard
 	elems int
 }
 
@@ -327,7 +331,8 @@ type ServerStats struct {
 	// own (so they appear in Submitted and the per-bin counters too).
 	Segmented, SegSubmits int64
 	// BinServed counts successfully served requests per size bin
-	// (trivial zero-length completions appear in no bin).
+	// (zero-length completions and segmented parents appear in no bin;
+	// their segment sub-requests appear in their windows' bins).
 	BinServed []int64
 	// BinQueued is the instantaneous admission-queue depth per size
 	// bin at snapshot time — a gauge, not a counter, exposed so the
@@ -355,30 +360,19 @@ type Server struct {
 	shards  []*shard
 	tickets fleet.FreeList[*Ticket]
 
-	submitted atomic.Int64
-	rejected  atomic.Int64
-	// expired counts admission-time expiries (deadline passed or
-	// context done before the request was enqueued); in-shard expiries
-	// are counted by the shards.
-	expired atomic.Int64
-	// trivial counts requests completed in place without touching a
-	// shard (zero-length lists); they count as served so the
-	// Submitted = Served + Rejected + Expired + Poisoned + Shed
-	// identity holds.
-	trivial atomic.Int64
-	// shed counts ErrShed fast-rejections (adaptive admission and
-	// hard-pressure shedding); shedOn gates the deadline-based path
-	// (ServerOptions.Shed). gov is the memory governor (never nil;
-	// defaults to the process-wide one).
-	shed   atomic.Int64
+	// submitted counts Submit calls; the five outcome buckets of the
+	// ServerStats identity are counted by Ticket.complete alone.
+	submitted                                 atomic.Int64
+	served, rejected, expired, poisoned, shed atomic.Int64
+
+	// shedOn gates deadline-aware shedding (ServerOptions.Shed). gov is
+	// the memory governor (never nil; defaults to the process-wide one).
 	shedOn bool
 	gov    *govern.Governor
 
 	// Segmented (cross-shard) dispatch. procs is the resolved worker
 	// budget (the orchestrator's inline phases use it); autoSegment is
-	// ServerOptions.AutoSegment. Parents complete on their orchestrator
-	// goroutine, outside any shard, so their outcome buckets are these
-	// server-level counters; segActive bounds live orchestrators
+	// ServerOptions.AutoSegment. segActive bounds live orchestrators
 	// (beyond the cap a parent degrades to monolithic service), and
 	// segWG lets Close wait for them. segPool is the orchestrators'
 	// own worker pool for the fan-outs they run inline (Prepare, the
@@ -388,9 +382,6 @@ type Server struct {
 	autoSegment int
 	segmented   atomic.Int64
 	segSubmits  atomic.Int64
-	segServed   atomic.Int64
-	segExpired  atomic.Int64
-	segPoisoned atomic.Int64
 	segActive   atomic.Int64
 	segWG       sync.WaitGroup
 	segPool     *WorkerPool
@@ -423,16 +414,11 @@ type shard struct {
 	// cache is this shard's reorder cache (see handle.go).
 	cache reorderCache
 
+	// served feeds ServerStats.BinServed (the identity's Served bucket
+	// is the server's); dispatches and coalesced feed their namesakes.
 	served     atomic.Int64
 	dispatches atomic.Int64
 	coalesced  atomic.Int64
-	// Failure-domain counters: requests that reached this shard but
-	// did not complete successfully. rejected counts ValidateInputs
-	// failures; expired counts cancellations and deadline expiries
-	// (queued or mid-run); poisoned counts contained serve panics.
-	rejected atomic.Int64
-	expired  atomic.Int64
-	poisoned atomic.Int64
 
 	// Adaptive-admission state (ServerOptions.Shed). backlog is the
 	// total elements of tickets currently occupying the queue or being
@@ -466,16 +452,6 @@ func (sh *shard) estWait(n int) time.Duration {
 	}
 	elems := sh.backlog.Load() + int64(n)
 	return time.Duration(float64(elems) * ewma)
-}
-
-// drainBacklog returns the ticket's elements to the shard's backlog
-// gauge; exactly one completion path per ticket calls it effectively
-// (elems is zeroed on first drain).
-func (sh *shard) drainBacklog(t *Ticket) {
-	if t.elems > 0 {
-		sh.backlog.Add(-int64(t.elems))
-		t.elems = 0
-	}
 }
 
 // NewServer starts a server. The caller owns it and must Close it;
@@ -626,6 +602,19 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 	s.submitted.Add(1)
 	t := s.tickets.Get()
 	t.req = req
+	queued, err := s.admit(t)
+	if !queued {
+		t.complete(err)
+	}
+	return t, err
+}
+
+// admit takes a fresh ticket through admission. It returns queued =
+// true once a shard queue or a segmented orchestrator owns the ticket
+// and will complete it; otherwise the ticket ends at admission with
+// err, which is nil only for a zero-length list (served in place).
+func (s *Server) admit(t *Ticket) (queued bool, err error) {
+	req := &t.req
 	// Exactly one problem source: a bare List, or a Handle registered
 	// with this server.
 	var n int
@@ -636,38 +625,30 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 		n = int(req.seg.st.Hi - req.seg.st.Lo)
 	case req.Handle != nil:
 		if req.List != nil || req.Handle.srv != s {
-			return s.fail(t, ErrBadRequest), ErrBadRequest
+			return false, ErrBadRequest
 		}
 		n = req.Handle.n
 	case req.List != nil:
 		n = req.List.Len()
 	default:
-		return s.fail(t, ErrBadRequest), ErrBadRequest
+		return false, ErrBadRequest
 	}
-	if req.Dst != nil && len(req.Dst) != n {
-		return s.fail(t, ErrBadRequest), ErrBadRequest
-	}
-	if req.Op == OpScanOp && req.ScanOp == nil {
-		return s.fail(t, ErrBadRequest), ErrBadRequest
-	}
-	if req.Segments < 0 || (req.Segments > 1 && req.Handle != nil) {
-		return s.fail(t, ErrBadRequest), ErrBadRequest
-	}
-	if n == 0 {
-		// Nothing to do; complete (and count as served) in place.
-		s.trivial.Add(1)
-		t.done <- struct{}{}
-		return t, nil
+	if (req.Dst != nil && len(req.Dst) != n) || (req.Op == OpScanOp && req.ScanOp == nil) ||
+		req.Segments < 0 || (req.Segments > 1 && req.Handle != nil) {
+		return false, ErrBadRequest
 	}
 	if s.closed.Load() {
-		return s.fail(t, ErrServerClosed), ErrServerClosed
+		return false, ErrServerClosed
+	}
+	if n == 0 {
+		return false, nil // nothing to do
 	}
 	// Hard memory pressure sheds all new top-level load outright —
 	// the cheapest possible rejection, before the cancellation token
 	// is even armed. Segment sub-requests are exempt: their parent was
 	// already admitted and holds the resources either way.
 	if req.seg == nil && s.gov.Level() >= govern.LevelHard {
-		return s.shedTicket(t), ErrShed
+		return false, ErrShed
 	}
 	// Arm the cancellation token before the queue hand-off so a
 	// Ticket.Cancel racing with the dispatcher is never lost, and check
@@ -675,7 +656,7 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 	// queue slot.
 	t.cancel.Arm(req.Ctx, req.Deadline)
 	if t.cancel.Canceled() {
-		return s.expire(t), t.err
+		return false, t.withdrawn()
 	}
 	if req.seg == nil && req.Handle == nil {
 		if S := s.resolveSegments(req.Segments, n); S > 1 {
@@ -683,7 +664,7 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 				s.segmented.Add(1)
 				s.segWG.Add(1)
 				go s.serveSegmented(t, S)
-				return t, nil
+				return true, nil
 			}
 			// Orchestrator cap reached: degrade gracefully to monolithic
 			// service rather than invent a new failure mode.
@@ -701,27 +682,18 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 	// (the parent's deadline governs them cooperatively).
 	if s.shedOn && req.seg == nil && !req.Deadline.IsZero() {
 		if wait := sh.estWait(n); wait > 0 && time.Now().Add(wait).After(req.Deadline) {
-			return s.shedTicket(t), ErrShed
+			return false, ErrShed
 		}
 	}
-	t.elems = n
+	t.sh, t.elems = sh, n
 	sh.backlog.Add(int64(n))
 	if err := sh.q.Put(t); err != nil {
-		sh.drainBacklog(t)
 		if errors.Is(err, fleet.ErrClosed) {
-			return s.fail(t, ErrServerClosed), ErrServerClosed
+			return false, ErrServerClosed
 		}
-		return s.fail(t, ErrBackpressure), ErrBackpressure
+		return false, ErrBackpressure
 	}
-	return t, nil
-}
-
-// shedTicket completes a ticket fast-rejected by load shedding.
-func (s *Server) shedTicket(t *Ticket) *Ticket {
-	s.shed.Add(1)
-	t.err = ErrShed
-	t.done <- struct{}{}
-	return t
+	return true, nil
 }
 
 // SubmitTimeout submits under the Reject backpressure policy with
@@ -790,27 +762,6 @@ func (s *Server) Scan(l *List, dst []int64) *Ticket {
 	return s.Submit(Request{Op: OpScan, List: l, Dst: dst})
 }
 
-// fail completes a ticket that never ran.
-func (s *Server) fail(t *Ticket, err error) *Ticket {
-	s.rejected.Add(1)
-	t.err = err
-	t.done <- struct{}{}
-	return t
-}
-
-// expire completes a ticket that was dead on arrival (deadline passed
-// or context done at admission).
-func (s *Server) expire(t *Ticket) *Ticket {
-	s.expired.Add(1)
-	if t.cancel.DeadlineExceeded() {
-		t.err = ErrDeadlineExceeded
-	} else {
-		t.err = ErrCanceled
-	}
-	t.done <- struct{}{}
-	return t
-}
-
 // Close shuts the server down deterministically: admission stops,
 // every request admitted before Close is still served, and Close
 // returns only after the dispatchers and their worker pools have
@@ -842,10 +793,10 @@ func (s *Server) Close() {
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
 		Submitted:  s.submitted.Load(),
+		Served:     s.served.Load(),
 		Rejected:   s.rejected.Load(),
-		Expired:    s.expired.Load() + s.segExpired.Load(),
-		Served:     s.trivial.Load() + s.segServed.Load(),
-		Poisoned:   s.segPoisoned.Load(),
+		Expired:    s.expired.Load(),
+		Poisoned:   s.poisoned.Load(),
 		Shed:       s.shed.Load(),
 		Segmented:  s.segmented.Load(),
 		SegSubmits: s.segSubmits.Load(),
@@ -855,12 +806,8 @@ func (s *Server) Stats() ServerStats {
 	for b, sh := range s.shards {
 		st.BinServed[b] = sh.served.Load()
 		st.BinQueued[b] = int64(sh.q.Len())
-		st.Served += st.BinServed[b]
 		st.Dispatches += sh.dispatches.Load()
 		st.Coalesced += sh.coalesced.Load()
-		st.Rejected += sh.rejected.Load()
-		st.Expired += sh.expired.Load()
-		st.Poisoned += sh.poisoned.Load()
 		rc := &sh.cache
 		st.ReorderHits += rc.hits.Load()
 		st.ReorderMisses += rc.misses.Load()
@@ -942,10 +889,7 @@ func (sh *shard) serveBatch(n int) {
 		for i := 0; i < n; i++ {
 			if !sh.batchDone[i] {
 				t := sh.batch[i]
-				sh.drainBacklog(t)
-				t.err = fmt.Errorf("%w: %v", ErrPanic, r)
-				sh.poisoned.Add(1)
-				t.done <- struct{}{}
+				t.complete(t.panicErr(r))
 			}
 		}
 	}()
@@ -963,22 +907,18 @@ func shardServeChunk(ctx any, w, lo, hi int) {
 	}
 }
 
-// run serves one ticket on the given engine at the given parallelism
-// and completes it. A panic out of the engine — a poisoned list
-// violating List's invariants, or a cooperative-cancellation
-// abandonment — is captured into the ticket's error by finish instead
-// of killing the dispatcher (or, on a coalesced batch, the pool worker
+// run serves one ticket on the given engine at the given parallelism.
+// Its deferred finish completes the ticket and contains any panic out
+// of the serve — a poisoned list violating List's invariants, or a
+// cooperative-cancellation abandonment — to this ticket instead of
+// killing the dispatcher (or, on a coalesced batch, the pool worker
 // serving the rest of its chunk).
 func (sh *shard) run(t *Ticket, e *Engine, procs int) {
-	defer sh.finish(t)
+	defer t.finish()
 	// A request that expired or was canceled while queued must not
 	// occupy the engine.
 	if t.cancel.Canceled() {
-		if t.cancel.DeadlineExceeded() {
-			t.err = ErrDeadlineExceeded
-		} else {
-			t.err = ErrCanceled
-		}
+		t.err = t.withdrawn()
 		return
 	}
 	req := &t.req
@@ -986,29 +926,34 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 		req.seg.run(t)
 		return
 	}
-	if req.Handle != nil {
-		sh.runHandle(t, e, procs)
+	l, h := req.List, req.Handle
+	if h != nil {
+		l = h.list
+	}
+	if req.Dst == nil {
+		req.Dst = make([]int64, l.Len())
+	}
+	if h != nil && sh.cache.serveHit(req) {
 		return
 	}
 	if sh.validate {
-		if err := sh.checkList(req.List, procs); err != nil {
-			t.err = err
+		if t.err = sh.checkList(l, procs); t.err != nil {
 			return
 		}
-	}
-	if req.Dst == nil {
-		req.Dst = make([]int64, req.List.Len())
 	}
 	opt := req.Opt
 	opt.Procs = procs
 	opt.cancel = &t.cancel
 	switch req.Op {
 	case OpScan:
-		e.ScanInto(req.Dst, req.List, opt)
+		e.ScanInto(req.Dst, l, opt)
 	case OpScanOp:
-		e.ScanOpInto(req.Dst, req.List, req.ScanOp, req.Identity, opt)
+		e.ScanOpInto(req.Dst, l, req.ScanOp, req.Identity, opt)
 	default:
-		e.RankInto(req.Dst, req.List, opt)
+		e.RankInto(req.Dst, l, opt)
+	}
+	if h != nil {
+		sh.maybeBuild(h, e, procs, req)
 	}
 }
 
@@ -1057,35 +1002,70 @@ func (sh *shard) checkList(l *List, procs int) error {
 	return nil
 }
 
-// finish completes a ticket: it classifies a serve-time panic —
-// cooperative cancellation unwinds as core.ErrCanceled, anything else
-// is a contained fault wrapped in ErrPanic with the original message
-// preserved — and counts the ticket into exactly one failure-domain
-// bucket so the ServerStats identity holds.
-func (sh *shard) finish(t *Ticket) {
-	sh.drainBacklog(t)
-	if r := recover(); r != nil {
-		if err, ok := r.(error); ok && errors.Is(err, core.ErrCanceled) {
-			if t.cancel.DeadlineExceeded() {
-				t.err = ErrDeadlineExceeded
-			} else {
-				t.err = ErrCanceled
-			}
-		} else {
-			t.err = fmt.Errorf("%w: %v", ErrPanic, r)
-		}
+// The ticket lifecycle. Every submission ends in exactly one call to
+// complete — rejected, shed or expired at admission, served or failed
+// on a shard, or finished by a segmented orchestrator — so the
+// ServerStats identity is kept in one place.
+
+// complete ends the ticket's lifecycle: it drains the ticket's share
+// of its shard's backlog, records err as the outcome, counts the
+// ticket into exactly one of the five identity buckets, and releases
+// Wait. It is the only sender on done; the ticket may be recycled the
+// moment the send lands.
+func (t *Ticket) complete(err error) {
+	s, sh := t.srv, t.sh
+	if sh != nil {
+		sh.backlog.Add(-int64(t.elems))
+		t.sh, t.elems = nil, 0
 	}
+	t.err = err
 	switch {
-	case t.err == nil:
-		sh.served.Add(1)
-	case errors.Is(t.err, ErrDeadlineExceeded), errors.Is(t.err, ErrCanceled):
-		sh.expired.Add(1)
-	case errors.Is(t.err, ErrBadRequest):
-		sh.rejected.Add(1)
+	case err == nil:
+		s.served.Add(1)
+		if sh != nil {
+			sh.served.Add(1)
+		}
+	case errors.Is(err, ErrDeadlineExceeded), errors.Is(err, ErrCanceled):
+		s.expired.Add(1)
+	case errors.Is(err, ErrShed):
+		s.shed.Add(1)
+	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrServerClosed), errors.Is(err, ErrBackpressure):
+		s.rejected.Add(1)
 	default:
-		sh.poisoned.Add(1)
+		s.poisoned.Add(1)
 	}
 	t.done <- struct{}{}
+}
+
+// finish is deferred by every serve — shard.run for queued tickets,
+// serveSegmented for segmented parents: it recovers whatever unwound
+// out of the serve into the ticket's error and completes the ticket.
+func (t *Ticket) finish() {
+	if r := recover(); r != nil {
+		t.err = t.panicErr(r)
+	}
+	t.complete(t.err)
+}
+
+// panicErr classifies a panic recovered while serving the ticket:
+// cooperative cancellation unwinds as core.ErrCanceled and reports why
+// the ticket was withdrawn; anything else — a poisoned input tripping
+// a kernel guard, an injected fault — is a contained fault wrapped in
+// ErrPanic with the original message preserved.
+func (t *Ticket) panicErr(r any) error {
+	if err, ok := r.(error); ok && errors.Is(err, core.ErrCanceled) {
+		return t.withdrawn()
+	}
+	return fmt.Errorf("%w: %v", ErrPanic, r)
+}
+
+// withdrawn is the error of a ticket whose cancellation token tripped:
+// ErrDeadlineExceeded if its deadline passed, ErrCanceled otherwise.
+func (t *Ticket) withdrawn() error {
+	if t.cancel.DeadlineExceeded() {
+		return ErrDeadlineExceeded
+	}
+	return ErrCanceled
 }
 
 // BinBounds returns the server's size-bin upper bounds, one per bin

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"listrank/internal/core"
 	"listrank/internal/govern"
 	"listrank/internal/segment"
 )
@@ -66,9 +65,9 @@ type segTask struct {
 }
 
 // run executes the sub-request's phase on the serving goroutine; it
-// is called under shard.run's finish containment (or inline under the
-// orchestrator's), so structural panics and cancellation unwind into
-// the owning ticket.
+// is called under the deferred Ticket.finish of shard.run (or, run
+// inline, of serveSegmented), so structural panics and cancellation
+// unwind into the owning ticket.
 func (sg *segTask) run(t *Ticket) {
 	if sg.phase == 1 {
 		sg.st.Phase1(&t.cancel)
@@ -82,7 +81,7 @@ func (sg *segTask) run(t *Ticket) {
 func (s *Server) serveSegmented(t *Ticket, S int) {
 	defer s.segWG.Done()
 	defer s.segActive.Add(-1)
-	defer s.finishDetached(t)
+	defer t.finish()
 	req := &t.req
 	l := req.List
 	n := l.Len()
@@ -122,8 +121,8 @@ func (s *Server) serveSegmented(t *Ticket, S int) {
 	opt := segment.Options{Procs: s.procs, Seed: req.Opt.Seed, Cancel: &t.cancel}
 	// Prepare validates links and assembles the boundary nodes; a
 	// malformed list panics segment.ErrMalformed here or in a
-	// sub-request's walk, and finishDetached contains either into the
-	// parent's ErrPanic.
+	// sub-request's walk, and finish contains either into the parent's
+	// ErrPanic.
 	sc.Prepare(l.Next, l.Head, plan, opt)
 	account()
 	if err := s.fanSegments(t, sc, plan, mode, 1); err != nil {
@@ -131,7 +130,8 @@ func (s *Server) serveSegmented(t *Ticket, S int) {
 		return
 	}
 	if t.cancel.Canceled() {
-		panic(core.ErrCanceled)
+		t.err = t.withdrawn()
+		return
 	}
 	rhead := sc.Stitch(plan, l.Head)
 	sc.Phase2(rhead, mode, req.ScanOp, req.Identity, opt)
@@ -219,7 +219,7 @@ func (s *Server) fanSegments(t *Ticket, sc *segment.Scratch, plan segment.Plan, 
 	}
 	if panicErr == nil && expireErr == nil && otherErr == nil {
 		// Inline catch-up only when the phase is otherwise clean; its
-		// panics unwind to finishDetached like any other.
+		// panics unwind to the parent's finish like any other.
 		for i := range tasks {
 			if inline[i] {
 				tasks[i].run(t)
@@ -234,33 +234,4 @@ func (s *Server) fanSegments(t *Ticket, sc *segment.Scratch, plan segment.Plan, 
 		return expireErr
 	}
 	return otherErr
-}
-
-// finishDetached completes a parent ticket served outside any shard:
-// panic containment and failure-domain classification mirror
-// shard.finish, with the outcome counted into the server-level
-// detached buckets so the ServerStats identity holds.
-func (s *Server) finishDetached(t *Ticket) {
-	if r := recover(); r != nil {
-		if err, ok := r.(error); ok && errors.Is(err, core.ErrCanceled) {
-			if t.cancel.DeadlineExceeded() {
-				t.err = ErrDeadlineExceeded
-			} else {
-				t.err = ErrCanceled
-			}
-		} else {
-			t.err = fmt.Errorf("%w: %v", ErrPanic, r)
-		}
-	}
-	switch {
-	case t.err == nil:
-		s.segServed.Add(1)
-	case errors.Is(t.err, ErrDeadlineExceeded), errors.Is(t.err, ErrCanceled):
-		s.segExpired.Add(1)
-	case errors.Is(t.err, ErrBadRequest), errors.Is(t.err, ErrServerClosed), errors.Is(t.err, ErrBackpressure):
-		s.rejected.Add(1)
-	default:
-		s.segPoisoned.Add(1)
-	}
-	t.done <- struct{}{}
 }

@@ -62,8 +62,11 @@ func TestServerServesCorrectly(t *testing.T) {
 	}
 }
 
-// TestServerRespectsRequestOptions: per-request Algorithm/Seed choices
-// are honored (Procs is server-owned and ignored).
+// TestServerRespectsRequestOptions: a request may name any Algorithm
+// and Seed (Procs is server-owned and ignored). Its shard engine serves
+// it with the serial walk for Serial and the sublist algorithm for
+// every reference algorithm, and each answer must match the serial
+// reference.
 func TestServerRespectsRequestOptions(t *testing.T) {
 	s := NewServer(ServerOptions{Procs: 2})
 	defer s.Close()

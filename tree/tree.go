@@ -46,8 +46,10 @@ type Tree struct {
 // New builds a Tree from a parent array: parent[v] is v's parent and
 // parent[root] == -1. Children are ordered by vertex number. It
 // returns an error if the array does not describe a single rooted
-// tree. The options select the list-ranking algorithm and parallelism
-// used by every subsequent computation.
+// tree. The options set the parallelism and tuning of the list
+// ranking behind every subsequent computation, which runs on an
+// engine: the serial walk if Algorithm is Serial, the sublist
+// algorithm otherwise (see listrank.Engine).
 func New(parent []int, opt listrank.Options) (*Tree, error) {
 	n := len(parent)
 	if n == 0 {

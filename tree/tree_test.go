@@ -247,6 +247,10 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestAlgorithmChoices: a tree accepts any Algorithm. Its list ranking
+// runs on an engine — the serial walk for Serial, the sublist algorithm
+// for the rest, Wyllie included — and the depths must match the
+// reference computation.
 func TestAlgorithmChoices(t *testing.T) {
 	parent := randomParent(20000, 13, 0.5)
 	ref := refCompute(parent)
