@@ -4,15 +4,20 @@
 // predicted times, and fits the cubic-in-log(n) polynomials the paper
 // uses to pick parameters at run time.
 //
-// It also tunes the one parameter the cost model cannot see because it
-// belongs to the host rather than the algorithm: the chase-kernel lane
-// width — how many independent sublist cursors each worker keeps in
-// flight (the software analog of the paper's vector lanes, see
-// internal/kernel). -lanes measures the real engine across lane widths
-// and list-length regimes on this machine and prints the measured
-// table plus a recommended width per regime; feed the winner to
-// Options.LaneWidth / Engine.SetLaneWidth, or leave LaneWidth 0 to use
-// the persisted defaults (kernel.DefaultWidth).
+// It also tunes the parameters the cost model cannot see because they
+// belong to the host rather than the algorithm. -lanes measures the
+// real engine on this machine, jointly over the target sublist length
+// L (m = n/L splitters; core.DefaultM persists one L) and the
+// chase-kernel lane width K (how many independent sublist cursors each
+// worker keeps in flight, the software analog of the paper's vector
+// lanes, see internal/kernel), because longer sublists change how
+// often a lane retires and refills. It prints the measured table per
+// size, the best L and K per size and the one L that is closest to
+// every size's best, then times the serial walk against the engine
+// around the serial cutoff and prints the crossover. Feed a winning K
+// to Options.LaneWidth / Engine.SetLaneWidth or a winning m to
+// Options.M; the persisted defaults are kernel.DefaultWidth, and
+// sublistLen and defaultSerialCutoff in internal/core.
 //
 // Usage:
 //
@@ -20,75 +25,147 @@
 //
 // -sweep tunes across a geometric range of lengths; -fit additionally
 // fits and prints the polylog parameter polynomials (§4.4); -lanes
-// runs the measured lane-width sweep instead of the cost model.
+// runs the measured sublist-length and lane-width sweep instead of the
+// cost model.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
-	"listrank"
+	"listrank/internal/core"
+	"listrank/internal/list"
 	"listrank/internal/model"
+	"listrank/internal/par"
+	"listrank/internal/rng"
+	"listrank/internal/serial"
 	"listrank/internal/vm"
 )
 
-// laneSweepWidths are the lane widths -lanes measures.
-var laneSweepWidths = []int{1, 2, 4, 8, 16, 32}
+// laneSweepWidths and sweepSublistLens are the lane widths K and the
+// target sublist lengths L (m = n/L) -lanes measures.
+var (
+	laneSweepWidths  = []int{1, 2, 4, 8, 16, 32}
+	sweepSublistLens = []int{16, 32, 64, 128, 256, 512, 1024}
+)
 
-// laneSweep measures ranking throughput across lane widths on this
-// host: one warm engine per size, best-of-reps wall clock per width,
-// identical seeds (results do not depend on the width; only the
-// memory-level parallelism does).
+// laneSweep measures ranking time across sublist lengths and lane
+// widths on this host: one warm arena on its own pool, the median
+// wall clock of a few reps per cell, identical seeds (the results
+// depend on neither; only the work split and the memory-level
+// parallelism do). Then it prints the serial/engine crossover.
 func laneSweep(sizes []int, procs int) {
-	fmt.Printf("chase-kernel lane-width sweep (procs=%d, ns/vertex, best of 3 reps — 7 for n <= 2^18):\n\n", procs)
-	header := fmt.Sprintf("%-9s", "n")
-	for _, k := range laneSweepWidths {
-		header += fmt.Sprintf(" %-7s", fmt.Sprintf("K=%d", k))
-	}
-	fmt.Println(header + " best")
+	fmt.Printf("sublist-length x lane-width sweep (procs=%d, rank ns/vertex, m = n/L, median of 3 reps — 7 for n <= 2^18 — of >= 2^20 vertices):\n", procs)
+	pool := par.NewPool(procs)
+	defer pool.Close()
+	sc := core.NewScratch()
+	sc.SetPool(pool)
+	// slow[i] holds, per size, sublist length i's best time over K
+	// relative to that size's best cell.
+	slow := make([][]float64, len(sweepSublistLens))
 	for _, n := range sizes {
-		l := listrank.NewRandomList(n, 11)
+		l := list.NewRandom(n, rng.New(11))
 		dst := make([]int64, n)
-		e := listrank.NewEngine()
-		var pool *listrank.WorkerPool
-		if procs > 1 {
-			pool = listrank.NewWorkerPool(procs)
-			e.SetPool(pool)
+		reps := 3
+		if n <= 1<<18 {
+			reps = 7
 		}
-		opt := listrank.Options{Seed: 11, Procs: procs}
-		e.RankInto(dst, l, opt) // warm the arena
-		row := fmt.Sprintf("%-9d", n)
-		best, bestK := math.Inf(1), 0
+		header := fmt.Sprintf("\nn=%-9d", n)
 		for _, k := range laneSweepWidths {
-			opt.LaneWidth = k
-			reps := 3
-			if n <= 1<<18 {
-				reps = 7
-			}
-			min := math.Inf(1)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				e.RankInto(dst, l, opt)
-				if el := float64(time.Since(start)); el < min {
-					min = el
+			header += fmt.Sprintf(" %-7s", fmt.Sprintf("K=%d", k))
+		}
+		fmt.Println(header + " best K")
+		rowBest := make([]float64, len(sweepSublistLens))
+		best, bestL, bestK := math.Inf(1), 0, 0
+		for i, sl := range sweepSublistLens {
+			row := fmt.Sprintf("L=%-9d", sl)
+			rowBest[i] = math.Inf(1)
+			rowK := 0
+			for _, k := range laneSweepWidths {
+				opt := core.Options{Seed: 11, Procs: procs, M: n / sl, LaneWidth: k}
+				t := nsPerVertex(reps, n, func() { core.RanksInto(dst, l, opt, sc) })
+				row += fmt.Sprintf(" %-7.2f", t)
+				if t < rowBest[i] {
+					rowBest[i], rowK = t, k
 				}
 			}
-			perVtx := min / float64(n)
-			row += fmt.Sprintf(" %-7.2f", perVtx)
-			if perVtx < best {
-				best, bestK = perVtx, k
+			fmt.Printf("%s K=%d\n", row, rowK)
+			if rowBest[i] < best {
+				best, bestL, bestK = rowBest[i], sl, rowK
 			}
 		}
-		fmt.Printf("%s K=%d\n", row, bestK)
-		if pool != nil {
-			pool.Close()
+		fmt.Printf("best: L=%d K=%d (%.2f ns/vertex)\n", bestL, bestK, best)
+		for i := range sweepSublistLens {
+			slow[i] = append(slow[i], rowBest[i]/best)
 		}
 	}
-	fmt.Println("\nrecommendation: pass the winning K per size regime to")
-	fmt.Println("Options.LaneWidth (or Engine.SetLaneWidth); 0 keeps the")
-	fmt.Println("persisted defaults (internal/kernel DefaultWidth).")
+	fmt.Println("\none L for every size (geometric mean over sizes of each L's best-K time / the size's best):")
+	oneL, oneSlow := 0, math.Inf(1)
+	for i, sl := range sweepSublistLens {
+		g := 0.0
+		for _, r := range slow[i] {
+			g += math.Log(r)
+		}
+		g = math.Exp(g / float64(len(slow[i])))
+		fmt.Printf("  L=%-5d %.3fx\n", sl, g)
+		if g < oneSlow {
+			oneL, oneSlow = sl, g
+		}
+	}
+	fmt.Printf("recommendation: L=%d (persisted: core.DefaultM(2^20) = n/%d)\n", oneL, (1<<20)/max(1, core.DefaultM(1<<20)))
+	crossover(procs, sc)
+}
+
+// crossover times the serial walk against the engine (core.DefaultM's
+// sublists, default lanes, the serial cutoff lowered so the engine
+// runs) for ranks and addition scans at lengths around the serial
+// cutoff, and reports the largest length at which the walk still wins.
+func crossover(procs int, sc *core.Scratch) {
+	fmt.Printf("\nserial walk vs engine (procs=%d, ns/vertex, median of 7 reps of >= 2^20 vertices):\n", procs)
+	fmt.Printf("%-9s %-12s %-12s %-12s %-12s\n", "n", "serial rank", "engine rank", "serial scan", "engine scan")
+	walkRank, walkScan := 0, 0
+	rankOn, scanOn := true, true
+	for n := 1 << 10; n <= 1<<16; n <<= 1 {
+		r := rng.New(13)
+		l := list.NewRandom(n, r)
+		l.RandomValues(-5, 5, r)
+		dst := make([]int64, n)
+		opt := core.Options{Seed: 13, Procs: procs, SerialCutoff: 1}
+		sr := nsPerVertex(7, n, func() { serial.RanksInto(dst, l) })
+		er := nsPerVertex(7, n, func() { core.RanksInto(dst, l, opt, sc) })
+		ss := nsPerVertex(7, n, func() { serial.ScanInto(dst, l) })
+		es := nsPerVertex(7, n, func() { core.ScanInto(dst, l, opt, sc) })
+		fmt.Printf("%-9d %-12.2f %-12.2f %-12.2f %-12.2f\n", n, sr, er, ss, es)
+		if rankOn = rankOn && sr < er; rankOn {
+			walkRank = n
+		}
+		if scanOn = scanOn && ss < es; scanOn {
+			walkScan = n
+		}
+	}
+	fmt.Printf("the serial walk wins ranks through n=%d and scans through n=%d\n", walkRank, walkScan)
+	fmt.Println("(the persisted cutoff is core's defaultSerialCutoff; lists at or below it take the walk)")
+}
+
+// nsPerVertex times f, a call on n vertices, after one warm-up call:
+// the median over reps of batches of at least 2^20 vertices' worth of
+// calls, in ns per vertex.
+func nsPerVertex(reps, n int, f func()) float64 {
+	f()
+	batch := max(1, (1<<20)/n)
+	ts := make([]float64, reps)
+	for r := range ts {
+		start := time.Now()
+		for i := 0; i < batch; i++ {
+			f()
+		}
+		ts[r] = float64(time.Since(start)) / float64(batch*n)
+	}
+	sort.Float64s(ts)
+	return ts[reps/2]
 }
 
 func main() {
@@ -96,7 +173,7 @@ func main() {
 	procs := flag.Int("procs", 1, "processor count to tune for")
 	sweep := flag.Bool("sweep", false, "tune across a range of lengths")
 	fit := flag.Bool("fit", false, "fit cubic-in-log2(n) polynomials to the tuned parameters")
-	lanes := flag.Bool("lanes", false, "measure the chase-kernel lane-width sweep on this host")
+	lanes := flag.Bool("lanes", false, "measure the sublist-length and lane-width sweep and the serial cutoff on this host")
 	flag.Parse()
 
 	if *lanes {

@@ -17,8 +17,8 @@ import (
 // exists to keep lean — a per-link check would tax the steady state
 // the paper's accounting is about. The compromise is bounded-cost
 // polling: a Cancel is consulted at phase boundaries and between
-// kernel chunk strips (cancelStride sublists of chasing per check, so
-// the check amortizes to well under one instruction per link —
+// kernel chunk strips (about cancelBudget links of chasing per check,
+// so the check amortizes to well under one instruction per link —
 // EXPERIMENTS.md measures the overhead at ≤ the noise floor), and a
 // run that observes cancellation abandons the problem at the next
 // boundary by panicking with ErrCanceled, which the caller's
@@ -32,18 +32,26 @@ import (
 // the request as expired rather than poisoned.
 var ErrCanceled = errors.New("core: run canceled")
 
-// cancelStride is the number of sublists a worker chases between
-// cooperative cancellation checks in the Phase 1/3 chunk loops. At the
-// default m ≈ n/log n the stride spans roughly cancelStride·log n
-// links (tens of microseconds of chasing), which bounds both the check
-// overhead (one atomic load, occasionally a clock read, per stride)
-// and the latency of noticing a cancellation.
-const cancelStride = 1024
+// cancelBudget is the number of links a worker chases between
+// cooperative cancellation checks in the Phase 1 chunk loops: a strip
+// holds as many whole sublists as cancelBudget links make at the
+// call's mean sublist length (stripLen). That bounds both the check
+// overhead (one atomic load, occasionally a clock read, per strip) and
+// the latency of noticing a cancellation — well under a millisecond of
+// chasing — whatever the splitter count.
+const cancelBudget = 1 << 15
+
+// stripLen returns the number of sublists per Phase 1 strip of a call
+// that cuts n vertices into k sublists: cancelBudget links' worth at
+// the mean sublist length n/k, and at least one.
+func stripLen(n, k int) int {
+	return max(1, cancelBudget*k/n)
+}
 
 // streamStride is the number of vertices the engine's Phase 3 stream
 // handles between cancellation checks. A streamed vertex costs a
 // fraction of a chased link, so the stride is larger than
-// cancelStride·log n links for about the same tens of microseconds.
+// cancelBudget links for about the same time.
 const streamStride = 1 << 16
 
 // Cancel is a reusable cooperative cancellation token: a trip flag, an

@@ -13,7 +13,8 @@ import (
 )
 
 // TestRanksEncodedMatchesSerial drives the narrow single-gather layout
-// across shapes, lane widths and processor counts.
+// across shapes, lane widths and processor counts. SerialCutoff 1
+// keeps the shapes below the default cutoff on the engine.
 func TestRanksEncodedMatchesSerial(t *testing.T) {
 	shapes := map[string]*list.List{
 		"random-2k":   list.NewRandom(2048, rng.New(1)),
@@ -27,7 +28,7 @@ func TestRanksEncodedMatchesSerial(t *testing.T) {
 		for _, lw := range []int{1, 0} {
 			for _, procs := range []int{1, 4} {
 				var st Stats
-				got := Ranks(l, Options{Procs: procs, LaneWidth: lw, Stats: &st})
+				got := Ranks(l, Options{Procs: procs, LaneWidth: lw, SerialCutoff: 1, Stats: &st})
 				if !st.Encoded {
 					t.Fatalf("%s lanes=%d procs=%d: encoded engine not used", name, lw, procs)
 				}
@@ -144,7 +145,7 @@ func TestRanksEncodedSingleVertexSublists(t *testing.T) {
 	l := list.NewRandom(3000, rng.New(13))
 	want := serial.Ranks(l)
 	for _, lw := range []int{1, 0} {
-		got := Ranks(l, Options{M: 1500, LaneWidth: lw})
+		got := Ranks(l, Options{M: 1500, LaneWidth: lw, SerialCutoff: 1})
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("lanes=%d: rank[%d] = %d, want %d", lw, v, got[v], want[v])
@@ -226,6 +227,7 @@ func TestEncodedScanDoesNotMutate(t *testing.T) {
 // layouts: for random and ordered lists, several seeds, Procs 1, 2 and
 // 4 and every lane width 1..32, narrow ranks and scans equal the wide
 // layout's (DisableEncoding) bit for bit, and the serial walk's.
+// SerialCutoff 1 keeps both lists on the engine.
 func TestEncodedMatchesGeneric(t *testing.T) {
 	r := rng.New(23)
 	lists := map[string]*list.List{
@@ -237,12 +239,12 @@ func TestEncodedMatchesGeneric(t *testing.T) {
 		wantRank, wantScan := l.Ranks(), serial.Scan(l)
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, procs := range []int{1, 2, 4} {
-				gen := Options{Seed: seed, Procs: procs, DisableEncoding: true}
+				gen := Options{Seed: seed, Procs: procs, DisableEncoding: true, SerialCutoff: 1}
 				equal(t, Ranks(l, gen), wantRank, name+" generic rank")
 				equal(t, Scan(l, gen), wantScan, name+" generic scan")
 				for K := 1; K <= kernel.MaxLanes; K++ {
 					what := fmt.Sprintf("%s seed=%d procs=%d K=%d", name, seed, procs, K)
-					opt := Options{Seed: seed, Procs: procs, LaneWidth: K}
+					opt := Options{Seed: seed, Procs: procs, LaneWidth: K, SerialCutoff: 1}
 					equal(t, Ranks(l, opt), wantRank, what+" rank")
 					equal(t, Scan(l, opt), wantScan, what+" scan")
 				}

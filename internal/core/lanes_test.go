@@ -20,31 +20,48 @@ var laneTestWidths = []int{1, 2, 4, 8, 16, 32}
 
 // laneTestLists builds the odd list shapes the kernels must survive:
 // random order (the benchmark workload), sequential order, and sizes
-// around the serial cutoff and chunk boundaries.
-func laneTestLists() map[string]*list.List {
-	return map[string]*list.List{
-		"random-2k":   list.NewRandom(2048, rng.New(3)),  // just above SerialCutoff
-		"random-20k":  list.NewRandom(20000, rng.New(4)), // odd size, many refills
-		"ordered-10k": list.NewOrdered(10000),
-		"random-300k": list.NewRandom(300000, rng.New(5)), // mid regime, multi-chunk
+// around the serial cutoff and chunk boundaries. Each comes with the
+// options every run on it shares (Seed, Procs and LaneWidth are set
+// per run).
+func laneTestLists() map[string]laneCase {
+	return map[string]laneCase{
+		// Just above an explicit SerialCutoff: DefaultM's few sublists
+		// leave most lanes empty.
+		"random-2k": {list.NewRandom(2048, rng.New(3)), Options{SerialCutoff: 2047}},
+		// Odd size, ~16-link sublists: lanes retire and refill often.
+		"random-20k":  {list.NewRandom(20000, rng.New(4)), Options{M: 20000 / 16}},
+		"ordered-10k": {list.NewOrdered(10000), Options{}},
+		// Mid regime, multi-chunk.
+		"random-300k": {list.NewRandom(300000, rng.New(5)), Options{}},
 	}
 }
 
+// laneCase is one of laneTestLists' lists with its shared options.
+type laneCase struct {
+	l   *list.List
+	opt Options
+}
+
 func TestLaneWidthsAgree(t *testing.T) {
-	for name, l := range laneTestLists() {
-		n := l.Len()
-		want := Ranks(l, Options{Seed: 12, LaneWidth: 1})
-		wantScan := Scan(l, Options{Seed: 12, LaneWidth: 1})
+	for name, lc := range laneTestLists() {
+		l, n := lc.l, lc.l.Len()
+		base := lc.opt
+		base.Seed = 12
+		oracle := base
+		oracle.LaneWidth = 1
+		want := Ranks(l, oracle)
+		wantScan := Scan(l, oracle)
 		// Order-sensitive probe op, deliberately non-associative: every
 		// run below shares the oracle's seed and therefore its sublist
 		// decomposition and Phase 2 grouping, so any difference in fold
 		// order — the thing lane interleaving must not change — shows.
 		op := func(a, b int64) int64 { return 3*a + b }
-		wantOp := ScanOp(l, op, 0, Options{Seed: 12, LaneWidth: 1})
+		wantOp := ScanOp(l, op, 0, oracle)
 		for _, procs := range []int{1, 4} {
 			for _, K := range laneTestWidths {
 				t.Run(fmt.Sprintf("%s/procs=%d/K=%d", name, procs, K), func(t *testing.T) {
-					opt := Options{Seed: 12, Procs: procs, LaneWidth: K}
+					opt := base
+					opt.Procs, opt.LaneWidth = procs, K
 					got := Ranks(l, opt)
 					for v := 0; v < n; v++ {
 						if got[v] != want[v] {

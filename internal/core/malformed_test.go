@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"listrank/internal/list"
+	"listrank/internal/rng"
 )
 
 // The malformed-list probes: a 4096-vertex chain 0→1→…→4094 whose end
@@ -13,13 +14,19 @@ import (
 // long cycle) — so the self-loop tail 4095 is unreachable. Before the
 // record sentinel, Phase 1 spun forever in a cycle that held no
 // splitter, and the serial Phase 2 walk spun around a cyclic reduced
-// list; neither loop polls for cancellation. The probes run at Procs 1:
-// on a malformed list two sublists can reach the same vertex, which at
-// Procs > 1 is a write race.
+// list; before the serial walk's n-link guard, a list at or below the
+// serial cutoff spun in the walk. None of these loops polls for
+// cancellation. The probes run at Procs 1: on a malformed list two
+// sublists can reach the same vertex, which at Procs > 1 is a write
+// race.
 
-// probeN is the probes' length, above the serial cutoff so the sublist
-// engine runs.
+// probeN is the probes' length.
 const probeN = 4096
+
+// probeSides runs each probe on both sides of the serial cutoff: below
+// probeN the sublist engine and its record sentinel run, at probeN the
+// serial walk and its n-link guard.
+var probeSides = map[string]int{"engine": probeN - 1, "serial": probeN}
 
 // probeBacks names each probe by the vertex Next[probeN-2] closes to.
 var probeBacks = map[string]int64{"2-cycle": probeN - 3, "long-cycle": 1000}
@@ -61,30 +68,33 @@ func mustPanicWithin(t *testing.T, what string, f func()) {
 	}
 }
 
-// TestMalformedProbesPanic: on both probes, every operator and both
-// layouts panic at every seed instead of hanging — rank and int32 scan
-// on the narrow word; ScanOp, a scan with a value outside int32 and a
-// DisableEncoding rank on the wide pair.
+// TestMalformedProbesPanic: on both probes, on both sides of the
+// serial cutoff, every operator and both layouts panic at every seed
+// instead of hanging — rank and int32 scan on the narrow word; ScanOp,
+// a scan with a value outside int32 and a DisableEncoding rank on the
+// wide pair.
 func TestMalformedProbesPanic(t *testing.T) {
 	for name, back := range probeBacks {
 		l := probeList(back)
 		wl := probeList(back)
 		wl.Value[7] = 1 << 40
 		dst := make([]int64, probeN)
-		for seed := uint64(1); seed <= 50; seed++ {
-			opt := Options{Seed: seed, Procs: 1}
-			for what, run := range map[string]func(){
-				"rank":      func() { RanksInto(dst, l, opt, nil) },
-				"scan":      func() { ScanInto(dst, l, opt, nil) },
-				"scanop":    func() { ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0, opt, nil) },
-				"wide-scan": func() { ScanInto(dst, wl, opt, nil) },
-				"wide-rank": func() {
-					wide := opt
-					wide.DisableEncoding = true
-					RanksInto(dst, l, wide, nil)
-				},
-			} {
-				mustPanicWithin(t, fmt.Sprintf("%s %s seed %d", name, what, seed), run)
+		for side, cutoff := range probeSides {
+			for seed := uint64(1); seed <= 50; seed++ {
+				opt := Options{Seed: seed, Procs: 1, SerialCutoff: cutoff}
+				for what, run := range map[string]func(){
+					"rank":      func() { RanksInto(dst, l, opt, nil) },
+					"scan":      func() { ScanInto(dst, l, opt, nil) },
+					"scanop":    func() { ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0, opt, nil) },
+					"wide-scan": func() { ScanInto(dst, wl, opt, nil) },
+					"wide-rank": func() {
+						wide := opt
+						wide.DisableEncoding = true
+						RanksInto(dst, l, wide, nil)
+					},
+				} {
+					mustPanicWithin(t, fmt.Sprintf("%s %s %s seed %d", name, side, what, seed), run)
+				}
 			}
 		}
 	}
@@ -100,7 +110,7 @@ func TestSerialPhase2GuardsCycle(t *testing.T) {
 	l := probeList(probeBacks["long-cycle"])
 	dst := make([]int64, probeN)
 	for seed := uint64(1); seed <= 50; seed++ {
-		opt := Options{Seed: seed, Procs: 1, DisableEncoding: true}
+		opt := Options{Seed: seed, Procs: 1, DisableEncoding: true, SerialCutoff: probeSides["engine"]}
 		mustPanicWithin(t, fmt.Sprintf("generic rank seed %d", seed), func() {
 			RanksInto(dst, l, opt, nil)
 		})
@@ -108,4 +118,52 @@ func TestSerialPhase2GuardsCycle(t *testing.T) {
 			ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0, opt, nil)
 		})
 	}
+}
+
+// FuzzMalformedNeverHangs: a list of n ∈ [2, 4·defaultSerialCutoff]
+// vertices in a fuzz-chosen shape, with the link out of the vertex at
+// rank i redirected to the vertex at an earlier rank j, must make a
+// rank, a scan and a ScanOp at Procs 1 panic within the watchdog, on
+// both sides of the serial cutoff. The redirect closes a cycle and
+// strands the vertex at rank i+1, which nothing links to any more (or,
+// when i is the tail, leaves no self-loop at all), so the serial walk
+// must stop after n links and the engine must hit its record sentinel
+// or its tail check.
+func FuzzMalformedNeverHangs(f *testing.F) {
+	f.Add(uint16(998), uint8(0), uint16(997), uint16(996), uint64(1)) // the 2-cycle at n = 1000
+	f.Add(uint16(probeN-2), uint8(0), uint16(probeN-2), uint16(1000), uint64(2))
+	f.Add(uint16(4*defaultSerialCutoff), uint8(1), uint16(9000), uint16(3), uint64(3))
+	f.Add(uint16(0), uint8(2), uint16(0), uint16(0), uint64(4)) // n = 2: tail back to head
+	f.Add(uint16(defaultSerialCutoff), uint8(3), uint16(0xffff), uint16(7), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw uint16, shape uint8, iRaw, jRaw uint16, seed uint64) {
+		n := 2 + int(nRaw)%(4*defaultSerialCutoff-1)
+		r := rng.New(seed)
+		var l *list.List
+		switch shape % 4 {
+		case 0:
+			l = list.NewRandom(n, r)
+		case 1:
+			l = list.NewOrdered(n)
+		case 2:
+			l = list.NewReversed(n)
+		default:
+			l = list.NewBlocked(n, 1+int(seed%64), r)
+		}
+		l.RandomValues(-5, 5, r)
+		at := make([]int64, n) // at[rank] = vertex
+		for v, rk := range l.Ranks() {
+			at[rk] = int64(v)
+		}
+		i := 1 + int(iRaw)%(n-1)
+		j := int(jRaw) % i
+		l.Next[at[i]] = at[j]
+		dst := make([]int64, n)
+		opt := Options{Seed: seed, Procs: 1}
+		what := fmt.Sprintf("n=%d shape=%d rank %d→%d", n, shape%4, i, j)
+		mustPanicWithin(t, what+" rank", func() { RanksInto(dst, l, opt, nil) })
+		mustPanicWithin(t, what+" scan", func() { ScanInto(dst, l, opt, nil) })
+		mustPanicWithin(t, what+" scanop", func() {
+			ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0, opt, nil)
+		})
+	})
 }

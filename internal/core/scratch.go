@@ -89,7 +89,7 @@ type Scratch struct {
 		tail              int64
 		seed              uint64
 		k, p, rounds      int
-		lanes             int
+		stride, lanes     int
 		lay               layout
 		val, val2         []int64
 		lnk, lnk2         []int32

@@ -2,11 +2,19 @@
 // algorithms (paper §2.1). The serial algorithm simply walks down the
 // list accumulating values; it is the work baseline every parallel
 // algorithm is compared against (Table II: O(n) time, O(n) work, small
-// constants, constant extra space) and it is also used as the Phase 2
-// solver of the sublist algorithm when the reduced list is short.
+// constants, constant extra space), and the sublist engine's path for
+// lists at or below its serial cutoff.
+//
+// Every walk follows at most n links. A well-formed list reaches its
+// self-loop tail within n vertices; a walk that has not is going round
+// a cycle, and panics rather than spin.
 package serial
 
 import "listrank/internal/list"
+
+// errNoEnd is the panic value of a walk that visits n vertices without
+// reaching a self-loop tail.
+const errNoEnd = "serial: no tail self-loop within n links (malformed list)"
 
 // Ranks returns, for each vertex of l, the number of vertices that
 // precede it in the list.
@@ -21,16 +29,15 @@ func Ranks(l *list.List) []int64 {
 func RanksInto(dst []int64, l *list.List) {
 	v := l.Head
 	next := l.Next
-	var rank int64
-	for {
+	for rank := int64(0); rank < int64(len(next)); rank++ {
 		dst[v] = rank
-		rank++
 		n := next[v]
 		if n == v {
 			return
 		}
 		v = n
 	}
+	panic(errNoEnd)
 }
 
 // Scan returns the exclusive list scan of l under integer addition:
@@ -47,7 +54,7 @@ func ScanInto(dst []int64, l *list.List) {
 	v := l.Head
 	next, value := l.Next, l.Value
 	var sum int64
-	for {
+	for i := 0; i < len(next); i++ {
 		dst[v] = sum
 		sum += value[v]
 		n := next[v]
@@ -56,6 +63,7 @@ func ScanInto(dst []int64, l *list.List) {
 		}
 		v = n
 	}
+	panic(errNoEnd)
 }
 
 // ScanOp returns the exclusive list scan of l under an arbitrary
@@ -75,7 +83,7 @@ func ScanOpInto(dst []int64, l *list.List, op func(a, b int64) int64, identity i
 	v := l.Head
 	next, value := l.Next, l.Value
 	acc := identity
-	for {
+	for i := 0; i < len(next); i++ {
 		dst[v] = acc
 		acc = op(acc, value[v])
 		n := next[v]
@@ -84,4 +92,5 @@ func ScanOpInto(dst []int64, l *list.List, op func(a, b int64) int64, identity i
 		}
 		v = n
 	}
+	panic(errNoEnd)
 }

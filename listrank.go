@@ -184,8 +184,8 @@ type Options struct {
 	// Seed drives splitter selection and coin flips. Results never
 	// depend on it; only performance does.
 	Seed uint64
-	// M overrides the sublist algorithm's splitter count (0 = auto,
-	// ≈ n/log n).
+	// M overrides the sublist algorithm's splitter count (0 = auto:
+	// n/256, sublists of 256 vertices on average; see core.DefaultM).
 	M int
 	// LaneWidth is the number of independent sublist cursors each
 	// worker interleaves in the sublist algorithm's hot chase loops —

@@ -2,8 +2,8 @@ package listrank
 
 import (
 	"fmt"
-	"math/bits"
 
+	"listrank/internal/core"
 	"listrank/internal/par"
 	"listrank/internal/rng"
 )
@@ -46,13 +46,13 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 		return out
 	}
 
-	// Number of sublists: the paper's m ≈ n/log n regime, floored so
-	// every worker owns several sublists (its load-balance argument:
-	// exponential sublist lengths average out across a worker's many
-	// sublists, §2.5).
+	// Number of sublists: the engine's default (core.DefaultM), floored
+	// so every worker owns several sublists (the paper's load-balance
+	// argument: exponential sublist lengths average out across a
+	// worker's many sublists, §2.5).
 	m := opt.M
 	if m <= 0 {
-		m = n / max(1, bits.Len(uint(n)))
+		m = core.DefaultM(n)
 	}
 	if m < 8*p {
 		m = 8 * p
