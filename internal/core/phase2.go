@@ -62,11 +62,12 @@ func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Option
 		sub.Stats = nil
 		if opt.Stats != nil {
 			// The recursion's own counts stay out of the caller's
-			// Stats; only its depth is reported.
+			// Stats; only its depth is reported, and only if the
+			// reduced list ran the engine rather than the serial walk.
 			sub.Stats = new(Stats)
 		}
 		encoded(v.pfx, rl, rl.Value, op, identity, sub, depth+1, sc.childScratch())
-		if opt.Stats != nil {
+		if opt.Stats != nil && sub.Stats.Depth > 0 {
 			opt.Stats.Depth = sub.Stats.Depth
 		}
 	}

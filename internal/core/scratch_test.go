@@ -47,9 +47,10 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	warm := make([]int64, l.Len())
 	ScanInto(warm, l, Options{Seed: 999}, sc)
 	RanksInto(warm, l, Options{Seed: 998}, sc)
+	requireChildEngine(t, l, Options{Seed: 43, SerialCutoff: 64, M: l.Len() / 16})
 	for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
 		for _, p := range []int{1, 4} {
-			opt := Options{Seed: 43, Phase2: alg, Procs: p, SerialCutoff: 64}
+			opt := Options{Seed: 43, Phase2: alg, Procs: p, SerialCutoff: 64, M: l.Len() / 16}
 			fresh := make([]int64, l.Len())
 			ScanInto(fresh, l, opt, NewScratch())
 			reused := make([]int64, l.Len())
@@ -71,9 +72,13 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // list's values fit in int32, so the scan cases without
 // DisableEncoding run on the encoded engine.
 func TestZeroAllocSteadyState(t *testing.T) {
-	n := 1 << 18 // large enough that Phase2Auto picks Wyllie, not serial
+	n := 1 << 18
 	l := list.NewRandom(n, rng.New(44))
 	dst := make([]int64, n)
+	// The recursive leg sets M so its reduced list (~16k sublists) runs
+	// the child engine in the child arena, not the serial walk.
+	recursive := Options{Seed: 7, Phase2: Phase2Recursive, M: n / 16}
+	requireChildEngine(t, l, recursive)
 	for _, procs := range []int{1, 2, 4} {
 		sc := NewScratch()
 		if procs > 1 {
@@ -89,7 +94,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			{"scan-auto", func() { ScanInto(dst, l, opt(Options{Seed: 7}), sc) }},
 			{"scan-natural", func() { ScanInto(dst, l, opt(Options{Seed: 7, LaneWidth: 1}), sc) }},
 			{"scan-wyllie-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Wyllie}), sc) }},
-			{"scan-recursive-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Recursive}), sc) }},
+			{"scan-recursive-p2", func() { ScanInto(dst, l, opt(recursive), sc) }},
 			{"scan-generic", func() { ScanInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
 			{"rank-encoded", func() { RanksInto(dst, l, opt(Options{Seed: 7}), sc) }},
 			{"rank-generic", func() { RanksInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
@@ -152,14 +157,17 @@ func TestParallelSetupDeterministic(t *testing.T) {
 func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	const sentinel = int64(-1) << 62
 	r := rng.New(48)
-	l := list.NewRandom(40000, r)
+	const n = 40000
+	l := list.NewRandom(n, r)
 	l.RandomValues(-5, 5, r)
 	want := serial.Scan(l)
 	wantRank := l.Ranks()
+	// M is set so the recursion's reduced list runs the child engine.
+	requireChildEngine(t, l, Options{Seed: 49, SerialCutoff: 64, M: n / 8})
 	for _, de := range []bool{false, true} {
 		for _, lw := range []int{1, 0} {
 			for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-				opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, Procs: 2, DisableEncoding: de}
+				opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, M: n / 8, Procs: 2, DisableEncoding: de}
 				dst := make([]int64, l.Len())
 				for i := range dst {
 					dst[i] = sentinel
@@ -205,9 +213,12 @@ func TestScanOpIntoScratchNonCommutative(t *testing.T) {
 		}
 		id := packAffine(1, 0)
 		want := serial.ScanOp(l, affine, id)
+		// M is set so the recursion's reduced list runs the child
+		// engine, whose arena is reused across these sizes.
+		requireChildEngine(t, l, Options{Seed: 51, SerialCutoff: 64, M: n / 4})
 		for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
 			dst := make([]int64, n)
-			ScanOpInto(dst, l, affine, id, Options{Seed: 51, Phase2: alg, SerialCutoff: 64, Procs: 3}, sc)
+			ScanOpInto(dst, l, affine, id, Options{Seed: 51, Phase2: alg, SerialCutoff: 64, M: n / 4, Procs: 3}, sc)
 			equal(t, dst, want, "scanop arena")
 		}
 	}
