@@ -55,12 +55,13 @@
 // Phase 1 records and Phase 3 streams (encoded.go): as a lane reads a
 // vertex's words it overwrites them with the vertex's sublist and its
 // offset or local prefix, and Phase 3 is one streaming pass in vertex
-// order. The words come in two layouts, picked once per call: ranks
-// and addition scans whose values fit in int32 chase the paper's
-// single-gather encoded word (§3, 8 bytes per vertex); every other
-// problem — any operator, a wide value, a list of 2^31 vertices or
-// more — chases a 16-byte {link, value} pair. Neither writes the
-// caller's list.
+// order. The words come in two layouts, picked once per call: ranks,
+// and addition scans whose list has Σ|value| < 2^31, chase the paper's
+// single-gather encoded word (§3, 8 bytes per vertex), where a scan's
+// local prefix fits the field a rank's offset takes and the scan costs
+// what a rank costs; every other problem — any operator, a scan with
+// Σ|value| ≥ 2^31, a list of 2^31 vertices or more — chases a 16-byte
+// {link, value} pair. Neither writes the caller's list.
 //
 // All working space — the virtual-processor table, splitter buffers,
 // derived words and Phase 2 storage — lives in a reusable Scratch
@@ -117,10 +118,10 @@ type Stats struct {
 	// Phase 2's own visits are not included.
 	LinksTraversed int64
 	// Encoded reports whether the run chased the narrow single-gather
-	// word (§3, encoded.go): ranks, and addition scans whose values all
-	// fit in int32, of lists longer than the serial cutoff and shorter
-	// than 2^31 vertices, unless DisableEncoding is set. Every other
-	// run above the cutoff chases the wide {link, value} pair.
+	// word (§3, encoded.go): ranks, and addition scans whose list has
+	// Σ|value| < 2^31, of lists longer than the serial cutoff and
+	// shorter than 2^31 vertices, unless DisableEncoding is set. Every
+	// other run above the cutoff chases the wide {link, value} pair.
 	Encoded bool
 }
 

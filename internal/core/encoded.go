@@ -22,11 +22,13 @@ import (
 // value, which we can do as long as the list length (and therefore the
 // maximum rank) is no more than 2^(w/2)." We encode exactly that way:
 // enc[v] = next[v]<<32 | uint32(addend), the addend 1 for a rank and
-// the vertex's value for an addition scan whose values all fit in
-// int32. Every other problem — any other operator, a value outside
-// int32, a list of 2^31 vertices or more, or DisableEncoding — takes
-// the wide layout, a 16-byte {link, value} pair per vertex that a lane
-// still fetches in one cache line.
+// the vertex's value for an addition scan. The same bound argument
+// carries over to sums: a scan takes the narrow word when its list's
+// Σ|value| is below 2^31, so every value and every local prefix fits
+// in 32 bits. Every other problem — any other operator, a scan with
+// Σ|value| of 2^31 or more, a list of 2^31 vertices or more, or
+// DisableEncoding — takes the wide layout, a 16-byte {link, value}
+// pair per vertex that a lane still fetches in one cache line.
 //
 // In both layouts every sublist tail is a self-loop that keeps its
 // value, so a sublist's fold is complete when its chase stops. That is
@@ -36,12 +38,14 @@ import (
 //
 // Phase 1 records and Phase 3 streams: as a lane reads a vertex's words
 // it overwrites them with the vertex's sublist index and its offset
-// (narrow rank) or local exclusive prefix (narrow scan: in out; wide:
-// in the pair), so Phase 3 is one sequential pass over the words and
-// out rather than a second chase. A sublist's successor is read from
-// the record at the successor's head. The record's sentinel bit is
-// also the malformed-list guard: a lane that reaches a recorded vertex
-// panics, and so does the stream at a vertex no lane reached.
+// (narrow rank) or local exclusive prefix (narrow scan and wide), so
+// Phase 1 makes one random gather and no random store per vertex in
+// every layout — a narrow scan costs what a rank costs — and Phase 3
+// is one sequential pass over the words and out rather than a second
+// chase. A sublist's successor is read from the record at the
+// successor's head. The record's sentinel bit is also the
+// malformed-list guard: a lane that reaches a recorded vertex panics,
+// and so does the stream at a vertex no lane reached.
 
 // layout selects the derived words the engine chases.
 type layout uint8
@@ -52,8 +56,14 @@ const (
 	wide                     // {link, value} pair under any operator
 )
 
-// encMaxLen bounds the lists the narrow word supports.
-const encMaxLen = 1 << 31
+// encMaxLen bounds the lists the narrow word supports, and encMaxSum
+// the Σ|value| of a narrow scan: below it every local exclusive prefix
+// fits the record's 32-bit field (kernel/record.go), as every offset
+// of a list shorter than encMaxLen does.
+const (
+	encMaxLen = 1 << 31
+	encMaxSum = 1 << 31
+)
 
 // encoded runs the sublist engine on l, writing into out the exclusive
 // scan of values under op from identity. values nil is a rank (every
@@ -62,7 +72,10 @@ const encMaxLen = 1 << 31
 // package serial's walk. Otherwise the layout is picked here, once:
 // narrow for a rank or addition scan unless DisableEncoding is set,
 // the list has 2^31 vertices or more, or the encode pass finds a link
-// or value the narrow word cannot hold; wide for everything else.
+// the narrow word cannot hold or, for a scan, Σ|value| of 2^31 or more
+// (encMaxSum); wide for everything else. A recursive Phase 2 inherits
+// the rule: its values are sublist sums, whose Σ|·| is at most the
+// parent's.
 func encoded(out []int64, l *list.List, values []int64, op func(a, b int64) int64, identity int64, opt Options, depth int, sc *Scratch) {
 	n := l.Len()
 	opt = opt.withDefaults(n)
@@ -111,9 +124,9 @@ func encoded(out []int64, l *list.List, values []int64, op func(a, b int64) int6
 	// sublist (and offset or local prefix) in the words it just read.
 	opt.checkpoint(chaos.PointPhase1)
 	if p == 1 {
-		stripRecord(opt.Cancel, out, enc, v.h, v.sum, v.cur, lay, op, identity, 0, k, stride, lanes)
+		stripRecord(opt.Cancel, enc, v.h, v.sum, v.cur, lay, op, identity, 0, k, stride, lanes)
 	} else {
-		sc.fc.out, sc.fc.lay, sc.fc.stride, sc.fc.lanes = out, lay, stride, lanes
+		sc.fc.lay, sc.fc.stride, sc.fc.lanes = lay, stride, lanes
 		sc.fc.op, sc.fc.identity = op, identity
 		sc.fc.cancel = opt.Cancel
 		sc.fanout().ForChunksCtx(k, p, sc, taskRecord)
@@ -163,9 +176,10 @@ func encoded(out []int64, l *list.List, values []int64, op func(a, b int64) int6
 
 // encode fills sc.enc from next and values (nil for a rank) in layout
 // lay on p workers, refilling in the wide layout when a narrow word
-// cannot hold some link or value exactly. It returns the list's tail —
-// its first self-loop, found in the same pass — and the layout it
-// filled, and panics if the list has no self-loop.
+// cannot hold some link or value exactly or a scan's Σ|value| reaches
+// encMaxSum. It returns the list's tail — its first self-loop, found
+// in the same pass — and the layout it filled, and panics if the list
+// has no self-loop.
 func (sc *Scratch) encode(next, values []int64, lay layout, p int) (int64, layout) {
 	tail, ok := sc.fill(next, values, lay, p)
 	if !ok {
@@ -179,7 +193,8 @@ func (sc *Scratch) encode(next, values []int64, lay layout, p int) (int64, layou
 }
 
 // fill runs encFill over the whole list on p workers and combines the
-// workers' tails and verdicts.
+// workers' tails and weights: the narrow layout holds when their total
+// is below encMaxSum.
 func (sc *Scratch) fill(next, values []int64, lay layout, p int) (int64, bool) {
 	n := len(next)
 	words := n
@@ -188,33 +203,37 @@ func (sc *Scratch) fill(next, values []int64, lay layout, p int) (int64, bool) {
 	}
 	sc.enc = grow(sc.enc, words)
 	sc.tails = grow(sc.tails, p)
-	sc.encOK = grow(sc.encOK, p)
+	sc.encSum = grow(sc.encSum, p)
 	if p == 1 {
-		sc.tails[0], sc.encOK[0] = encFill(sc.enc, next, values, lay, 0, n)
+		sc.tails[0], sc.encSum[0] = encFill(sc.enc, next, values, lay, 0, n)
 	} else {
 		sc.fc.next, sc.fc.values, sc.fc.lay = next, values, lay
 		sc.fanout().ForChunksCtx(n, p, sc, taskEncode)
 	}
-	tail, ok := int64(-1), true
+	tail, sum := int64(-1), int64(0)
 	for w := 0; w < p; w++ {
-		ok = ok && sc.encOK[w]
+		sum += sc.encSum[w]
 		if tail < 0 {
 			tail = sc.tails[w]
 		}
 	}
-	return tail, ok
+	return tail, sum < encMaxSum
 }
 
 // encFill fills the words of vertices [lo, hi) in layout lay: narrow
 // enc[i] = next[i]<<32 | addend, the addend 1 for a rank (values nil)
 // and uint32(values[i]) for a scan; wide enc[2i], enc[2i+1] = next[i],
 // the value (1 for a rank). It returns the chunk's first self-loop (-1
-// if none) and whether every word holds its link and value exactly:
-// always for wide, and for narrow when every link lies in [0, 2^31)
-// and every value in int32.
-func encFill(enc []uint64, next, values []int64, lay layout, lo, hi int) (int64, bool) {
+// if none) and its weight against the narrow layout's bound: encMaxSum
+// when some link lies outside [0, 2^31) or some value outside int32,
+// which the narrow word cannot hold; otherwise Σ|value| for a narrow
+// scan, and 0 for a narrow rank and for wide. A narrow scan fill stops
+// after the block in which its sum reaches encMaxSum, so a chunk's
+// weight is below encMaxSum + encBlock·2^31 and the sum over workers
+// cannot overflow.
+func encFill(enc []uint64, next, values []int64, lay layout, lo, hi int) (int64, int64) {
 	tail := int64(-1)
-	var bad int64
+	var bad, sum int64
 	switch lay {
 	case narrowRank:
 		for i := lo; i < hi; i++ {
@@ -226,9 +245,10 @@ func encFill(enc []uint64, next, values []int64, lay layout, lo, hi int) (int64,
 			enc[i] = uint64(nx)<<32 | 1
 		}
 	case narrowScan:
-		// A wide value declines the layout, so stop at the first block
-		// that holds one rather than fill words nobody will chase.
-		for b := lo; b < hi && bad == 0; b += encBlock {
+		// A wide value or a total that reaches the bound declines the
+		// layout, so stop at the first block that holds either rather
+		// than fill words nobody will chase.
+		for b := lo; b < hi && bad == 0 && sum < encMaxSum; b += encBlock {
 			e := min(b+encBlock, hi)
 			for i := b; i < e; i++ {
 				nx, x := next[i], values[i]
@@ -236,6 +256,8 @@ func encFill(enc []uint64, next, values []int64, lay layout, lo, hi int) (int64,
 					tail = nx
 				}
 				bad |= nx>>31 | x ^ int64(int32(x))
+				s := x >> 63 // 0 or -1, so (x ^ s) - s is |x|
+				sum += (x ^ s) - s
 				enc[i] = uint64(nx)<<32 | uint64(uint32(x))
 			}
 		}
@@ -252,7 +274,10 @@ func encFill(enc []uint64, next, values []int64, lay layout, lo, hi int) (int64,
 			w[2*i], w[2*i+1] = uint64(nx), uint64(x)
 		}
 	}
-	return tail, bad == 0
+	if bad != 0 {
+		return tail, encMaxSum
+	}
+	return tail, sum
 }
 
 // encBlock is the narrow scan fill's early-exit granule, in vertices.
@@ -295,7 +320,7 @@ func linkSuccessors(next []int64, enc []uint64, lay layout, v *vps, lo, hi int) 
 // Pool bodies of the engine; see encoded for the phases.
 func taskEncode(c any, w, lo, hi int) {
 	sc := c.(*Scratch)
-	sc.tails[w], sc.encOK[w] = encFill(sc.enc, sc.fc.next, sc.fc.values, sc.fc.lay, lo, hi)
+	sc.tails[w], sc.encSum[w] = encFill(sc.enc, sc.fc.next, sc.fc.values, sc.fc.lay, lo, hi)
 }
 
 func taskEncCut(c any, _, lo, hi int) {
@@ -305,7 +330,7 @@ func taskEncCut(c any, _, lo, hi int) {
 
 func taskRecord(c any, _, lo, hi int) {
 	sc := c.(*Scratch)
-	stripRecord(sc.fc.cancel, sc.fc.out, sc.enc, sc.v.h, sc.v.sum, sc.v.cur, sc.fc.lay, sc.fc.op, sc.fc.identity, lo, hi, sc.fc.stride, sc.fc.lanes)
+	stripRecord(sc.fc.cancel, sc.enc, sc.v.h, sc.v.sum, sc.v.cur, sc.fc.lay, sc.fc.op, sc.fc.identity, lo, hi, sc.fc.stride, sc.fc.lanes)
 }
 
 func taskLinkSuccessors(c any, _, lo, hi int) {

@@ -155,29 +155,41 @@ func TestRanksEncodedSingleVertexSublists(t *testing.T) {
 }
 
 // TestScanEncodedDispatch: an addition scan takes the narrow layout
-// exactly when every value fits in int32 — int32 extremes included —
-// and stays exact in the wide layout when one does not.
-// DisableEncoding sends rank and scan alike to the wide layout.
+// exactly when its list's Σ|value| is below 2^31 (encMaxSum), so every
+// value and local prefix fits the record's 32-bit field — a lone value
+// at either int32 edge included — and stays exact in the wide layout
+// when it is not: a lone MinInt32 (Σ = 2^31), two halves whose
+// per-worker sums stay under the bound but whose total reaches it, the
+// int32 extremes together, and a value outside int32. DisableEncoding
+// sends rank and scan alike to the wide layout.
 func TestScanEncodedDispatch(t *testing.T) {
 	r := rng.New(21)
 	l := list.NewRandom(1<<13, r)
-	l.RandomValues(-1000, 1000, r)
-	l.Value[17] = math.MaxInt32
-	l.Value[18] = math.MinInt32
+	n := int64(l.Len())
+	small := l.Clone()
+	small.RandomValues(-1000, 1000, r)
+	zero := l.Clone()
+	clear(zero.Value)
 	for _, tc := range []struct {
 		name    string
-		wide    int64 // stored at vertex 5 when non-zero
+		base    *list.List
+		set     map[int64]int64 // vertex → value, over base's values
 		disable bool
 		encoded bool
 	}{
-		{"int32", 0, false, true},
-		{"wide-positive", 1 << 40, false, false},
-		{"wide-negative", math.MinInt32 - 1, false, false},
-		{"disabled", 0, true, false},
+		{"small", small, nil, false, true},
+		{"plus-edge", zero, map[int64]int64{l.Head: math.MaxInt32}, false, true},
+		{"minus-edge", zero, map[int64]int64{l.Head: -math.MaxInt32}, false, true},
+		{"min-int32", zero, map[int64]int64{l.Head: math.MinInt32}, false, false},
+		{"halves", zero, map[int64]int64{0: 1 << 30, n - 1: 1 << 30}, false, false},
+		{"int32-extremes", small, map[int64]int64{17: math.MaxInt32, 18: math.MinInt32}, false, false},
+		{"wide-positive", small, map[int64]int64{5: 1 << 40}, false, false},
+		{"wide-negative", small, map[int64]int64{5: math.MinInt32 - 1}, false, false},
+		{"disabled", small, nil, true, false},
 	} {
-		sl := l.Clone()
-		if tc.wide != 0 {
-			sl.Value[5] = tc.wide
+		sl := tc.base.Clone()
+		for v, x := range tc.set {
+			sl.Value[v] = x
 		}
 		want := serial.Scan(sl)
 		for _, procs := range []int{1, 2} {
@@ -193,7 +205,7 @@ func TestScanEncodedDispatch(t *testing.T) {
 		}
 	}
 	var st Stats
-	equal(t, Ranks(l, Options{DisableEncoding: true, Stats: &st}), l.Ranks(), "disabled rank")
+	equal(t, Ranks(small, Options{DisableEncoding: true, Stats: &st}), small.Ranks(), "disabled rank")
 	if st.Encoded {
 		t.Error("DisableEncoding rank: Stats.Encoded = true")
 	}
@@ -226,29 +238,60 @@ func TestEncodedScanDoesNotMutate(t *testing.T) {
 // TestEncodedMatchesGeneric is the differential suite of the two
 // layouts: for random and ordered lists, several seeds, Procs 1, 2 and
 // 4 and every lane width 1..32, narrow ranks and scans equal the wide
-// layout's (DisableEncoding) bit for bit, and the serial walk's.
-// SerialCutoff 1 keeps both lists on the engine.
+// layout's (DisableEncoding) bit for bit, and the serial walk's. Values
+// over the full int32 range send the scans to the wide fallback; the
+// edge lists' Σ|value| is 2^31 − 1, so their scans take the narrow
+// layout with local prefixes near +2^31 or −2^31. SerialCutoff 1 keeps
+// every list on the engine.
 func TestEncodedMatchesGeneric(t *testing.T) {
 	r := rng.New(23)
-	lists := map[string]*list.List{
-		"random":  list.NewRandom(5000, r),
-		"ordered": list.NewOrdered(3000),
-	}
-	for name, l := range lists {
+	fullRange := func(l *list.List) *list.List {
 		l.RandomValues(math.MinInt32, math.MaxInt32, r)
+		return l
+	}
+	for _, tc := range []struct {
+		name   string
+		l      *list.List
+		narrow bool // whether the scans take the narrow layout
+	}{
+		{"random", fullRange(list.NewRandom(5000, r)), false},
+		{"ordered", fullRange(list.NewOrdered(3000)), false},
+		{"edge-plus", atSumBound(list.NewRandom(5000, r), 1, r), true},
+		{"edge-minus", atSumBound(list.NewOrdered(3000), -1, r), true},
+	} {
+		l := tc.l
 		wantRank, wantScan := l.Ranks(), serial.Scan(l)
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, procs := range []int{1, 2, 4} {
 				gen := Options{Seed: seed, Procs: procs, DisableEncoding: true, SerialCutoff: 1}
-				equal(t, Ranks(l, gen), wantRank, name+" generic rank")
-				equal(t, Scan(l, gen), wantScan, name+" generic scan")
+				equal(t, Ranks(l, gen), wantRank, tc.name+" generic rank")
+				equal(t, Scan(l, gen), wantScan, tc.name+" generic scan")
 				for K := 1; K <= kernel.MaxLanes; K++ {
-					what := fmt.Sprintf("%s seed=%d procs=%d K=%d", name, seed, procs, K)
-					opt := Options{Seed: seed, Procs: procs, LaneWidth: K, SerialCutoff: 1}
+					what := fmt.Sprintf("%s seed=%d procs=%d K=%d", tc.name, seed, procs, K)
+					var st Stats
+					opt := Options{Seed: seed, Procs: procs, LaneWidth: K, SerialCutoff: 1, Stats: &st}
 					equal(t, Ranks(l, opt), wantRank, what+" rank")
 					equal(t, Scan(l, opt), wantScan, what+" scan")
+					if st.Encoded != tc.narrow {
+						t.Fatalf("%s scan: Stats.Encoded = %v, want %v", what, st.Encoded, tc.narrow)
+					}
 				}
 			}
 		}
 	}
+}
+
+// atSumBound gives l values in [-5, 5] and sets its head's value, of
+// the given sign, so that Σ|value| is 2^31 − 1: the largest total the
+// narrow scan takes. The head sublist's local prefixes after the head
+// then sit within about 25,000 of that edge.
+func atSumBound(l *list.List, sign int64, r *rng.Rand) *list.List {
+	l.RandomValues(-5, 5, r)
+	l.Value[l.Head] = 0
+	var abs int64
+	for _, x := range l.Value {
+		abs += max(x, -x)
+	}
+	l.Value[l.Head] = sign * (math.MaxInt32 - abs)
+	return l
 }

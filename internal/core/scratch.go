@@ -42,11 +42,12 @@ type Scratch struct {
 
 	// enc holds the words the engine derives from the list — n narrow
 	// words (§3) or 2n wide ones — which Phase 1 overwrites with
-	// records; encOK holds the encode pass's per-worker "every word
-	// encoded exactly" flags. One buffer serves both layouts, so an
-	// arena never holds more than 16 bytes per vertex here.
-	enc   []uint64
-	encOK []bool
+	// records; encSum holds the encode pass's per-worker weights
+	// against the narrow layout's bound (encFill). One buffer serves
+	// both layouts, so an arena never holds more than 16 bytes per
+	// vertex here.
+	enc    []uint64
+	encSum []int64
 
 	// Phase 2 pointer-jumping buffers (values and links, double
 	// buffered), shared by the add and generic-operator solvers.

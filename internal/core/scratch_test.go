@@ -69,8 +69,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // dispatches closure-free onto the arena's resident worker pool. The
 // Procs > 1 legs use an arena-owned pool sized to the job so the
 // guarantee holds regardless of the host machine's core count. The
-// list's values fit in int32, so the scan cases without
-// DisableEncoding run on the encoded engine.
+// list's Σ|value| is below 2^31, so the scan cases without
+// DisableEncoding run on the narrow word.
 func TestZeroAllocSteadyState(t *testing.T) {
 	n := 1 << 18
 	l := list.NewRandom(n, rng.New(44))

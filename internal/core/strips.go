@@ -20,7 +20,7 @@ import (
 // stripRecord runs the Phase 1 record kernel of layout lay over
 // sublists [lo, hi) in strips of stride sublists; op (nil for
 // addition) and identity are the wide layout's.
-func stripRecord(cn *Cancel, out []int64, enc []uint64, h, sum, cur []int64, lay layout, op func(a, b int64) int64, identity int64, lo, hi, stride, lanes int) {
+func stripRecord(cn *Cancel, enc []uint64, h, sum, cur []int64, lay layout, op func(a, b int64) int64, identity int64, lo, hi, stride, lanes int) {
 	for s := lo; s < hi; s += stride {
 		chaos.Point(chaos.PointChunk)
 		if cn.Canceled() {
@@ -31,7 +31,7 @@ func stripRecord(cn *Cancel, out []int64, enc []uint64, h, sum, cur []int64, lay
 		case narrowRank:
 			kernel.RecordRank(enc, h, sum, cur, s, e, lanes)
 		case narrowScan:
-			kernel.RecordScan(out, enc, h, sum, cur, s, e, lanes)
+			kernel.RecordScan(enc, h, sum, cur, s, e, lanes)
 		default:
 			kernel.RecordOp(enc, h, sum, cur, op, identity, s, e, lanes)
 		}

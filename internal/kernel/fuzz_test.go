@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 
 	"listrank/internal/rng"
@@ -9,16 +10,24 @@ import (
 // FuzzLaneChase drives the lane-interleaved chase kernels against the
 // single-cursor oracle (lanes == 1), and the record and stream kernels
 // against safe reference walks, over fuzz-chosen sublist populations,
-// chunk boundaries, vertex windows and lane widths. The chunk boundaries
-// are the interesting part: a lane that retires with the chunk nearly
-// drained must refill exactly from its own worker's [lo, hi) range and
-// then park without touching neighboring chunks' slots.
+// value scales, chunk boundaries, vertex windows and lane widths. The
+// chunk boundaries are the interesting part: a lane that retires with
+// the chunk nearly drained must refill exactly from its own worker's
+// [lo, hi) range and then park without touching neighboring chunks'
+// slots. The value scale is the other: the values are multiplied by a
+// factor of scale's sign and magnitude, clamped to at least 1 and to
+// at most what keeps Σ|value| ≤ 2^31 − 1 (the narrow scan's bound), so
+// a narrow scan's 32-bit prefixes reach toward the + edge (scale > 0)
+// or the − edge (scale < 0), where a wrong sign extension shows.
 func FuzzLaneChase(f *testing.F) {
-	f.Add(uint64(1), uint8(13), uint8(4), uint8(0), uint8(13))
-	f.Add(uint64(7), uint8(40), uint8(16), uint8(3), uint8(5))
-	f.Add(uint64(99), uint8(1), uint8(32), uint8(0), uint8(1))
-	f.Add(uint64(3), uint8(200), uint8(2), uint8(199), uint8(200))
-	f.Fuzz(func(t *testing.T, seed uint64, nSub, lanes, loRaw, hiRaw uint8) {
+	f.Add(uint64(1), uint8(13), uint8(4), uint8(0), uint8(13), int32(1))
+	f.Add(uint64(7), uint8(40), uint8(16), uint8(3), uint8(5), int32(1))
+	f.Add(uint64(99), uint8(1), uint8(32), uint8(0), uint8(1), int32(1))
+	f.Add(uint64(3), uint8(200), uint8(2), uint8(199), uint8(200), int32(1))
+	f.Add(uint64(99), uint8(1), uint8(32), uint8(0), uint8(1), int32(math.MaxInt32))
+	f.Add(uint64(5), uint8(3), uint8(1), uint8(0), uint8(3), int32(math.MinInt32))
+	f.Add(uint64(11), uint8(60), uint8(8), uint8(10), uint8(40), int32(-1000))
+	f.Fuzz(func(t *testing.T, seed uint64, nSub, lanes, loRaw, hiRaw uint8, scale int32) {
 		k := int(nSub)
 		if k == 0 {
 			return
@@ -38,6 +47,17 @@ func FuzzLaneChase(f *testing.F) {
 			}
 		}
 		s := makeSublists(lengths, seed^0x9e3779b97f4a7c15)
+		var abs int64
+		for _, x := range s.values {
+			abs += max(x, -x)
+		}
+		factor := min(max(int64(scale), -int64(scale), 1), math.MaxInt32/max(abs, 1))
+		if scale < 0 {
+			factor = -factor
+		}
+		for v := range s.values {
+			s.values[v] *= factor
+		}
 		lo := int(loRaw) % k
 		hi := lo + int(hiRaw)%(k-lo+1)
 		K := int(lanes)
@@ -97,7 +117,7 @@ func FuzzLaneChase(f *testing.F) {
 				t.Fatalf("record layout %d K=%d chunk [%d,%d): %s", lay, K, lo, hi, d)
 			}
 			full := refRecord(s, base, lay, 0, k)
-			got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, full, pfx, lay, vlo, vhi)
+			got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, pfx, lay, vlo, vhi)
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("stream layout %d [%d,%d) vertex %d: got %d, want %d", lay, vlo, vhi, v, got[v], want[v])

@@ -28,9 +28,12 @@
 //     3, in two word layouts. RecordRank and RecordScan chase the
 //     narrow §3 encoded word, RecordOp the wide {link, value} pair
 //     under any associative operator; each overwrites every word it
-//     reads with a record of the vertex's sublist and offset or local
-//     prefix, and StreamRank, StreamScan and StreamOp then finish every
-//     vertex in one sequential pass.
+//     reads with a record of the vertex's sublist and its offset or
+//     local prefix, and StreamRank, StreamScan and StreamOp then finish
+//     every vertex in one sequential pass. A narrow scan's list has
+//     Σ|value| < 2^31, so its local prefix fits the word's 32-bit field
+//     as a rank's offset does, and the scan costs what a rank costs:
+//     one random gather per vertex and no random store.
 //   - Jump kernels (jump.go): one round of Wyllie pointer doubling
 //     over the reduced list, used by Phase 2.
 //

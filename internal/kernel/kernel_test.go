@@ -124,12 +124,11 @@ func (s *sublists) words(lay int) []uint64 {
 }
 
 // recorded is the state a record kernel must leave: the words (records
-// for every vertex of the chased sublists, base words elsewhere), the
-// local exclusive prefixes a narrow scan stores in out, and the retired
-// sums and tails.
+// for every vertex of the chased sublists, base words elsewhere) and
+// the retired sums and tails.
 type recorded struct {
-	enc           []uint64
-	out, sum, cur []int64
+	enc      []uint64
+	sum, cur []int64
 }
 
 // newRecorded is the state before a record kernel runs: a copy of
@@ -137,7 +136,6 @@ type recorded struct {
 func newRecorded(s *sublists, base []uint64) recorded {
 	return recorded{
 		enc: append([]uint64(nil), base...),
-		out: make([]int64, len(s.next)),
 		sum: make([]int64, len(s.h)),
 		cur: make([]int64, len(s.h)),
 	}
@@ -160,8 +158,7 @@ func refRecord(s *sublists, base []uint64, lay, lo, hi int) recorded {
 				r.enc[c] = RecBit | uint64(j)<<32 | uint64(off)
 				acc++
 			case layScan:
-				r.enc[c] = RecBit | uint64(j)<<32
-				r.out[c] = acc
+				r.enc[c] = RecBit | uint64(j)<<32 | uint64(uint32(acc))
 				acc += s.values[c]
 			default:
 				r.enc[2*c], r.enc[2*c+1] = RecBit|uint64(j), uint64(acc)
@@ -185,7 +182,7 @@ func runRecord(s *sublists, base []uint64, lay, lo, hi, K int) recorded {
 	case layRank:
 		RecordRank(r.enc, s.h, r.sum, r.cur, lo, hi, K)
 	case layScan:
-		RecordScan(r.out, r.enc, s.h, r.sum, r.cur, lo, hi, K)
+		RecordScan(r.enc, s.h, r.sum, r.cur, lo, hi, K)
 	default:
 		op, id, _ := wideFold(lay)
 		RecordOp(r.enc, s.h, r.sum, r.cur, op, id, lo, hi, K)
@@ -201,11 +198,6 @@ func diffRecorded(got, want recorded) string {
 			return fmt.Sprintf("word %d = %#x, want %#x", i, got.enc[i], want.enc[i])
 		}
 	}
-	for v := range want.out {
-		if got.out[v] != want.out[v] {
-			return fmt.Sprintf("out[%d] = %d, want %d", v, got.out[v], want.out[v])
-		}
-	}
 	for j := range want.sum {
 		if got.sum[j] != want.sum[j] || got.cur[j] != want.cur[j] {
 			return fmt.Sprintf("vp %d: (sum, tail) = (%d, %d), want (%d, %d)", j, got.sum[j], got.cur[j], want.sum[j], want.cur[j])
@@ -214,13 +206,23 @@ func diffRecorded(got, want recorded) string {
 	return ""
 }
 
+// unstreamed is out before a stream runs: a marker per vertex, so a
+// stream that reads out, or writes outside its window, shows.
+func unstreamed(n int) []int64 {
+	out := make([]int64, n)
+	for v := range out {
+		out[v] = ^int64(v)
+	}
+	return out
+}
+
 // refStream is the safe reference for the Phase 3 streams over
 // vertices [vlo, vhi) after every sublist was recorded: each vertex
 // gets its sublist's prefix plus its offset (rank) or its local
 // exclusive prefix (scan), or its sublist's prefix folded with its
-// local prefix (wide); the rest of out keeps the recorded state.
-func refStream(s *sublists, full recorded, pfx []int64, lay, vlo, vhi int) []int64 {
-	out := append([]int64(nil), full.out...)
+// local prefix (wide); the rest of out keeps its markers.
+func refStream(s *sublists, pfx []int64, lay, vlo, vhi int) []int64 {
+	out := unstreamed(len(s.next))
 	_, id, fold := wideFold(lay)
 	for j := range s.h {
 		c := s.h[j]
@@ -254,10 +256,14 @@ func refStream(s *sublists, full recorded, pfx []int64, lay, vlo, vhi int) []int
 	return out
 }
 
-// runStream runs the stream kernel under test on a copy of the
-// recorded out column.
+// runStream runs the stream kernel under test over full's recorded
+// words.
 func runStream(full recorded, pfx []int64, lay, vlo, vhi int) []int64 {
-	out := append([]int64(nil), full.out...)
+	n := len(full.enc)
+	if lay >= layWide {
+		n /= 2
+	}
+	out := unstreamed(n)
 	switch lay {
 	case layRank:
 		StreamRank(out, full.enc, pfx, vlo, vhi)
@@ -417,7 +423,7 @@ func TestChaseKernelsMatchOracle(t *testing.T) {
 							t.Fatalf("record layout %d: %s", lay, d)
 						}
 						full := refRecord(s, base, lay, 0, k)
-						got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, full, pfx, lay, vlo, vhi)
+						got, want := runStream(full, pfx, lay, vlo, vhi), refStream(s, pfx, lay, vlo, vhi)
 						for v := range want {
 							if got[v] != want[v] {
 								t.Fatalf("stream layout %d [%d,%d) vertex %d: got %d, want %d", lay, vlo, vhi, v, got[v], want[v])
@@ -558,7 +564,7 @@ func TestKernelsAllocationFree(t *testing.T) {
 	rankWords, scanWords, wideWords := s.words(layRank), s.words(layScan), s.words(layWide)
 	work := make([]uint64, len(wideWords))
 	cases["RecordRank"] = func() { copy(work, rankWords); RecordRank(work[:len(rankWords)], s.h, sum, cur, 0, k, 16) }
-	cases["RecordScan"] = func() { copy(work, scanWords); RecordScan(out, work[:len(scanWords)], s.h, sum, cur, 0, k, 16) }
+	cases["RecordScan"] = func() { copy(work, scanWords); RecordScan(work[:len(scanWords)], s.h, sum, cur, 0, k, 16) }
 	cases["RecordOp"] = func() { copy(work, wideWords); RecordOp(work, s.h, sum, cur, wideOp, wideID, 0, k, 16) }
 	cases["RecordOp/add"] = func() { copy(work, wideWords); RecordOp(work, s.h, sum, cur, nil, 0, 0, k, 16) }
 	rankRec := refRecord(s, rankWords, layRank, 0, k).enc

@@ -23,21 +23,25 @@ import "unsafe"
 // associative operator. As a Phase 1 lane reads a vertex's words it
 // overwrites them, in the cache line it just fetched, with a record:
 //
-//	narrow rank: RecBit | j<<32 | offset   (offset = position within sublist j)
-//	narrow scan: RecBit | j<<32            (local prefix goes to out[v] instead)
-//	wide:        RecBit | j, local prefix  (the exclusive fold under op)
+//	narrow rank: RecBit | j<<32 | offset          (position within sublist j)
+//	narrow scan: RecBit | j<<32 | uint32(prefix)  (local exclusive prefix)
+//	wide:        RecBit | j, local prefix         (the exclusive fold under op)
 //
-// j < 2^31 and offset < 2^31 in the narrow word, so the fields never
-// reach the sentinel bit. The sentinel is the malformed-list guard, and
-// it adds no branch: a lane that reaches an already-recorded vertex (a
-// cycle, or two sublists sharing a vertex) decodes a link ≥ 2^31 and
-// fails the followed-link chk it pays anyway, and the Phase 3 stream
-// XORs the sentinel away before its sublist-index chk, so a vertex no
-// lane reached fails the same way. A narrow rank thus makes one random
-// gather per vertex and no random store; a narrow scan adds one random
-// store (its local prefix); a wide lane keeps its local prefix in the
-// line it fetched. Phase 3 is a sequential pass over the words and out
-// with one gather into the much smaller prefix table.
+// j < 2^31 in the narrow word, so the fields never reach the sentinel
+// bit. The offset is below n < 2^31, and the engine takes the narrow
+// scan layout only for a list whose Σ|value| is below 2^31, so every
+// local prefix fits its field and reads back exactly when sign-extended
+// — §3's bound on the maximum rank, carried over to sums. The sentinel
+// is the malformed-list guard, and it adds no branch: a lane that
+// reaches an already-recorded vertex (a cycle, or two sublists sharing
+// a vertex) decodes a link ≥ 2^31 and fails the followed-link chk it
+// pays anyway, and the Phase 3 stream XORs the sentinel away before
+// its sublist-index chk, so a vertex no lane reached fails the same
+// way. Every layout thus makes one random gather per vertex and no
+// random store: a narrow scan costs what a narrow rank costs, and a
+// wide lane keeps its local prefix in the line it fetched. Phase 3 is
+// a sequential pass over the words and out with one gather into the
+// much smaller prefix table.
 // RecBit is the record sentinel: set in every word Phase 1 has
 // recorded, clear in every encoded link word (links are < 2^31).
 const RecBit = uint64(1) << 63
@@ -117,19 +121,21 @@ func RecordRank(enc []uint64, h, sum, cur []int64, lo, hi, lanes int) {
 }
 
 // RecordScan is the narrow scan layout's Phase 1 over sublists
-// [lo, hi): each sublist j is chased from h[j], every vertex v gets
-// out[v] = the exclusive sum of the addends before it in the sublist
-// and its word is overwritten with its record (j only), and sum[j] =
-// the sublist's total, cur[j] = the tail reached are retired. The
-// addends are read back sign-extended. A revisited vertex panics
-// (badIndex).
-func RecordScan(out []int64, enc []uint64, h, sum, cur []int64, lo, hi, lanes int) {
+// [lo, hi): each sublist j is chased from h[j], every word it reads is
+// overwritten with its record (j and the vertex's local exclusive
+// prefix, the sum of the addends before it in the sublist, truncated
+// to its low 32 bits), and sum[j] = the sublist's total, cur[j] = the
+// tail reached are retired. The addends are read back sign-extended;
+// the engine takes this layout only for lists whose Σ|value| is below
+// 2^31, so every local prefix fits the field exactly. A revisited
+// vertex panics (badIndex).
+func RecordScan(enc []uint64, h, sum, cur []int64, lo, hi, lanes int) {
 	if hi <= lo {
 		return
 	}
 	checkChunk(lo, hi, len(h), len(sum), len(cur))
-	n := uint64(min(len(enc), len(out)))
-	eb, ob := unsafe.SliceData(enc), unsafe.SliceData(out)
+	n := uint64(len(enc))
+	eb := unsafe.SliceData(enc)
 	hb, sb, cb := unsafe.SliceData(h), unsafe.SliceData(sum), unsafe.SliceData(cur)
 	j, end := int64(lo), int64(hi)
 	if lanes = clampLanes(lanes); lanes == 1 {
@@ -140,8 +146,7 @@ func RecordScan(out []int64, enc []uint64, h, sum, cur []int64, lo, hi, lanes in
 			var acc int64
 			for {
 				e := ld(eb, c)
-				st(eb, c, tag)
-				st(ob, c, acc)
+				st(eb, c, tag|uint64(uint32(acc)))
 				acc += int64(int32(e))
 				nx := int64(e >> encShift)
 				if nx == c {
@@ -168,8 +173,7 @@ func RecordScan(out []int64, enc []uint64, h, sum, cur []int64, lo, hi, lanes in
 			la := &L[l]
 			c := la.cur
 			e := ld(eb, c)
-			st(eb, c, RecBit|uint64(la.slot)<<encShift)
-			st(ob, c, la.acc)
+			st(eb, c, RecBit|uint64(la.slot)<<encShift|uint64(uint32(la.acc)))
 			la.acc += int64(int32(e))
 			nx := int64(e >> encShift)
 			if nx != c {
@@ -224,9 +228,9 @@ func StreamRank(out []int64, enc []uint64, pfx []int64, lo, hi int) {
 }
 
 // StreamScan is the narrow scan layout's Phase 3 over vertices
-// [lo, hi): out[v] += pfx[j] for v's record j, turning the local
-// prefix RecordScan left in out[v] into the global one. Unrecorded
-// vertices panic exactly as in StreamRank.
+// [lo, hi): out[v] = pfx[j] + prefix for v's record (j, local prefix),
+// the prefix sign-extended from its 32-bit field. Like StreamRank it
+// only writes out, and unrecorded vertices panic exactly as there.
 func StreamScan(out []int64, enc []uint64, pfx []int64, lo, hi int) {
 	if hi <= lo {
 		return
@@ -235,9 +239,10 @@ func StreamScan(out []int64, enc []uint64, pfx []int64, lo, hi int) {
 	k := uint64(len(pfx))
 	eb, ob, pb := unsafe.SliceData(enc), unsafe.SliceData(out), unsafe.SliceData(pfx)
 	for v := int64(lo); v < int64(hi); v++ {
-		j := int64((ld(eb, v) ^ RecBit) >> encShift)
+		e := ld(eb, v) ^ RecBit
+		j := int64(e >> encShift)
 		chk(j, k)
-		st(ob, v, ld(ob, v)+ld(pb, j))
+		st(ob, v, ld(pb, j)+int64(int32(e)))
 	}
 }
 

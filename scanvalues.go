@@ -30,7 +30,9 @@ import (
 //
 // Options.Algorithm Serial forces the one-pass serial walk; all other
 // algorithm selections use the sublist algorithm (the reference
-// algorithms are int64-specific). The list is never mutated.
+// algorithms are int64-specific). The list is never mutated. A
+// malformed list — one whose walk from the head does not reach a
+// self-loop within n links — panics rather than spin, on either path.
 func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Options) []T {
 	n := l.Len()
 	if len(vals) != n {
@@ -111,7 +113,11 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 	// is immaterial, but the workers are not re-spawned.
 	sums := make([]T, nsub)
 	endAt := make([]int64, nsub)
+	// The sublists of a well-formed list share no vertex, so a worker
+	// follows fewer than n links in all; one that has not finished by
+	// then is going round a cycle that holds no cut.
 	par.Shared().ForChunks(nsub, par.Procs(p, nsub), func(_, lo, hi int) {
+		budget := n
 		for id := lo; id < hi; id++ {
 			v := headVert[id]
 			acc := identity
@@ -119,6 +125,9 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 				acc = op(acc, vals[v])
 				if cutEnds[v] >= 0 || l.Next[v] == v {
 					break
+				}
+				if budget--; budget == 0 {
+					panic(errScanValuesNoEnd)
 				}
 				v = l.Next[v]
 			}
@@ -130,7 +139,11 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 	// Phase 2: serial exclusive scan of the reduced list in list
 	// order. The successor of the sublist ending at r is the one
 	// whose head is Next[r]; the tail sublist ends at the global tail
-	// and is its own successor.
+	// and is its own successor. The walk must reach the tail sublist
+	// at its last step and not before: only then did it visit every
+	// sublist once, along one path from the head. Otherwise the list
+	// is malformed (a cut inside a cycle lets Phase 1 finish), and
+	// Phase 3 would expand garbage.
 	prefix := make([]T, nsub)
 	acc := identity
 	cur := sublistOfHead[l.Head]
@@ -138,6 +151,9 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 		prefix[cur] = acc
 		acc = op(acc, sums[cur])
 		end := endAt[cur]
+		if (l.Next[end] == end) != (k == nsub-1) {
+			panic(errScanValuesNoEnd)
+		}
 		cur = sublistOfHead[l.Next[end]]
 	}
 
@@ -159,10 +175,17 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 	return out
 }
 
+// errScanValuesNoEnd is the panic value of a ScanValues call on a list
+// whose walk from the head does not reach a self-loop tail.
+const errScanValuesNoEnd = "listrank: ScanValues: no tail self-loop within n links (malformed list)"
+
+// scanValuesSerial is the one-pass walk. It follows at most n links: a
+// well-formed list reaches its tail by then, and a walk that has not
+// is going round a cycle.
 func scanValuesSerial[T any](l *List, vals []T, op func(T, T) T, identity T, out []T) {
 	acc := identity
 	v := l.Head
-	for {
+	for i := 0; i < len(l.Next); i++ {
 		out[v] = acc
 		next := l.Next[v]
 		if next == v {
@@ -171,4 +194,5 @@ func scanValuesSerial[T any](l *List, vals []T, op func(T, T) T, identity T, out
 		acc = op(acc, vals[v])
 		v = next
 	}
+	panic(errScanValuesNoEnd)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // refScanValues is the obvious serial reference.
@@ -210,5 +211,48 @@ func TestScanValuesQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanValuesMalformedPanics: on the 2-cycle probe — an ordered list
+// with Next[n-2] = n-3, so the tail is unreachable — ScanValues must
+// panic within the watchdog instead of spinning: at n = 1000 on the
+// serial walk (Procs 1, or Algorithm Serial) and at n = 5000, Procs 2,
+// on the sublist path and with Algorithm Serial. The sublist rows run
+// ten seeds at the default M and at M = n/4. With few cuts the cycle
+// usually holds none and a Phase 1 worker must run out of links; at
+// n/4 a cut often falls inside it, Phase 1 finishes, and the Phase 2
+// walk must refuse the reduced list.
+func TestScanValuesMalformedPanics(t *testing.T) {
+	add := func(a, b int64) int64 { return a + b }
+	for _, tc := range []struct {
+		n, procs, m int
+		alg         Algorithm
+	}{
+		{1000, 1, 0, Sublist},
+		{1000, 1, 0, Serial},
+		{5000, 2, 0, Sublist},
+		{5000, 2, 5000 / 4, Sublist},
+		{5000, 2, 0, Serial},
+	} {
+		l := NewOrderedList(tc.n)
+		l.Next[tc.n-2] = int64(tc.n - 3)
+		vals := make([]int64, tc.n)
+		for seed := uint64(1); seed <= 10; seed++ {
+			opt := Options{Algorithm: tc.alg, Procs: tc.procs, M: tc.m, Seed: seed}
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				ScanValues(l, vals, add, 0, opt)
+			}()
+			select {
+			case r := <-done:
+				if r == nil {
+					t.Fatalf("n=%d %+v: completed on a malformed list instead of panicking", tc.n, opt)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("n=%d %+v: still running after 10s (hang)", tc.n, opt)
+			}
+		}
 	}
 }
