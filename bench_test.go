@@ -505,6 +505,41 @@ func BenchmarkScanValues(b *testing.B) {
 			_ = ScanWith(l, Options{Seed: uint64(i)})
 		}
 	})
+
+	// Both sides of scanValuesRankedMin, where ScanValues switches from
+	// the walk to the ranked path: 2^16 walks and 2^22 ranks, under a
+	// cheap operator and a costlier one (a 2×2 int64 matrix product).
+	type mat [4]int64
+	mul := func(a, b mat) mat {
+		return mat{
+			a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
+			a[2]*b[0] + a[3]*b[2], a[2]*b[1] + a[3]*b[3],
+		}
+	}
+	for _, n := range []int{1 << 16, 1 << 22} {
+		l := NewRandomList(n, 78)
+		adds := make([]int64, n)
+		mats := make([]mat, n)
+		for i := range adds {
+			adds[i] = int64(i % 9)
+			mats[i] = mat{int64(i % 3), 1, int64(i % 2), 1}
+		}
+		for _, procs := range []int{1, 2} {
+			opt := Options{Procs: procs}
+			b.Run(fmt.Sprintf("add/n=%d/procs=%d", n, procs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = ScanValues(l, adds, add, 0, opt)
+				}
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N*n), "ns/elem")
+			})
+			b.Run(fmt.Sprintf("mat2/n=%d/procs=%d", n, procs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = ScanValues(l, mats, mul, mat{1, 0, 0, 1}, opt)
+				}
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N*n), "ns/elem")
+			})
+		}
+	}
 }
 
 // ----- Engine reuse: the zero-steady-state-allocation contract -----

@@ -14,7 +14,8 @@
 // often a lane retires and refills. It prints the measured table per
 // size, the best L and K per size and the one L that is closest to
 // every size's best, then times the serial walk against the engine
-// around the serial cutoff and prints the crossover. Feed a winning K
+// around the serial cutoff, reps interleaved, and prints each cell's
+// quartiles and the crossover where they separate. Feed a winning K
 // to Options.LaneWidth / Engine.SetLaneWidth or a winning m to
 // Options.M; the persisted defaults are kernel.DefaultWidth, and
 // sublistLen and defaultSerialCutoff in internal/core.
@@ -86,7 +87,7 @@ func laneSweep(sizes []int, procs int) {
 			rowK := 0
 			for _, k := range laneSweepWidths {
 				opt := core.Options{Seed: 11, Procs: procs, M: n / sl, LaneWidth: k}
-				t := nsPerVertex(reps, n, func() { core.RanksInto(dst, l, opt, sc) })
+				t := interleaved(reps, timing{n, func() { core.RanksInto(dst, l, opt, sc) }})[0].med
 				row += fmt.Sprintf(" %-7.2f", t)
 				if t < rowBest[i] {
 					rowBest[i], rowK = t, k
@@ -122,50 +123,101 @@ func laneSweep(sizes []int, procs int) {
 // crossover times the serial walk against the engine (core.DefaultM's
 // sublists, default lanes, the serial cutoff lowered so the engine
 // runs) for ranks and addition scans at lengths around the serial
-// cutoff, and reports the largest length at which the walk still wins.
+// cutoff. Every rep times every cell in turn, walk beside engine, so
+// drift on the host over the whole run lands in each cell's spread
+// rather than between cells, and each cell prints its median and
+// quartiles.
 func crossover(procs int, sc *core.Scratch) {
-	fmt.Printf("\nserial walk vs engine (procs=%d, ns/vertex, median of 7 reps of >= 2^20 vertices):\n", procs)
-	fmt.Printf("%-9s %-12s %-12s %-12s %-12s\n", "n", "serial rank", "engine rank", "serial scan", "engine scan")
-	walkRank, walkScan := 0, 0
-	rankOn, scanOn := true, true
+	const reps = 15
+	fmt.Printf("\nserial walk vs engine (procs=%d, ns/vertex: median [q1, q3] of %d interleaved reps of >= 2^20 vertices):\n", procs, reps)
+	fmt.Printf("%-9s %-22s %-22s %-22s %-22s\n", "n", "serial rank", "engine rank", "serial scan", "engine scan")
+	var sizes []int
+	var calls []timing
 	for n := 1 << 10; n <= 1<<16; n <<= 1 {
 		r := rng.New(13)
 		l := list.NewRandom(n, r)
 		l.RandomValues(-5, 5, r)
 		dst := make([]int64, n)
 		opt := core.Options{Seed: 13, Procs: procs, SerialCutoff: 1}
-		sr := nsPerVertex(7, n, func() { serial.RanksInto(dst, l) })
-		er := nsPerVertex(7, n, func() { core.RanksInto(dst, l, opt, sc) })
-		ss := nsPerVertex(7, n, func() { serial.ScanInto(dst, l) })
-		es := nsPerVertex(7, n, func() { core.ScanInto(dst, l, opt, sc) })
-		fmt.Printf("%-9d %-12.2f %-12.2f %-12.2f %-12.2f\n", n, sr, er, ss, es)
-		if rankOn = rankOn && sr < er; rankOn {
-			walkRank = n
-		}
-		if scanOn = scanOn && ss < es; scanOn {
-			walkScan = n
-		}
+		sizes = append(sizes, n)
+		calls = append(calls,
+			timing{n, func() { serial.RanksInto(dst, l) }},
+			timing{n, func() { core.RanksInto(dst, l, opt, sc) }},
+			timing{n, func() { serial.ScanInto(dst, l) }},
+			timing{n, func() { core.ScanInto(dst, l, opt, sc) }})
 	}
-	fmt.Printf("the serial walk wins ranks through n=%d and scans through n=%d\n", walkRank, walkScan)
+	c := interleaved(reps, calls...)
+	var rank, scan [][2]spread
+	for i, n := range sizes {
+		row := c[4*i : 4*i+4]
+		fmt.Printf("%-9d %-22s %-22s %-22s %-22s\n", n, row[0], row[1], row[2], row[3])
+		rank = append(rank, [2]spread{row[0], row[1]})
+		scan = append(scan, [2]spread{row[2], row[3]})
+	}
+	fmt.Println("ranks: " + verdict(sizes, rank))
+	fmt.Println("scans: " + verdict(sizes, scan))
 	fmt.Println("(the persisted cutoff is core's defaultSerialCutoff; lists at or below it take the walk)")
 }
 
-// nsPerVertex times f, a call on n vertices, after one warm-up call:
-// the median over reps of batches of at least 2^20 vertices' worth of
-// calls, in ns per vertex.
-func nsPerVertex(reps, n int, f func()) float64 {
-	f()
-	batch := max(1, (1<<20)/n)
-	ts := make([]float64, reps)
-	for r := range ts {
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			f()
+// verdict names each cell's winner — the side whose third quartile is
+// below the other's first, or a tie — and resolves the crossover only
+// when the walk's last win is the cell just before the engine's first.
+func verdict(sizes []int, cells [][2]spread) string {
+	out := ""
+	first, last := len(sizes), -1 // the engine's first win, the walk's last
+	for i, c := range cells {
+		win := "tie"
+		switch {
+		case c[0].q3 < c[1].q1:
+			win, last = "walk", i
+		case c[1].q3 < c[0].q1:
+			win, first = "engine", min(first, i)
 		}
-		ts[r] = float64(time.Since(start)) / float64(batch*n)
+		out += fmt.Sprintf("%d %s, ", sizes[i], win)
 	}
-	sort.Float64s(ts)
-	return ts[reps/2]
+	if first == last+1 && last >= 0 && first < len(sizes) {
+		return out + fmt.Sprintf("crossover between n=%d and n=%d", sizes[last], sizes[first])
+	}
+	return out + "no crossover resolved"
+}
+
+// spread is one cell's timing: the quartiles of its reps, in ns per
+// vertex.
+type spread struct{ q1, med, q3 float64 }
+
+func (s spread) String() string { return fmt.Sprintf("%.2f [%.2f, %.2f]", s.med, s.q1, s.q3) }
+
+// timing is one timed call: f runs on n vertices.
+type timing struct {
+	n int
+	f func()
+}
+
+// interleaved times calls after one warm-up call each: reps rounds,
+// each timing one batch of at least 2^20 vertices' worth of every call
+// in turn. It returns each call's quartiles in ns per vertex.
+func interleaved(reps int, calls ...timing) []spread {
+	ts := make([][]float64, len(calls))
+	for i, c := range calls {
+		c.f()
+		ts[i] = make([]float64, reps)
+	}
+	for r := 0; r < reps; r++ {
+		for i, c := range calls {
+			batch := max(1, (1<<20)/c.n)
+			start := time.Now()
+			for j := 0; j < batch; j++ {
+				c.f()
+			}
+			ts[i][r] = float64(time.Since(start)) / float64(batch*c.n)
+		}
+	}
+	out := make([]spread, len(calls))
+	for i, t := range ts {
+		sort.Float64s(t)
+		out[i] = spread{t[reps/4], t[reps/2], t[reps-1-reps/4]}
+	}
+	return out
 }
 
 func main() {

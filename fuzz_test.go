@@ -36,9 +36,11 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 	})
 }
 
-// FuzzScanValuesAssociativity checks the generic scan against the
-// serial walk under a non-commutative operator whose failure modes
-// (reordering, wrong identity, off-by-one prefix) all change bits.
+// FuzzScanValuesAssociativity checks the generic scan's ranked path
+// against the serial walk under a non-commutative operator whose
+// failure modes (reordering, wrong identity, off-by-one prefix) all
+// change bits. It calls the ranked path directly: ScanValues itself
+// walks every list this short.
 func FuzzScanValuesAssociativity(f *testing.F) {
 	f.Add(uint16(3), uint64(0), uint16(0))
 	f.Add(uint16(2500), uint64(9), uint16(77))
@@ -54,7 +56,8 @@ func FuzzScanValuesAssociativity(f *testing.F) {
 		}
 		id := [2]int64{1, 0}
 		want := ScanValues(l, vals, compose, id, Options{Algorithm: Serial})
-		got := ScanValues(l, vals, compose, id, Options{Seed: seed * 31, M: int(mRaw) % n, Procs: 4})
+		got := make([][2]int64, n)
+		scanValuesRanked(l, vals, compose, id, Options{Seed: seed * 31, M: int(mRaw) % n, Procs: 4}, got)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("out[%d] = %v, want %v (n=%d seed=%d)", v, got[v], want[v], n, seed)

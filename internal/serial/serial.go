@@ -5,15 +5,17 @@
 // constants, constant extra space), and the sublist engine's path for
 // lists at or below its serial cutoff.
 //
-// Every walk follows at most n links. A well-formed list reaches its
-// self-loop tail within n vertices; a walk that has not is going round
-// a cycle, and panics rather than spin.
+// Every walk returns only when it reaches the self-loop tail at link
+// n−1, as a walk of a well-formed list does. One that reaches it sooner
+// has left vertices unwritten, and one that has not reached it by then
+// is going round a cycle; both panic rather than return a wrong answer
+// or spin.
 package serial
 
 import "listrank/internal/list"
 
-// errNoEnd is the panic value of a walk that visits n vertices without
-// reaching a self-loop tail.
+// errNoEnd is the panic value of a walk that does not reach a
+// self-loop tail at exactly link n−1.
 const errNoEnd = "serial: no tail self-loop within n links (malformed list)"
 
 // Ranks returns, for each vertex of l, the number of vertices that
@@ -33,6 +35,9 @@ func RanksInto(dst []int64, l *list.List) {
 		dst[v] = rank
 		n := next[v]
 		if n == v {
+			if rank < int64(len(next))-1 {
+				panic(errNoEnd)
+			}
 			return
 		}
 		v = n
@@ -59,6 +64,9 @@ func ScanInto(dst []int64, l *list.List) {
 		sum += value[v]
 		n := next[v]
 		if n == v {
+			if i < len(next)-1 {
+				panic(errNoEnd)
+			}
 			return
 		}
 		v = n
@@ -88,6 +96,9 @@ func ScanOpInto(dst []int64, l *list.List, op func(a, b int64) int64, identity i
 		acc = op(acc, value[v])
 		n := next[v]
 		if n == v {
+			if i < len(next)-1 {
+				panic(errNoEnd)
+			}
 			return
 		}
 		v = n

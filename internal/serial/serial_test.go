@@ -155,6 +155,32 @@ func TestIntoVariantsReuseStorage(t *testing.T) {
 	}
 }
 
+// TestWalksRefuseEarlyTail: on the chain-plus-cycle list — the chain
+// 0→1→…→n/2−1 exits to the self-loop tail n−1, and n/2…n−2 form a
+// cycle off it — every walk reaches the tail after n/2 links. Each must
+// panic instead of returning with the cycle's entries unwritten.
+func TestWalksRefuseEarlyTail(t *testing.T) {
+	const n = 1000
+	l := list.NewOrdered(n)
+	l.Next[n/2-1] = n - 1
+	l.Next[n-2] = n / 2
+	dst := make([]int64, n)
+	for name, walk := range map[string]func(){
+		"RanksInto":  func() { RanksInto(dst, l) },
+		"ScanInto":   func() { ScanInto(dst, l) },
+		"ScanOpInto": func() { ScanOpInto(dst, l, func(a, b int64) int64 { return max(a, b) }, 0) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != errNoEnd {
+					t.Errorf("%s: recovered %v, want %q", name, r, errNoEnd)
+				}
+			}()
+			walk()
+		}()
+	}
+}
+
 func BenchmarkRanks1M(b *testing.B) {
 	l := list.NewRandom(1<<20, rng.New(1))
 	dst := make([]int64, l.Len())

@@ -20,8 +20,7 @@ import "listrank/internal/kernel"
 // pointer-chasing speed; the Server's reorder cache
 // (Server.Register, ServerOptions.ReorderAfter) applies the same
 // transformation automatically to repeat traffic. l must have a value
-// per vertex and is read, never mutated past Rank's
-// restore-on-completion contract.
+// per vertex and is only read.
 func Reorder(l *List) (*List, []int64) {
 	n := l.Len()
 	if n == 0 {

@@ -25,8 +25,17 @@ func refScanValues[T any](l *List, vals []T, op func(T, T) T, identity T) []T {
 	}
 }
 
+// scanValuesPaths returns ScanValues' answer and, called directly, the
+// ranked path's, so that inputs below scanValuesRankedMin, where
+// ScanValues walks, still check the ranked path. l must be non-empty.
+func scanValuesPaths[T any](l *List, vals []T, op func(T, T) T, identity T, opt Options) map[string][]T {
+	ranked := make([]T, l.Len())
+	scanValuesRanked(l, vals, op, identity, opt, ranked)
+	return map[string][]T{"ScanValues": ScanValues(l, vals, op, identity, opt), "ranked": ranked}
+}
+
 func TestScanValuesIntMatchesScan(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 100, 2047, 2048, 5000, 100000} {
+	for _, n := range []int{1, 2, 3, 100, 2047, 2048, 5000, 100000, scanValuesRankedMin} {
 		l := NewRandomList(n, uint64(n))
 		vals := make([]int64, n)
 		for i := range vals {
@@ -34,10 +43,11 @@ func TestScanValuesIntMatchesScan(t *testing.T) {
 		}
 		copy(l.Value, vals)
 		want := ScanWith(l, Options{Algorithm: Serial})
-		got := ScanValues(l, vals, func(a, b int64) int64 { return a + b }, 0, Options{Seed: 3})
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("n=%d: out[%d] = %d, want %d", n, v, got[v], want[v])
+		for path, got := range scanValuesPaths(l, vals, func(a, b int64) int64 { return a + b }, 0, Options{Seed: 3}) {
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s n=%d: out[%d] = %d, want %d", path, n, v, got[v], want[v])
+				}
 			}
 		}
 	}
@@ -54,10 +64,11 @@ func TestScanValuesNonCommutative(t *testing.T) {
 		}
 		concat := func(a, b string) string { return a + b }
 		want := refScanValues(l, vals, concat, "")
-		got := ScanValues(l, vals, concat, "", Options{Seed: 5, M: 37})
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("n=%d: out[%d] = %q, want %q", n, v, got[v], want[v])
+		for path, got := range scanValuesPaths(l, vals, concat, "", Options{Seed: 5, M: 37}) {
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s n=%d: out[%d] = %q, want %q", path, n, v, got[v], want[v])
+				}
 			}
 		}
 	}
@@ -81,10 +92,11 @@ func TestScanValuesAffineComposition(t *testing.T) {
 	}
 	id := affine{1, 0}
 	want := refScanValues(l, vals, compose, id)
-	got := ScanValues(l, vals, compose, id, Options{Seed: 13})
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("out[%d] = %v, want %v", v, got[v], want[v])
+	for path, got := range scanValuesPaths(l, vals, compose, id, Options{Seed: 13}) {
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: out[%d] = %v, want %v", path, v, got[v], want[v])
+			}
 		}
 	}
 }
@@ -106,10 +118,11 @@ func TestScanValuesMat2(t *testing.T) {
 		vals[i] = mat{int64(i % 3), 1, int64(i % 2), 1}
 	}
 	want := refScanValues(l, vals, mul, id)
-	got := ScanValues(l, vals, mul, id, Options{Seed: 19, Procs: 4})
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("out[%d] = %v, want %v", v, got[v], want[v])
+	for path, got := range scanValuesPaths(l, vals, mul, id, Options{Seed: 19, Procs: 4}) {
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: out[%d] = %v, want %v", path, v, got[v], want[v])
+			}
 		}
 	}
 }
@@ -132,10 +145,11 @@ func TestScanValuesOptionSweep(t *testing.T) {
 		{Procs: 4, M: n / 2, Seed: 3},
 		{Procs: 4, M: 19999, Seed: 4},
 	} {
-		got := ScanValues(l, vals, add, 0, opt)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("opt %+v: out[%d] = %d, want %d", opt, v, got[v], want[v])
+		for path, got := range scanValuesPaths(l, vals, add, 0, opt) {
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s opt %+v: out[%d] = %d, want %d", path, opt, v, got[v], want[v])
+				}
 			}
 		}
 	}
@@ -153,10 +167,11 @@ func TestScanValuesOrderedAndReversedLists(t *testing.T) {
 			vals[i] = string(rune('A' + i%26))
 		}
 		want := refScanValues(l, vals, concat, "")
-		got := ScanValues(l, vals, concat, "", Options{Seed: 29})
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: out[%d] = %q, want %q", name, v, got[v], want[v])
+		for path, got := range scanValuesPaths(l, vals, concat, "", Options{Seed: 29}) {
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s %s: out[%d] = %q, want %q", path, name, v, got[v], want[v])
+				}
 			}
 		}
 	}
@@ -201,10 +216,11 @@ func TestScanValuesQuick(t *testing.T) {
 		}
 		opt := Options{Seed: seed * 999, M: int(mRaw) % n, Procs: 1 + int(procs%8)}
 		want := refScanValues(l, vals, concat, "")
-		got := ScanValues(l, vals, concat, "", opt)
-		for v := range want {
-			if got[v] != want[v] {
-				return false
+		for _, got := range scanValuesPaths(l, vals, concat, "", opt) {
+			for v := range want {
+				if got[v] != want[v] {
+					return false
+				}
 			}
 		}
 		return true
@@ -214,44 +230,79 @@ func TestScanValuesQuick(t *testing.T) {
 	}
 }
 
-// TestScanValuesMalformedPanics: on the 2-cycle probe — an ordered list
-// with Next[n-2] = n-3, so the tail is unreachable — ScanValues must
-// panic within the watchdog instead of spinning: at n = 1000 on the
-// serial walk (Procs 1, or Algorithm Serial) and at n = 5000, Procs 2,
-// on the sublist path and with Algorithm Serial. The sublist rows run
-// ten seeds at the default M and at M = n/4. With few cuts the cycle
-// usually holds none and a Phase 1 worker must run out of links; at
-// n/4 a cut often falls inside it, Phase 1 finishes, and the Phase 2
-// walk must refuse the reduced list.
+// TestScanValuesMalformedPanics: on two malformed lists, ScanValues
+// and its ranked path must panic within the watchdog instead of
+// spinning or returning a wrong answer. The 2-cycle probe is an ordered
+// list with Next[n-2] = n-3, so the tail is unreachable; its rows are
+// the sublist path's and the walk's at the time each gained a hang
+// guard, ten seeds each, at the default M and at M = n/4. The ranked
+// path runs the M = n/4 row at Procs 1: a cut inside the 2-cycle sets
+// two of the engine's lanes on its vertices, which at Procs 2 is a
+// write race on their records that the engine does not yet prevent.
+// The chain-plus-cycle probe exits its chain to the tail after n/2
+// links and leaves n/2…n−2 as a cycle off the path, on which the walk
+// used to return and the engine returns garbage ranks; it runs on both
+// sides of scanValuesRankedMin at Procs 1 and 2, with and without
+// Serial.
 func TestScanValuesMalformedPanics(t *testing.T) {
 	add := func(a, b int64) int64 { return a + b }
-	for _, tc := range []struct {
+	twoCycle := func(n int) *List {
+		l := NewOrderedList(n)
+		l.Next[n-2] = int64(n - 3)
+		return l
+	}
+	chainPlusCycle := func(n int) *List {
+		l := NewOrderedList(n)
+		l.Next[n/2-1] = int64(n - 1)
+		l.Next[n-2] = int64(n / 2)
+		return l
+	}
+	type row struct {
+		probe       func(int) *List
 		n, procs, m int
 		alg         Algorithm
-	}{
-		{1000, 1, 0, Sublist},
-		{1000, 1, 0, Serial},
-		{5000, 2, 0, Sublist},
-		{5000, 2, 5000 / 4, Sublist},
-		{5000, 2, 0, Serial},
-	} {
-		l := NewOrderedList(tc.n)
-		l.Next[tc.n-2] = int64(tc.n - 3)
+		seeds       uint64
+	}
+	rows := []row{
+		{twoCycle, 1000, 1, 0, Sublist, 10},
+		{twoCycle, 1000, 1, 0, Serial, 10},
+		{twoCycle, 5000, 2, 0, Sublist, 10},
+		{twoCycle, 5000, 2, 5000 / 4, Sublist, 10},
+		{twoCycle, 5000, 2, 0, Serial, 10},
+	}
+	for _, n := range []int{1000, 5000, 1 << 16, scanValuesRankedMin} {
+		for _, procs := range []int{1, 2} {
+			for _, alg := range []Algorithm{Sublist, Serial} {
+				rows = append(rows, row{chainPlusCycle, n, procs, 0, alg, 2})
+			}
+		}
+	}
+	for _, tc := range rows {
+		l := tc.probe(tc.n)
 		vals := make([]int64, tc.n)
-		for seed := uint64(1); seed <= 10; seed++ {
+		for seed := uint64(1); seed <= tc.seeds; seed++ {
 			opt := Options{Algorithm: tc.alg, Procs: tc.procs, M: tc.m, Seed: seed}
-			done := make(chan any, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				ScanValues(l, vals, add, 0, opt)
-			}()
-			select {
-			case r := <-done:
-				if r == nil {
-					t.Fatalf("n=%d %+v: completed on a malformed list instead of panicking", tc.n, opt)
+			ranked := opt
+			if tc.m > 0 {
+				ranked.Procs = 1
+			}
+			for path, scan := range map[string]func(){
+				"ScanValues": func() { ScanValues(l, vals, add, 0, opt) },
+				"ranked":     func() { scanValuesRanked(l, vals, add, 0, ranked, make([]int64, tc.n)) },
+			} {
+				done := make(chan any, 1)
+				go func() {
+					defer func() { done <- recover() }()
+					scan()
+				}()
+				select {
+				case r := <-done:
+					if r == nil {
+						t.Fatalf("%s n=%d %+v: completed on a malformed list instead of panicking", path, tc.n, opt)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s n=%d %+v: still running after 10s (hang)", path, tc.n, opt)
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("n=%d %+v: still running after 10s (hang)", tc.n, opt)
 			}
 		}
 	}

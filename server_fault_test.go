@@ -290,10 +290,14 @@ func TestSubmitTimeout(t *testing.T) {
 // scan and a generic-operator scan alike, on both sides of the cutoff
 // — with the accounting identity exact. The engine rows' seeds are
 // ones at which it used to hang. Procs 1: at Procs > 1 two sublists
-// reaching one vertex of a malformed list race on its record.
+// reaching one vertex of a malformed list race on its record. The
+// exit rows are the chain-plus-cycle probe, whose chain reaches the
+// self-loop tail early and leaves a cycle off the path: the serial
+// walk used to return on reaching the tail, and the request was
+// reported served with the cycle's ranks unwritten.
 func TestServerMalformedProbesPoisoned(t *testing.T) {
 	const big = 1 << 14 // above the engine's serial cutoff
-	probe := func(n int, back int64) *List {
+	probe := func(n int, back int64, exit bool) *List {
 		l := &List{Next: make([]int64, n), Value: make([]int64, n)}
 		for i := range l.Next {
 			l.Next[i] = int64(i + 1)
@@ -301,6 +305,9 @@ func TestServerMalformedProbesPoisoned(t *testing.T) {
 		}
 		l.Next[n-2] = back
 		l.Next[n-1] = int64(n - 1)
+		if exit {
+			l.Next[back-1] = int64(n - 1)
+		}
 		return l
 	}
 	s := NewServer(ServerOptions{Procs: 1})
@@ -308,18 +315,22 @@ func TestServerMalformedProbesPoisoned(t *testing.T) {
 	for _, pr := range []struct {
 		n        int
 		back     int64
+		exit     bool
 		alg      Algorithm
 		seed     uint64
 		deadline time.Duration
 	}{
-		{big, big - 3, Sublist, 3, 0},
-		{big, 1000, Sublist, 1, 0},
-		{1000, 997, Sublist, 0, time.Second},
-		{1000, 997, Serial, 0, time.Second},
-		{big, big - 3, Serial, 0, time.Second},
+		{big, big - 3, false, Sublist, 3, 0},
+		{big, 1000, false, Sublist, 1, 0},
+		{1000, 997, false, Sublist, 0, time.Second},
+		{1000, 997, false, Serial, 0, time.Second},
+		{big, big - 3, false, Serial, 0, time.Second},
+		{1000, 500, true, Sublist, 0, time.Second},
+		{1000, 500, true, Serial, 0, time.Second},
+		{big, big / 2, true, Serial, 0, time.Second},
 	} {
 		for _, op := range []Op{OpRank, OpScan, OpScanOp} {
-			req := Request{Op: op, List: probe(pr.n, pr.back), Opt: Options{Algorithm: pr.alg, Seed: pr.seed}}
+			req := Request{Op: op, List: probe(pr.n, pr.back, pr.exit), Opt: Options{Algorithm: pr.alg, Seed: pr.seed}}
 			if pr.deadline > 0 {
 				req.Deadline = time.Now().Add(pr.deadline)
 			}
