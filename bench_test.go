@@ -224,26 +224,6 @@ func BenchmarkGoroutine_Sublist(b *testing.B) {
 
 // ----- Ablations -----
 
-// BenchmarkAblation_Phase2 compares the three reduced-list solvers.
-// M is n/64 (~16k sublists): at DefaultM's 4096 the recursive solver's
-// reduced list would be at the serial cutoff and take the serial walk.
-func BenchmarkAblation_Phase2(b *testing.B) {
-	const n = 1 << 20
-	l := list.NewRandom(n, rng.New(8))
-	for _, alg := range []struct {
-		name string
-		p2   core.Phase2Algorithm
-	}{{"serial", core.Phase2Serial}, {"wyllie", core.Phase2Wyllie}, {"recursive", core.Phase2Recursive}} {
-		b.Run(alg.name, func(b *testing.B) {
-			b.SetBytes(8 << 20)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = core.Scan(l, core.Options{Seed: uint64(i), Procs: 4, M: n / 64, Phase2: alg.p2})
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_M sweeps the splitter count around the default,
 // exposing the §4 tradeoff between load balance and per-sublist
 // overheads.

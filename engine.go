@@ -141,6 +141,9 @@ func checkDst(dst []int64, l *List, what string) {
 // engine's.
 func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "RankInto")
+	if l.Len() == 0 {
+		return
+	}
 	il := e.view(l)
 	if opt.Algorithm == Serial {
 		serial.RanksInto(dst, il)
@@ -155,6 +158,9 @@ func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 // all vertices strictly preceding v, 0 at the head.
 func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "ScanInto")
+	if l.Len() == 0 {
+		return
+	}
 	il := e.view(l)
 	if opt.Algorithm == Serial {
 		serial.ScanInto(dst, il)
@@ -170,6 +176,9 @@ func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 // non-commutative operators).
 func (e *Engine) ScanOpInto(dst []int64, l *List, op func(a, b int64) int64, identity int64, opt Options) {
 	checkDst(dst, l, "ScanOpInto")
+	if l.Len() == 0 {
+		return
+	}
 	il := e.view(l)
 	if opt.Algorithm == Serial {
 		serial.ScanOpInto(dst, il, op, identity)

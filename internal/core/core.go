@@ -9,9 +9,9 @@
 //	Phase 1: traverse each sublist, accumulating the "sum" of its
 //	         values, and link the sublist sums into a reduced list of
 //	         at most m+1 nodes in original list order.
-//	Phase 2: list-scan the reduced list (serially when it is short,
-//	         with Wyllie's pointer jumping at moderate sizes, or
-//	         recursively with this same algorithm when it is large).
+//	Phase 2: list-scan the reduced list with this same engine: the
+//	         serial walk when it is at or below the serial cutoff,
+//	         the sublist algorithm one level down when it is longer.
 //	         The scan values become the scan values of the sublist
 //	         heads.
 //	Phase 3: give every vertex its sublist head's scan value
@@ -37,6 +37,13 @@
 //     live only in package vecalg on the simulated C-90. Here a
 //     sublist's successor is read from the Phase 1 record at the head
 //     that follows its tail.
+//   - The paper picks Phase 2's solver — serial walk, Wyllie's pointer
+//     jumping or recursion — by the C-90's vector costs (§2.5, §4).
+//     That choice lives in package vecalg on the simulated C-90. Here
+//     the reduced list is about n/256 vertices, and the engine beat
+//     pointer jumping at every measured length (EXPERIMENTS.md, "Phase
+//     2 is the engine"), so Phase 2 is one call of the engine, which
+//     walks at or below the serial cutoff.
 //   - On multiple processors, the virtual processors (sublists) are
 //     assigned to workers once, each worker completes Phases 1 and 3
 //     on its share independently, and only a constant number of
@@ -64,11 +71,11 @@
 // {link, value} pair. Neither writes the caller's list.
 //
 // All working space — the virtual-processor table, splitter buffers,
-// derived words and Phase 2 storage — lives in a reusable Scratch
-// arena (scratch.go). The package-level entry points draw arenas from
-// a pool; callers with a steady stream of problems hold one Scratch
-// (via listrank.Engine) and perform zero heap allocations per call
-// once the arena is warm.
+// derived words and the child arena Phase 2 runs in — lives in a
+// reusable Scratch arena (scratch.go). The package-level entry points
+// draw arenas from a pool; callers with a steady stream of problems
+// hold one Scratch (via listrank.Engine) and perform zero heap
+// allocations per call once the arena is warm.
 package core
 
 import (
@@ -77,23 +84,6 @@ import (
 	"listrank/internal/list"
 	"listrank/internal/par"
 	"listrank/internal/rng"
-)
-
-// Phase2Algorithm selects how the reduced list of sublist sums is
-// scanned in Phase 2.
-type Phase2Algorithm int
-
-const (
-	// Phase2Auto picks serial, Wyllie or recursive by reduced-list
-	// length, mirroring the paper's empirically determined switchover.
-	Phase2Auto Phase2Algorithm = iota
-	// Phase2Serial always scans the reduced list serially.
-	Phase2Serial
-	// Phase2Wyllie always uses pointer jumping.
-	Phase2Wyllie
-	// Phase2Recursive always recurses with this algorithm (bottoming
-	// out serially below the small-list threshold).
-	Phase2Recursive
 )
 
 // Stats reports what a run did; pass a pointer in Options to collect.
@@ -106,16 +96,14 @@ type Stats struct {
 	DuplicatesDropped int
 	// Phase2Len is the reduced-list length handed to Phase 2.
 	Phase2Len int
-	// Phase2Used is the algorithm Phase 2 actually ran.
-	Phase2Used Phase2Algorithm
 	// Depth is the deepest recursion level that ran the sublist
-	// engine: 0 when Phase 2 did not recurse, or when its reduced list
-	// was short enough for the serial walk.
+	// engine: 0 when the reduced list was short enough for the serial
+	// walk.
 	Depth int
 	// LinksTraversed counts the vertex visits of Phases 1 and 3: each
 	// phase visits every vertex once, so a run that leaves the serial
-	// cutoff reports exactly 2n at every lane width. A recursive
-	// Phase 2's own visits are not included.
+	// cutoff reports exactly 2n at every lane width. Phase 2's own
+	// visits are not included.
 	LinksTraversed int64
 	// Encoded reports whether the run chased the narrow single-gather
 	// word (§3, encoded.go): ranks, and addition scans whose list has
@@ -126,8 +114,7 @@ type Stats struct {
 }
 
 // Options configures the algorithm. The zero value selects automatic
-// parameters: m = n/sublistLen splitters (DefaultM), one worker, auto
-// Phase 2.
+// parameters: m = n/sublistLen splitters (DefaultM) and one worker.
 type Options struct {
 	// Seed seeds splitter selection. Runs with equal seeds and equal
 	// options are deterministic, and the splitter draw itself depends
@@ -141,8 +128,6 @@ type Options struct {
 	// resident worker pool (par.Pool, layer 0 of the arena
 	// architecture) rather than spawning goroutines per call.
 	Procs int
-	// Phase2 selects the reduced-list scan algorithm.
-	Phase2 Phase2Algorithm
 	// SerialCutoff is the list length at or below which the whole
 	// problem is solved serially (the paper's Fig. 1 crossover region,
 	// where the engine's fixed costs outweigh its chase). <= 0 selects
@@ -301,7 +286,7 @@ type vps struct {
 	h    []int64 // sublist head
 	sum  []int64 // Phase 1 fold of the sublist / Phase 2 reduced value
 	cur  []int64 // tail the Phase 1 chase reached
-	succ []int32 // successor sublist index (self for the tail sublist)
+	succ []int64 // successor sublist index (self for the tail sublist)
 	pfx  []int64 // Phase 2 result: scan value for the sublist head
 }
 

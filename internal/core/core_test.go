@@ -74,19 +74,23 @@ func TestSeedSweep(t *testing.T) {
 	}
 }
 
-// TestPhase2Variants runs every Phase 2 solver on one list. M is set
-// so the reduced list (~11k sublists) is long enough that Auto picks
-// Wyllie and the recursion's child runs the engine, not the serial walk.
+// TestPhase2Variants runs Phase 2 on both sides of the serial cutoff,
+// in both layouts: at M = n/4 the reduced list (~11k sublists) runs
+// the child engine, at M = n/64 (~780) the serial walk.
 func TestPhase2Variants(t *testing.T) {
 	r := rng.New(10)
 	const n = 50000
 	l := list.NewRandom(n, r)
 	l.RandomValues(-10, 10, r)
 	want := serial.Scan(l)
-	requireChildEngine(t, l, Options{Seed: 11, M: n / 4})
-	for _, de := range []bool{false, true} {
-		for _, alg := range []Phase2Algorithm{Phase2Auto, Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-			equal(t, Scan(l, Options{Seed: 11, M: n / 4, Phase2: alg, DisableEncoding: de}), want, "phase2")
+	for _, side := range []struct{ m, depth int }{{n / 4, 1}, {n / 64, 0}} {
+		for _, de := range []bool{false, true} {
+			var st Stats
+			equal(t, Scan(l, Options{Seed: 11, M: side.m, DisableEncoding: de, Stats: &st}), want, "phase2")
+			if st.Depth != side.depth {
+				t.Errorf("M=%d DisableEncoding=%v: reduced list of %d ran at Depth %d, want %d",
+					side.m, de, st.Phase2Len, st.Depth, side.depth)
+			}
 		}
 	}
 }
@@ -160,25 +164,24 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 // TestRecursionDepth: with M large enough that the reduced list is
-// longer than the serial cutoff, a forced recursion runs the sublist
-// engine on it (Depth counts only levels that ran the engine) and the
-// ranks still match.
+// longer than the serial cutoff, Phase 2 runs the sublist engine on it
+// (Depth counts only levels that ran the engine) and the ranks still
+// match.
 func TestRecursionDepth(t *testing.T) {
 	const n = 1 << 17
 	l := list.NewRandom(n, rng.New(23))
 	requireChildEngine(t, l, Options{Seed: 24, M: n / 8})
-	equal(t, Ranks(l, Options{Seed: 24, M: n / 8, Phase2: Phase2Recursive}), l.Ranks(), "recursive ranks")
+	equal(t, Ranks(l, Options{Seed: 24, M: n / 8}), l.Ranks(), "recursive ranks")
 }
 
-// requireChildEngine fails t unless a forced Phase 2 recursion on l
-// with opt hands its reduced list to the sublist engine: the reduced
-// list inherits opt's SerialCutoff and re-derives its M with DefaultM,
-// so a short one takes the serial walk and leaves the child engine
-// untested.
+// requireChildEngine fails t unless Phase 2 on l with opt hands its
+// reduced list to the sublist engine: the reduced list inherits opt's
+// SerialCutoff and re-derives its M with DefaultM, so a short one
+// takes the serial walk and leaves the child engine untested.
 func requireChildEngine(t *testing.T, l *list.List, opt Options) {
 	t.Helper()
 	var st Stats
-	opt.Phase2, opt.Stats = Phase2Recursive, &st
+	opt.Stats = &st
 	_ = Ranks(l, opt)
 	if st.Depth < 1 {
 		t.Fatalf("n=%d M=%d SerialCutoff=%d: the reduced list of %d took the serial walk, want the engine",
@@ -265,7 +268,7 @@ func TestScanOpMinOperator(t *testing.T) {
 	}
 	const posInf = int64(1 << 62)
 	want := serial.ScanOp(l, minOp, posInf)
-	opt := Options{Seed: 30, Phase2: Phase2Recursive, SerialCutoff: 128, M: l.Len() / 8}
+	opt := Options{Seed: 30, SerialCutoff: 128, M: l.Len() / 8}
 	requireChildEngine(t, l, opt)
 	got := ScanOp(l, minOp, posInf, opt)
 	equal(t, got, want, "min scan")

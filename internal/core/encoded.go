@@ -73,9 +73,9 @@ const (
 // narrow for a rank or addition scan unless DisableEncoding is set,
 // the list has 2^31 vertices or more, or the encode pass finds a link
 // the narrow word cannot hold or, for a scan, Σ|value| of 2^31 or more
-// (encMaxSum); wide for everything else. A recursive Phase 2 inherits
-// the rule: its values are sublist sums, whose Σ|·| is at most the
-// parent's.
+// (encMaxSum); wide for everything else. Phase 2's child engine
+// inherits the rule: its values are sublist sums, whose Σ|·| is at
+// most the parent's.
 func encoded(out []int64, l *list.List, values []int64, op func(a, b int64) int64, identity int64, opt Options, depth int, sc *Scratch) {
 	n := l.Len()
 	opt = opt.withDefaults(n)
@@ -308,12 +308,37 @@ func linkSuccessors(next []int64, enc []uint64, lay layout, v *vps, lo, hi int) 
 		c := v.cur[j]
 		switch nh := next[c]; {
 		case nh == c:
-			v.succ[j] = int32(j)
+			v.succ[j] = int64(j)
 		case lay == wide:
-			v.succ[j] = int32(enc[2*nh] ^ kernel.RecBit)
+			v.succ[j] = int64(enc[2*nh] ^ kernel.RecBit)
 		default:
-			v.succ[j] = int32((enc[nh] ^ kernel.RecBit) >> 32)
+			v.succ[j] = int64((enc[nh] ^ kernel.RecBit) >> 32)
 		}
+	}
+}
+
+// phase2 scans the reduced list of k sublists — head vp 0, links
+// v.succ, values v.sum — into v.pfx by running the engine on it in the
+// child arena, with M re-derived for k and every other option
+// inherited: the serial walk at or below the serial cutoff, the
+// sublist algorithm one level down above it. Every Phase 2 thus ends
+// in internal/serial's walk, which panics unless it reaches the tail
+// sublist at exactly link k−1, so a reduced list that is not one chain
+// — a malformed list whose off-path cycle holds splitters — panics
+// rather than return. The child's Stats stay out of the caller's,
+// which gets Phase2Len and, when the child ran the engine, its Depth.
+func phase2(v *vps, k int, op func(a, b int64) int64, identity int64, opt Options, depth int, sc *Scratch) {
+	c := sc.childScratch()
+	c.in = list.List{Next: v.succ, Value: v.sum}
+	c.stats = Stats{}
+	sub := opt
+	sub.M = 0
+	sub.Seed = opt.Seed + 0x9e3779b97f4a7c15
+	sub.Stats = &c.stats
+	encoded(v.pfx, &c.in, v.sum, op, identity, sub, depth+1, c)
+	if st := opt.Stats; st != nil {
+		st.Phase2Len = k
+		st.Depth = max(st.Depth, c.stats.Depth)
 	}
 }
 

@@ -49,23 +49,16 @@ type Scratch struct {
 	enc    []uint64
 	encSum []int64
 
-	// Phase 2 pointer-jumping buffers (values and links, double
-	// buffered), shared by the add and generic-operator solvers.
-	jval, jval2 []int64
-	jlnk, jlnk2 []int32
+	// in is a reused list header for a call that arrives as bare
+	// arrays, so no list.List is allocated per call: a boundary list
+	// (segrank.go) in a caller's arena, the reduced list of its parent
+	// (phase2) in a child arena. stats is a child's Stats, kept out of
+	// the caller's.
+	in    list.List
+	stats Stats
 
-	// Phase 2 recursion storage: succ widened to int64 links, plus a
-	// reusable list header so no list.List is allocated per call.
-	rlNext []int64
-	rl     list.List
-
-	// bl is the reusable header for the boundary-list entry points
-	// (segrank.go). It is distinct from rl because a boundary scan that
-	// recurses in its own Phase 2 uses rl at the same time.
-	bl list.List
-
-	// child is the arena for Phase 2 recursion, created on first use
-	// and reused for every later recursive call.
+	// child is the arena Phase 2 runs the reduced list in, created on
+	// first use and reused for every later call.
 	child *Scratch
 
 	// pool is the resident worker pool used for every fan-out (layer 0
@@ -89,12 +82,8 @@ type Scratch struct {
 		n, m              int
 		tail              int64
 		seed              uint64
-		k, p, rounds      int
 		stride, lanes     int
 		lay               layout
-		val, val2         []int64
-		lnk, lnk2         []int32
-		total             int64
 	}
 }
 
@@ -117,16 +106,19 @@ func (sc *Scratch) fanout() *par.Pool {
 	return par.Shared()
 }
 
-// releaseCall drops the fan-out stash's references to caller-owned
-// storage (dst, the list's Next/Value arrays, the operator) so a held
-// or pooled arena never keeps a finished problem alive. The child
-// arena's stash only ever references this arena's own buffers, so it
-// needs no recursive release.
+// releaseCall drops the fan-out stash's and the list header's
+// references to caller-owned storage (dst, the list's Next/Value
+// arrays, the operator, the cancel token) so a held or pooled arena
+// never keeps a finished problem alive. A child arena holds the
+// caller's operator and token too, so the release recurses.
 func (sc *Scratch) releaseCall() {
 	sc.fc.out, sc.fc.next, sc.fc.values = nil, nil, nil
 	sc.fc.op = nil
 	sc.fc.cancel = nil
-	sc.fc.val, sc.fc.val2, sc.fc.lnk, sc.fc.lnk2 = nil, nil, nil, nil
+	sc.in = list.List{}
+	if sc.child != nil {
+		sc.child.releaseCall()
+	}
 }
 
 // NewScratch returns an empty arena. Buffers are allocated lazily on
@@ -159,34 +151,7 @@ func (sc *Scratch) vps(k int) *vps {
 	return &sc.v
 }
 
-// reducedView materializes a list.List view of the reduced list for
-// Phase 2 recursion without per-call allocation: the int32 succ links
-// are widened into a reused buffer and v.sum is shared as the value
-// array (the recursive call only reads it).
-func (sc *Scratch) reducedView(v *vps, k, p int) *list.List {
-	sc.rlNext = grow(sc.rlNext, k)
-	rn := sc.rlNext
-	if p == 1 {
-		widenSucc(rn, v.succ, 0, k)
-	} else {
-		sc.fanout().ForChunksCtx(k, p, sc, taskWidenSucc)
-	}
-	sc.rl = list.List{Next: rn, Value: v.sum[:k], Head: 0}
-	return &sc.rl
-}
-
-func taskWidenSucc(c any, _, lo, hi int) {
-	sc := c.(*Scratch)
-	widenSucc(sc.rlNext, sc.v.succ, lo, hi)
-}
-
-func widenSucc(dst []int64, succ []int32, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = int64(succ[j])
-	}
-}
-
-// childScratch returns the arena for one level of Phase 2 recursion,
+// childScratch returns the arena Phase 2 runs the reduced list in,
 // creating it on first use. It dispatches on the same pool.
 func (sc *Scratch) childScratch() *Scratch {
 	if sc.child == nil {

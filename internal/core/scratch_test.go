@@ -36,8 +36,8 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 }
 
 // TestScratchReuseMatchesFresh: a reused arena must produce results
-// byte-identical to a fresh arena for identical options, across all
-// Phase 2 solvers (including the recursion that uses the child arena).
+// byte-identical to a fresh arena for identical options, with a
+// Phase 2 that runs the child engine in the child arena.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	r := rng.New(42)
 	l := list.NewRandom(60000, r)
@@ -48,15 +48,13 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	ScanInto(warm, l, Options{Seed: 999}, sc)
 	RanksInto(warm, l, Options{Seed: 998}, sc)
 	requireChildEngine(t, l, Options{Seed: 43, SerialCutoff: 64, M: l.Len() / 16})
-	for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-		for _, p := range []int{1, 4} {
-			opt := Options{Seed: 43, Phase2: alg, Procs: p, SerialCutoff: 64, M: l.Len() / 16}
-			fresh := make([]int64, l.Len())
-			ScanInto(fresh, l, opt, NewScratch())
-			reused := make([]int64, l.Len())
-			ScanInto(reused, l, opt, sc)
-			equal(t, reused, fresh, "reused vs fresh scan")
-		}
+	for _, p := range []int{1, 4} {
+		opt := Options{Seed: 43, Procs: p, SerialCutoff: 64, M: l.Len() / 16}
+		fresh := make([]int64, l.Len())
+		ScanInto(fresh, l, opt, NewScratch())
+		reused := make([]int64, l.Len())
+		ScanInto(reused, l, opt, sc)
+		equal(t, reused, fresh, "reused vs fresh scan")
 	}
 }
 
@@ -64,7 +62,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // warm arena, rank and scan calls perform zero heap allocations —
 // at the default lane width and the natural single-cursor walk
 // (LaneWidth 1), in the encoded and generic rank and scan engines, the
-// generic-operator scan, and all three Phase 2 solvers — at Procs == 1
+// generic-operator scan, and a Phase 2 that walks or runs the child
+// engine, with and without Stats — at Procs == 1
 // (everything inline) *and* at Procs == 2 and 4, where every fan-out
 // dispatches closure-free onto the arena's resident worker pool. The
 // Procs > 1 legs use an arena-owned pool sized to the job so the
@@ -77,8 +76,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	dst := make([]int64, n)
 	// The recursive leg sets M so its reduced list (~16k sublists) runs
 	// the child engine in the child arena, not the serial walk.
-	recursive := Options{Seed: 7, Phase2: Phase2Recursive, M: n / 16}
+	recursive := Options{Seed: 7, M: n / 16}
 	requireChildEngine(t, l, recursive)
+	withStats := recursive
+	withStats.Stats = new(Stats)
 	for _, procs := range []int{1, 2, 4} {
 		sc := NewScratch()
 		if procs > 1 {
@@ -93,8 +94,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}{
 			{"scan-auto", func() { ScanInto(dst, l, opt(Options{Seed: 7}), sc) }},
 			{"scan-natural", func() { ScanInto(dst, l, opt(Options{Seed: 7, LaneWidth: 1}), sc) }},
-			{"scan-wyllie-p2", func() { ScanInto(dst, l, opt(Options{Seed: 7, Phase2: Phase2Wyllie}), sc) }},
 			{"scan-recursive-p2", func() { ScanInto(dst, l, opt(recursive), sc) }},
+			{"scan-recursive-stats", func() { ScanInto(dst, l, opt(withStats), sc) }},
 			{"scan-generic", func() { ScanInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
 			{"rank-encoded", func() { RanksInto(dst, l, opt(Options{Seed: 7}), sc) }},
 			{"rank-generic", func() { RanksInto(dst, l, opt(Options{Seed: 7, DisableEncoding: true}), sc) }},
@@ -166,37 +167,35 @@ func TestPhase3OverwritesSuccessorMarkers(t *testing.T) {
 	requireChildEngine(t, l, Options{Seed: 49, SerialCutoff: 64, M: n / 8})
 	for _, de := range []bool{false, true} {
 		for _, lw := range []int{1, 0} {
-			for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-				opt := Options{Seed: 49, LaneWidth: lw, Phase2: alg, SerialCutoff: 64, M: n / 8, Procs: 2, DisableEncoding: de}
-				dst := make([]int64, l.Len())
-				for i := range dst {
-					dst[i] = sentinel
-				}
-				ScanInto(dst, l, opt, nil)
-				for i, got := range dst {
-					if got == sentinel {
-						t.Fatalf("generic=%v lanes=%d alg=%d: dst[%d] never written", de, lw, alg, i)
-					}
-				}
-				equal(t, dst, want, "sentinel scan")
-				for i := range dst {
-					dst[i] = sentinel
-				}
-				RanksInto(dst, l, opt, nil)
-				for i, got := range dst {
-					if got == sentinel {
-						t.Fatalf("rank generic=%v lanes=%d alg=%d: dst[%d] never written", de, lw, alg, i)
-					}
-				}
-				equal(t, dst, wantRank, "sentinel rank")
+			opt := Options{Seed: 49, LaneWidth: lw, SerialCutoff: 64, M: n / 8, Procs: 2, DisableEncoding: de}
+			dst := make([]int64, l.Len())
+			for i := range dst {
+				dst[i] = sentinel
 			}
+			ScanInto(dst, l, opt, nil)
+			for i, got := range dst {
+				if got == sentinel {
+					t.Fatalf("generic=%v lanes=%d: dst[%d] never written", de, lw, i)
+				}
+			}
+			equal(t, dst, want, "sentinel scan")
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			RanksInto(dst, l, opt, nil)
+			for i, got := range dst {
+				if got == sentinel {
+					t.Fatalf("rank generic=%v lanes=%d: dst[%d] never written", de, lw, i)
+				}
+			}
+			equal(t, dst, wantRank, "sentinel rank")
 		}
 	}
 }
 
 // TestScanOpIntoScratchNonCommutative exercises the wide layout's
-// arena path (including the predecessor-oriented Phase 2 jumping) with
-// a non-commutative operator, reusing one arena across calls.
+// arena path, Phase 2's child engine included, with a non-commutative
+// operator, reusing one arena across calls.
 func TestScanOpIntoScratchNonCommutative(t *testing.T) {
 	packAffine := func(a, b int64) int64 { return a<<32 | (b & 0xffffffff) }
 	affine := func(f, g int64) int64 {
@@ -216,10 +215,8 @@ func TestScanOpIntoScratchNonCommutative(t *testing.T) {
 		// M is set so the recursion's reduced list runs the child
 		// engine, whose arena is reused across these sizes.
 		requireChildEngine(t, l, Options{Seed: 51, SerialCutoff: 64, M: n / 4})
-		for _, alg := range []Phase2Algorithm{Phase2Serial, Phase2Wyllie, Phase2Recursive} {
-			dst := make([]int64, n)
-			ScanOpInto(dst, l, affine, id, Options{Seed: 51, Phase2: alg, SerialCutoff: 64, M: n / 4, Procs: 3}, sc)
-			equal(t, dst, want, "scanop arena")
-		}
+		dst := make([]int64, n)
+		ScanOpInto(dst, l, affine, id, Options{Seed: 51, SerialCutoff: 64, M: n / 4, Procs: 3}, sc)
+		equal(t, dst, want, "scanop arena")
 	}
 }

@@ -4,9 +4,9 @@ import "listrank/internal/list"
 
 // Segment-rank entry points: Phase 2 of segmented ranking
 // (internal/segment), exposed so the segmentation layer can scan its
-// reduced boundary list with the full sublist engine — serial below
-// the cutoff, Wyllie at moderate sizes, recursive contraction when a
-// pathological cut pattern makes the boundary list large — without
+// reduced boundary list with the full sublist engine — the serial
+// walk at or below the cutoff, the sublist algorithm when a
+// pathological cut pattern makes the boundary list long — without
 // materializing a list.List of its own. The boundary list arrives as
 // the parallel arrays segmented ranking naturally produces (per-run
 // sums linked by per-run successor node indices); the reused header in
@@ -24,9 +24,8 @@ func BoundaryScanAddInto(pfx, next, sum []int64, head int64, opt Options, sc *Sc
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	defer func() { sc.bl = list.List{} }()
-	sc.bl = list.List{Next: next, Value: sum, Head: head}
-	encoded(pfx, &sc.bl, sum, nil, 0, opt, 0, sc)
+	sc.in = list.List{Next: next, Value: sum, Head: head}
+	encoded(pfx, &sc.in, sum, nil, 0, opt, 0, sc)
 }
 
 // BoundaryScanOpInto is BoundaryScanAddInto under an arbitrary
@@ -38,7 +37,6 @@ func BoundaryScanOpInto(pfx, next, sum []int64, head int64, op func(a, b int64) 
 		defer putScratch(sc)
 	}
 	defer sc.releaseCall()
-	defer func() { sc.bl = list.List{} }()
-	sc.bl = list.List{Next: next, Value: sum, Head: head}
-	encoded(pfx, &sc.bl, sum, op, identity, opt, 0, sc)
+	sc.in = list.List{Next: next, Value: sum, Head: head}
+	encoded(pfx, &sc.in, sum, op, identity, opt, 0, sc)
 }

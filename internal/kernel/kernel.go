@@ -1,6 +1,6 @@
 // Package kernel provides the lane-interleaved traversal kernels that
-// every hot chase and jump loop of the sublist engine runs on — the
-// software analog of the paper's vector lanes (§1.1, §3).
+// every hot chase loop of the sublist engine runs on — the software
+// analog of the paper's vector lanes (§1.1, §3).
 //
 // Reid-Miller's result is fundamentally about keeping the memory
 // system saturated: on the Cray C-90 the sublist chase is expressed as
@@ -22,20 +22,17 @@
 // kernel: it remains both the small-chunk fast path and the
 // correctness oracle the lane paths are tested against.
 //
-// Two kernel families cover the sublist engine's hot loops:
-//
-//   - Record and stream kernels (record.go): the engine's Phases 1 and
-//     3, in two word layouts. RecordRank and RecordScan chase the
-//     narrow §3 encoded word, RecordOp the wide {link, value} pair
-//     under any associative operator; each overwrites every word it
-//     reads with a record of the vertex's sublist and its offset or
-//     local prefix, and StreamRank, StreamScan and StreamOp then finish
-//     every vertex in one sequential pass. A narrow scan's list has
-//     Σ|value| < 2^31, so its local prefix fits the word's 32-bit field
-//     as a rank's offset does, and the scan costs what a rank costs:
-//     one random gather per vertex and no random store.
-//   - Jump kernels (jump.go): one round of Wyllie pointer doubling
-//     over the reduced list, used by Phase 2.
+// The record and stream kernels (record.go) are the sublist engine's
+// hot loops, its Phases 1 and 3, in two word layouts. RecordRank and
+// RecordScan chase the narrow §3 encoded word, RecordOp the wide
+// {link, value} pair under any associative operator; each overwrites
+// every word it reads with a record of the vertex's sublist and its
+// offset or local prefix, and StreamRank, StreamScan and StreamOp then
+// finish every vertex in one sequential pass. A narrow scan's list has
+// Σ|value| < 2^31, so its local prefix fits the word's 32-bit field as
+// a rank's offset does, and the scan costs what a rank costs: one
+// random gather per vertex and no random store. Phase 2 runs the same
+// kernels one level down, on the reduced list.
 //
 // The chase-twice kernels (chase.go) — SumEnc/ExpandEnc over a
 // zero-addend encoded word and SumAdd/ExpandAdd over separate Next and

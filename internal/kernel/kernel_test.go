@@ -436,34 +436,6 @@ func TestChaseKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestJumpKernelsMatchOracle(t *testing.T) {
-	r := rng.New(11)
-	const k = 257
-	val := make([]int64, k)
-	lnk := make([]int32, k)
-	for j := range val {
-		val[j] = int64(r.Intn(1000)) - 333
-		lnk[j] = int32(r.Intn(k))
-	}
-	val2 := make([]int64, k)
-	lnk2 := make([]int32, k)
-	JumpAdd(val2, lnk2, val, lnk, 0, k)
-	for j := 0; j < k; j++ {
-		s := lnk[j]
-		if val2[j] != val[j]+val[s] || lnk2[j] != lnk[s] {
-			t.Fatalf("JumpAdd element %d mismatch", j)
-		}
-	}
-	op := func(a, b int64) int64 { return 2*a - b }
-	JumpOp(val2, lnk2, val, lnk, op, 3, k-3)
-	for j := 3; j < k-3; j++ {
-		s := lnk[j]
-		if val2[j] != op(val[s], val[j]) || lnk2[j] != lnk[s] {
-			t.Fatalf("JumpOp element %d mismatch", j)
-		}
-	}
-}
-
 // TestKernelPanicsOnMalformedList: the explicit chk guard must fire —
 // not an out-of-range read — when a link points outside the list.
 func TestKernelPanicsOnMalformedList(t *testing.T) {
@@ -549,10 +521,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 	cur := make([]int64, k)
 	out := make([]int64, len(s.next))
 	pfx := make([]int64, k)
-	active := make([]int32, k)
-	for j := range active {
-		active[j] = int32(j)
-	}
 	cases := map[string]func(){
 		"SumAdd":    func() { SumAdd(s.next, s.values, s.h, sum, cur, 0, k, 16) },
 		"SumEnc":    func() { SumEnc(e, s.h, sum, cur, 0, k, 16) },
@@ -574,10 +542,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 	cases["StreamScan"] = func() { StreamScan(out, scanRec, pfx, 0, len(out)) }
 	cases["StreamOp"] = func() { StreamOp(out, wideRec, pfx, wideOp, 0, len(out)) }
 	cases["StreamOp/add"] = func() { StreamOp(out, wideRec, pfx, nil, 0, len(out)) }
-	lnk := make([]int32, k)
-	lnk2 := make([]int32, k)
-	copy(lnk, active)
-	cases["JumpAdd"] = func() { JumpAdd(out[:k], lnk2, sum, lnk, 0, k) }
 	for name, fn := range cases {
 		if got := testing.AllocsPerRun(20, fn); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, got)

@@ -222,8 +222,12 @@ func Scan(l *List) []int64 { return ScanWith(l, Options{}) }
 // RankWith is Rank with explicit options. The sublist and serial
 // algorithms run through a pooled Engine, so repeated calls reuse
 // working space and only the result slice is allocated; the reference
-// algorithms keep their own storage behavior.
+// algorithms keep their own storage behavior. An empty list has an
+// empty result under every algorithm.
 func RankWith(l *List, opt Options) []int64 {
+	if l.Len() == 0 {
+		return []int64{}
+	}
 	switch opt.Algorithm {
 	case Wyllie:
 		return wyllie.RanksParallel(l.view(), opt.procs())
@@ -240,9 +244,12 @@ func RankWith(l *List, opt Options) []int64 {
 	}
 }
 
-// ScanWith is Scan with explicit options; storage behavior as in
-// RankWith.
+// ScanWith is Scan with explicit options; storage behavior and the
+// empty list as in RankWith.
 func ScanWith(l *List, opt Options) []int64 {
+	if l.Len() == 0 {
+		return []int64{}
+	}
 	switch opt.Algorithm {
 	case Wyllie:
 		return wyllie.ScanParallel(l.view(), opt.procs())
@@ -266,6 +273,9 @@ func ScanWith(l *List, opt Options) []int64 {
 // general operators; others fall back to Sublist. The sublist and
 // serial paths run through a pooled Engine like RankWith.
 func ScanOpWith(l *List, op func(a, b int64) int64, identity int64, opt Options) []int64 {
+	if l.Len() == 0 {
+		return []int64{}
+	}
 	switch opt.Algorithm {
 	case Wyllie:
 		return wyllie.ScanOpParallel(l.view(), op, identity, opt.procs())

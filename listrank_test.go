@@ -52,6 +52,47 @@ func TestDefaultEntryPoints(t *testing.T) {
 	equal(t, Scan(l), ScanWith(l, Options{Algorithm: Serial}), "Scan default")
 }
 
+// TestEmptyListEveryEntryPoint: an empty list has an empty rank and
+// scan on every entry point and under every algorithm, as ScanValues,
+// Reorder and Server already give it; none may panic.
+func TestEmptyListEveryEntryPoint(t *testing.T) {
+	l := &List{}
+	add := func(a, b int64) int64 { return a + b }
+	e := NewEngine()
+	calls := map[string]func() []int64{
+		"Rank": func() []int64 { return Rank(l) },
+		"Scan": func() []int64 { return Scan(l) },
+	}
+	for alg := Sublist; alg <= RulingSet; alg++ {
+		opt := Options{Algorithm: alg}
+		calls["RankWith/"+alg.String()] = func() []int64 { return RankWith(l, opt) }
+		calls["ScanWith/"+alg.String()] = func() []int64 { return ScanWith(l, opt) }
+		calls["ScanOpWith/"+alg.String()] = func() []int64 { return ScanOpWith(l, add, 0, opt) }
+		calls["RankInto/"+alg.String()] = func() []int64 { dst := []int64{}; RankInto(dst, l, opt); return dst }
+		calls["ScanInto/"+alg.String()] = func() []int64 { dst := []int64{}; ScanInto(dst, l, opt); return dst }
+		calls["ScanOpInto/"+alg.String()] = func() []int64 { dst := []int64{}; ScanOpInto(dst, l, add, 0, opt); return dst }
+		calls["Engine.RankInto/"+alg.String()] = func() []int64 { dst := []int64{}; e.RankInto(dst, l, opt); return dst }
+		calls["Engine.ScanInto/"+alg.String()] = func() []int64 { dst := []int64{}; e.ScanInto(dst, l, opt); return dst }
+		calls["Engine.ScanOpInto/"+alg.String()] = func() []int64 {
+			dst := []int64{}
+			e.ScanOpInto(dst, l, add, 0, opt)
+			return dst
+		}
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked on an empty list: %v", name, r)
+				}
+			}()
+			if got := call(); got == nil || len(got) != 0 {
+				t.Errorf("%s: got %v, want an empty, non-nil result", name, got)
+			}
+		}()
+	}
+}
+
 func TestRankIsScanOfOnes(t *testing.T) {
 	f := func(seed uint64, nn uint16) bool {
 		n := int(nn%5000) + 1

@@ -293,8 +293,10 @@ func TestSubmitTimeout(t *testing.T) {
 // reaching one vertex of a malformed list race on its record. The
 // exit rows are the chain-plus-cycle probe, whose chain reaches the
 // self-loop tail early and leaves a cycle off the path: the serial
-// walk used to return on reaching the tail, and the request was
-// reported served with the cycle's ranks unwritten.
+// walk used to return on reaching the tail, and so did the engine's
+// Phase 2 on the reduced list, whose cycle sublists it never reached,
+// and the request was reported served with the cycle's ranks
+// unwritten or wrong.
 func TestServerMalformedProbesPoisoned(t *testing.T) {
 	const big = 1 << 14 // above the engine's serial cutoff
 	probe := func(n int, back int64, exit bool) *List {
@@ -328,6 +330,8 @@ func TestServerMalformedProbesPoisoned(t *testing.T) {
 		{1000, 500, true, Sublist, 0, time.Second},
 		{1000, 500, true, Serial, 0, time.Second},
 		{big, big / 2, true, Serial, 0, time.Second},
+		{big, big / 2, true, Sublist, 1, 0},
+		{1 << 16, 1 << 15, true, Sublist, 2, 0},
 	} {
 		for _, op := range []Op{OpRank, OpScan, OpScanOp} {
 			req := Request{Op: op, List: probe(pr.n, pr.back, pr.exit), Opt: Options{Algorithm: pr.alg, Seed: pr.seed}}
