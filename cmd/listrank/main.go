@@ -9,8 +9,10 @@
 //	         [-op rank|scan] [-procs 0] [-seed 1] [-shape random|ordered|reversed]
 //	         [-sim] [-simprocs 1]
 //
-// With -sim the run happens on the simulated Cray C90 instead and the
-// report is in modeled cycles and nanoseconds per vertex.
+// The algorithms and the simulated Cray C90 come from package
+// listrank/repro. With -sim the run happens on the simulated C90
+// instead and the report is in modeled cycles and nanoseconds per
+// vertex.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"listrank"
+	"listrank/repro"
 )
 
 func main() {
@@ -51,20 +54,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	var alg listrank.Algorithm
+	var alg repro.Algorithm
 	switch *algo {
 	case "sublist":
-		alg = listrank.Sublist
+		alg = repro.Sublist
 	case "serial":
-		alg = listrank.Serial
+		alg = repro.Serial
 	case "wyllie":
-		alg = listrank.Wyllie
+		alg = repro.Wyllie
 	case "mr":
-		alg = listrank.MillerReif
+		alg = repro.MillerReif
 	case "am":
-		alg = listrank.AndersonMiller
+		alg = repro.AndersonMiller
 	case "ruling":
-		alg = listrank.RulingSet
+		alg = repro.RulingSet
 	default:
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
 		os.Exit(2)
@@ -84,7 +87,7 @@ func main() {
 	}
 
 	if *sim {
-		out, res, err := listrank.SimulateC90(l, alg, *simProcs, rank, *seed)
+		out, res, err := repro.SimulateC90(l, alg, *simProcs, rank, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -96,13 +99,13 @@ func main() {
 		return
 	}
 
-	opt := listrank.Options{Algorithm: alg, Procs: *procs, Seed: *seed}
+	opt := repro.Options{Algorithm: alg, Procs: *procs, Seed: *seed}
 	start := time.Now()
 	var out []int64
 	if rank {
-		out = listrank.RankWith(l, opt)
+		out = repro.Rank(l, opt)
 	} else {
-		out = listrank.ScanWith(l, opt)
+		out = repro.Scan(l, opt)
 	}
 	elapsed := time.Since(start)
 	validate(out, want)

@@ -20,9 +20,9 @@ import (
 // when a goroutine streams problems at a fixed parallelism and wants
 // the zero-allocation steady state independent of what the rest of
 // the process is doing. Close shuts a pool down deterministically;
-// the reference algorithms (Wyllie, MillerReif, AndersonMiller,
-// RulingSet) intentionally stay on spawn-per-call so their measured
-// costs are the paper baselines'.
+// the reproduction's reference algorithms (package listrank/repro)
+// intentionally stay on spawn-per-call so their measured costs are the
+// paper baselines'.
 type WorkerPool = par.Pool
 
 // NewWorkerPool returns a pool of procs resident workers (the
@@ -47,12 +47,7 @@ func SharedWorkerPool() *WorkerPool { return par.Shared() }
 // discipline on the goroutine track.
 //
 // An engine runs the sublist algorithm, or the serial walk when
-// Options.Algorithm is Serial; it treats every other Algorithm as
-// Sublist. The reference algorithms (Wyllie, MillerReif,
-// AndersonMiller, RulingSet) allocate per call and do not poll
-// cancellation, so they are reachable only through RankWith, ScanWith
-// and ScanOpWith, never through an engine — and so never through a
-// Server, RankAll/ScanAll or the tree and graph engines.
+// Options.Algorithm is Serial.
 //
 // An Engine may be reused across lists of any size and any Options,
 // growing its buffers geometrically to the largest problem seen. It

@@ -52,18 +52,6 @@ func ExampleRankWith() {
 	// Output: algorithms agree: true
 }
 
-func ExampleSimulateC90() {
-	l := listrank.NewRandomList(1<<16, 1)
-	_, res, err := listrank.SimulateC90(l, listrank.Serial, 1, true, 1)
-	if err != nil {
-		panic(err)
-	}
-	// The C90 serial pointer chase runs at 42.1 cycles/vertex
-	// (Table I: 177 ns at 4.2 ns/cycle).
-	fmt.Printf("%.1f cycles/vertex\n", res.CyclesPerVertex)
-	// Output: 42.1 cycles/vertex
-}
-
 func ExampleRankAll() {
 	// A pool of independent lists ranks with across-list parallelism.
 	pool := []*listrank.List{

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"listrank"
+	"listrank/repro"
 )
 
 func main() {
@@ -18,12 +19,12 @@ func main() {
 	fmt.Printf("list ranking, n = %d random-order vertices\n\n", n)
 
 	// The workstation: serial, cache-hostile.
-	_, alphaNS := listrank.SimulateAlpha(l, true, false)
+	_, alphaNS := repro.SimulateAlpha(l, true, false)
 	alphaPer := alphaNS / float64(n)
 	fmt.Printf("%-34s %8.1f ns/vertex\n", "DEC 3000/600 Alpha (memory)", alphaPer)
 
 	// The C90 serial baseline.
-	_, res, err := listrank.SimulateC90(l, listrank.Serial, 1, true, 1)
+	_, res, err := repro.SimulateC90(l, repro.Serial, 1, true, 1)
 	must(err)
 	fmt.Printf("%-34s %8.1f ns/vertex\n", "CRAY C90 serial", res.NSPerVertex)
 	serialPer := res.NSPerVertex
@@ -31,7 +32,7 @@ func main() {
 	// The paper's algorithm on 1..8 processors.
 	var onePer, eightPer float64
 	for _, p := range []int{1, 2, 4, 8} {
-		_, res, err = listrank.SimulateC90(l, listrank.Sublist, p, true, 1)
+		_, res, err = repro.SimulateC90(l, repro.Sublist, p, true, 1)
 		must(err)
 		fmt.Printf("CRAY C90 sublist, %-2d processor(s)  %8.1f ns/vertex\n", p, res.NSPerVertex)
 		if p == 1 {

@@ -4,38 +4,6 @@ import (
 	"testing"
 )
 
-// FuzzAlgorithmsAgree drives every algorithm over lists whose length,
-// seed and option knobs come from the fuzzer, demanding bit-identical
-// ranks from all of them. The interesting degrees of freedom for a
-// list are not its bytes but its shape parameters, so the fuzz input
-// is the parameter vector.
-func FuzzAlgorithmsAgree(f *testing.F) {
-	f.Add(uint16(1), uint64(0), uint16(0), uint8(1))
-	f.Add(uint16(2), uint64(1), uint16(1), uint8(2))
-	f.Add(uint16(1000), uint64(42), uint16(31), uint8(4))
-	f.Add(uint16(4097), uint64(7), uint16(999), uint8(3))
-	f.Fuzz(func(t *testing.T, nRaw uint16, seed uint64, mRaw uint16, procsRaw uint8) {
-		n := 1 + int(nRaw)%5000
-		l := NewRandomList(n, seed)
-		opt := Options{
-			Seed:  seed ^ 0xabcdef,
-			M:     int(mRaw) % n,
-			Procs: 1 + int(procsRaw)%8,
-		}
-		want := RankWith(l, Options{Algorithm: Serial})
-		for _, a := range []Algorithm{Sublist, Wyllie, MillerReif, AndersonMiller, RulingSet} {
-			opt.Algorithm = a
-			got := RankWith(l, opt)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%v: rank[%d] = %d, want %d (n=%d seed=%d m=%d p=%d)",
-						a, v, got[v], want[v], n, seed, opt.M, opt.Procs)
-				}
-			}
-		}
-	})
-}
-
 // FuzzScanValuesAssociativity checks the generic scan's ranked path
 // against the serial walk under a non-commutative operator whose
 // failure modes (reordering, wrong identity, off-by-one prefix) all

@@ -13,8 +13,7 @@ import "unsafe"
 //     cached, a straight memcpy;
 //   - scan is one streaming pass over the value array in list order
 //     with results scattered back through the permutation (SeqScanAdd,
-//     SeqScanOp);
-//   - reductions are a pure streaming sum (SeqSum).
+//     SeqScanOp).
 //
 // None of these loops follows a link, so there is nothing for the
 // lane machinery to overlap: the arrays are read in memory order at
@@ -35,16 +34,6 @@ func checkPerm(lout, lseq, lperm int) {
 	if lout != lperm || lseq != lperm {
 		panic("kernel: permutation and data lengths disagree")
 	}
-}
-
-// SeqSum returns the sum of xs in one streaming pass — the reduction
-// a reordered list serves without touching a single link.
-func SeqSum(xs []int64) int64 {
-	var s int64
-	for _, v := range xs {
-		s += v
-	}
-	return s
 }
 
 // SeqRank writes out[perm[r]] = r for every position r: iota composed

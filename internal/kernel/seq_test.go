@@ -15,20 +15,6 @@ func randPerm(n int, seed int64) []int64 {
 	return p
 }
 
-func TestSeqSum(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 4096} {
-		xs := make([]int64, n)
-		var want int64
-		for i := range xs {
-			xs[i] = int64(i*3 - 7)
-			want += xs[i]
-		}
-		if got := SeqSum(xs); got != want {
-			t.Errorf("n=%d: SeqSum = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestSeqRank(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 33, 1024} {
 		perm := randPerm(n, int64(n)+1)
@@ -134,7 +120,6 @@ func TestSeqZeroAlloc(t *testing.T) {
 		SeqRank(out, perm)
 		SeqScanAdd(out, seq, perm)
 		SeqScanOp(out, seq, perm, op, 0)
-		_ = SeqSum(seq)
 	}); a != 0 {
 		t.Errorf("sequential kernels allocated %v per run, want 0", a)
 	}

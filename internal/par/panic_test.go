@@ -112,63 +112,6 @@ func TestPoolReusableAfterFault(t *testing.T) {
 	}
 }
 
-// barrierPanicCtx drives the round-synchronous containment test: every
-// worker except the faulty one runs rounds barrier waits; the faulty
-// worker panics before its first Wait.
-type barrierPanicCtx struct {
-	faulty int
-	rounds int
-	done   []int32
-}
-
-func barrierPanicWorker(ctx any, w int, b *Barrier) {
-	bc := ctx.(*barrierPanicCtx)
-	if w == bc.faulty {
-		panic("injected: worker died before the barrier")
-	}
-	for r := 0; r < bc.rounds; r++ {
-		b.Wait()
-	}
-	atomic.AddInt32(&bc.done[w], 1)
-}
-
-// TestPoolRunWorkersPanicAbandonsBarrier: a panicking participant of a
-// round-synchronous job must abandon the barrier so its peers' Waits
-// release — the fan-out quiesces, the fault is rethrown, and the pool
-// serves the next round-synchronous job on a restored roster.
-func TestPoolRunWorkersPanicAbandonsBarrier(t *testing.T) {
-	pl := NewPool(4)
-	defer pl.Close()
-	for faulty := 0; faulty < 4; faulty++ {
-		bc := &barrierPanicCtx{faulty: faulty, rounds: 3, done: make([]int32, 4)}
-		fin := make(chan *WorkerPanic, 1)
-		go func() {
-			fin <- mustPanicWorker(t, func() { pl.RunWorkersCtx(4, bc, barrierPanicWorker) })
-		}()
-		select {
-		case wp := <-fin:
-			if wp.Value != "injected: worker died before the barrier" {
-				t.Fatalf("faulty=%d: WorkerPanic.Value = %v", faulty, wp.Value)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("faulty=%d: barrier deadlocked after worker panic", faulty)
-		}
-		for w, d := range bc.done {
-			if w != faulty && d != 1 {
-				t.Errorf("faulty=%d: surviving worker %d did not complete its rounds", faulty, w)
-			}
-		}
-		// Roster restored: a clean full-width job must complete.
-		ok := &barrierPanicCtx{faulty: -1, rounds: 2, done: make([]int32, 4)}
-		pl.RunWorkersCtx(4, ok, barrierPanicWorker)
-		for w, d := range ok.done {
-			if d != 1 {
-				t.Fatalf("after fault: clean worker %d did not run", w)
-			}
-		}
-	}
-}
-
 // TestFreeFanoutsContainPanics: the spawn-per-call fallbacks must
 // contain worker panics exactly like the pool — an unrecovered panic
 // on a spawned goroutine would kill the process.
@@ -184,13 +127,6 @@ func TestFreeFanoutsContainPanics(t *testing.T) {
 	if !errors.Is(wp, errBoom) {
 		t.Errorf("errors.Is through WorkerPanic = false, want true (Value %v)", wp.Value)
 	}
-	mustPanicWorker(t, func() {
-		ForStrided(100, 4, func(_, i int) {
-			if i == 37 {
-				panic("strided boom")
-			}
-		})
-	})
 	mustPanicWorker(t, func() {
 		RunWorkers(4, func(w int, b *Barrier) {
 			if w == 2 {

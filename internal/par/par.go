@@ -1,13 +1,13 @@
 // Package par provides the shared-memory parallelism runtime used by
-// the goroutine track of the algorithms: chunked and strided
-// parallel-for over index ranges (the MIMD analogue of strip-mining
-// virtual processors onto element processors, paper §1.1), a reusable
-// barrier for the synchronous rounds of pointer-jumping algorithms,
-// and the persistent worker Pool (pool.go) that keeps a fixed set of
-// resident workers parked between fan-outs — the paper's §5 resident
-// processors. The free functions below spawn goroutines per call; the
-// engine layers dispatch on a Pool and fall back to these under
-// contention, while the reference algorithms use them directly.
+// the goroutine track of the algorithms: chunked parallel-for over
+// index ranges (the MIMD analogue of loop-raking virtual processors
+// onto element processors, paper §1.1), a reusable barrier for the
+// synchronous rounds of pointer-jumping algorithms, and the persistent
+// worker Pool (pool.go) that keeps a fixed set of resident workers
+// parked between fan-outs — the paper's §5 resident processors. The
+// free functions below spawn goroutines per call; the engine layers
+// dispatch on a Pool and fall back to these under contention, while
+// the reference algorithms use them directly.
 package par
 
 import (
@@ -44,53 +44,17 @@ func Chunk(n, p, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// ForStrided runs body(w, i) for every i in [0, n) on p goroutines,
-// with item i assigned to worker i mod p — the paper's *strip-mining*
-// assignment ("element processor i is assigned virtual processors
-// j·l+i", §1.1), where ForChunks is its *loop-raking* counterpart
-// (contiguous blocks). Strip-mining interleaves workers through
-// memory, which balances irregular per-item costs that correlate with
-// position at the price of false sharing on adjacent results; the
-// chunked assignment is the default everywhere and ForStrided exists
-// for the assignment-policy ablation.
+// ForChunks runs body(w, lo, hi) on p goroutines, where [lo, hi) is
+// worker w's chunk of [0, n). With p == 1 it runs inline with no
+// goroutine, so single-processor measurements carry no scheduling
+// overhead. It returns when all workers have finished.
 //
 // Worker panics are contained: every spawned worker runs to the
 // WaitGroup even when its body panics, and the first fault is rethrown
 // on the calling goroutine as a *WorkerPanic once the fan-out has
 // quiesced (an unrecovered panic on a spawned goroutine would
 // otherwise kill the process). The p == 1 inline path panics directly,
-// as a plain function call would. ForChunks and RunWorkers contain the
-// same way.
-func ForStrided(n, p int, body func(w, i int)) {
-	p = Procs(p, n)
-	if p == 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	var faults panicSlot
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer faults.recoverInto()
-			chaos.Point(chaos.PointWorker)
-			for i := w; i < n; i += p {
-				body(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	faults.rethrow()
-}
-
-// ForChunks runs body(w, lo, hi) on p goroutines, where [lo, hi) is
-// worker w's chunk of [0, n). With p == 1 it runs inline with no
-// goroutine, so single-processor measurements carry no scheduling
-// overhead. It returns when all workers have finished. Worker panics
-// are contained and rethrown on the caller; see ForStrided.
+// as a plain function call would. RunWorkers contains the same way.
 func ForChunks(n, p int, body func(w, lo, hi int)) {
 	p = Procs(p, n)
 	if p == 1 {
@@ -175,7 +139,7 @@ func (b *Barrier) abandon() {
 // sized for them, and returns when all are done. It is the harness for
 // round-synchronous algorithms: body calls barrier.Wait between rounds.
 // Worker panics are contained and rethrown on the caller (see
-// ForStrided); a panicking worker abandons the barrier so its peers'
+// ForChunks); a panicking worker abandons the barrier so its peers'
 // Waits release instead of deadlocking.
 func RunWorkers(p int, body func(w int, b *Barrier)) {
 	if p < 1 {

@@ -157,45 +157,3 @@ func TestNewBarrierPanics(t *testing.T) {
 	}()
 	NewBarrier(0)
 }
-
-func TestForStridedCoversAllItems(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		for _, p := range []int{1, 3, 8, 200} {
-			var mu sync.Mutex
-			seen := make([]int, n)
-			workers := make(map[int]bool)
-			ForStrided(n, p, func(w, i int) {
-				mu.Lock()
-				seen[i]++
-				workers[w] = true
-				mu.Unlock()
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d p=%d: item %d visited %d times", n, p, i, c)
-				}
-			}
-			if n > 0 && len(workers) > Procs(p, n) {
-				t.Fatalf("n=%d p=%d: %d distinct workers", n, p, len(workers))
-			}
-		}
-	}
-}
-
-func TestForStridedAssignmentIsStripMined(t *testing.T) {
-	// Worker w must see exactly the items congruent to w mod p (§1.1:
-	// element processor i gets virtual processors j*l + i).
-	n, p := 40, 4
-	var mu sync.Mutex
-	owner := make([]int, n)
-	ForStrided(n, p, func(w, i int) {
-		mu.Lock()
-		owner[i] = w
-		mu.Unlock()
-	})
-	for i := 0; i < n; i++ {
-		if owner[i] != i%p {
-			t.Fatalf("item %d owned by worker %d, want %d", i, owner[i], i%p)
-		}
-	}
-}

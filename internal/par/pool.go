@@ -28,17 +28,16 @@ import (
 //
 // Two API surfaces share one dispatch path:
 //
-//   - ForChunks / ForStrided / RunWorkers mirror the free functions.
-//     The pool side allocates nothing, but a closure literal passed to
-//     them still heap-allocates at the call site (it escapes into the
-//     pool's job slot), so these are for call sites that are off the
-//     steady-state contract.
-//   - ForChunksCtx / ForStridedCtx / RunWorkersCtx take a context
-//     pointer plus a *named* function. A top-level func value is a
-//     static pointer and a pointer-shaped ctx converts to any without
-//     allocating, so a dispatch through the Ctx forms performs zero
-//     heap allocations. The engine hot paths stash per-call arguments
-//     in their arena and pass the arena as ctx (see core.Scratch.fc).
+//   - ForChunks mirrors the free function. The pool side allocates
+//     nothing, but a closure literal passed to it still heap-allocates
+//     at the call site (it escapes into the pool's job slot), so it is
+//     for call sites that are off the steady-state contract.
+//   - ForChunksCtx takes a context pointer plus a *named* function. A
+//     top-level func value is a static pointer and a pointer-shaped
+//     ctx converts to any without allocating, so a dispatch through it
+//     performs zero heap allocations. The engine hot paths stash
+//     per-call arguments in their arena and pass the arena as ctx (see
+//     core.Scratch.fc).
 //
 // Concurrency: a Pool serves one dispatch at a time. Dispatch entry is
 // a busy-CAS; a pool that is already occupied (a concurrent engine, or
@@ -52,14 +51,6 @@ import (
 // fallback, and the reference algorithms (wyllie, ruling, randmate)
 // deliberately stay on them so their measured costs keep including the
 // per-call fan-out the paper's baselines would pay.
-
-const (
-	kindNone = iota
-	kindChunks
-	kindStrided
-	kindWorkers
-	kindShutdown
-)
 
 // WorkerPanic is the value a fan-out rethrows on the dispatching
 // goroutine when one of its worker bodies panicked. Containment is
@@ -159,12 +150,12 @@ func (ps *panicSlot) take() *WorkerPanic {
 	return wp
 }
 
-// Pool is a persistent set of worker goroutines servicing chunked,
-// strided and round-synchronous fan-outs. The caller participates as
-// worker 0, so a Pool of procs p keeps p-1 goroutines parked between
-// dispatches. A Pool serves one dispatch at a time; concurrent or
-// nested dispatch attempts fall back to spawn-per-call transparently.
-// Use NewPool; a Pool must not be copied after first use.
+// Pool is a persistent set of worker goroutines servicing chunked
+// fan-outs. The caller participates as worker 0, so a Pool of procs p
+// keeps p-1 goroutines parked between dispatches. A Pool serves one
+// dispatch at a time; concurrent or nested dispatch attempts fall back
+// to spawn-per-call transparently. Use NewPool; a Pool must not be
+// copied after first use.
 //
 // Parking protocol: workers sleep on an epoch condvar. A dispatch
 // publishes the job, advances the epoch and broadcasts; each worker
@@ -194,19 +185,13 @@ type Pool struct {
 	doneMu      sync.Mutex
 	doneCond    *sync.Cond
 
-	// round is handed to RunWorkers bodies and resized per dispatch
-	// (it is quiescent between dispatches).
-	round Barrier
-
 	// The current job, published before the epoch advance; references
 	// are cleared after every dispatch so a parked pool never keeps a
-	// finished problem alive.
-	kind int
-	n, p int
-	ctx  any
-	fc   func(ctx any, w, lo, hi int)
-	fs   func(ctx any, w, i int)
-	fw   func(ctx any, w int, b *Barrier)
+	// finished problem alive. shutdown is Close's exit job.
+	shutdown bool
+	n, p     int
+	ctx      any
+	fc       func(ctx any, w, lo, hi int)
 
 	// faults records the current dispatch's first worker panic; the
 	// dispatcher rethrows it (as a *WorkerPanic) once the fan-out has
@@ -228,8 +213,6 @@ func NewPool(procs int) *Pool {
 	pl := &Pool{procs: procs}
 	pl.cond = sync.NewCond(&pl.mu)
 	pl.doneCond = sync.NewCond(&pl.doneMu)
-	pl.round.n = procs
-	pl.round.cond = sync.NewCond(&pl.round.mu)
 	pl.wg.Add(procs - 1)
 	for w := 1; w < procs; w++ {
 		go pl.workerLoop(w)
@@ -269,7 +252,7 @@ func (pl *Pool) Close() {
 		}
 	}
 	if pl.procs > 1 {
-		pl.kind = kindShutdown
+		pl.shutdown = true
 		pl.mu.Lock()
 		pl.epoch++
 		pl.mu.Unlock()
@@ -290,7 +273,7 @@ func (pl *Pool) workerLoop(w int) {
 		}
 		seen = pl.epoch
 		pl.mu.Unlock()
-		if pl.kind == kindShutdown {
+		if pl.shutdown {
 			return
 		}
 		pl.runGuarded(w)
@@ -304,52 +287,26 @@ func (pl *Pool) workerLoop(w int) {
 
 // runGuarded is run with panic containment: a panicking body is
 // recovered on the worker, recorded in the dispatch's panic slot, and
-// the worker still reaches the completion protocol (outstanding
-// decrement, barrier abandonment for round-synchronous jobs), so the
-// dispatcher always completes and can rethrow. The no-fault cost is
-// one open-coded defer and a nil recover per worker per dispatch —
-// nothing allocates, preserving the zero-allocation Ctx contract.
+// the worker still reaches the completion protocol (the outstanding
+// decrement), so the dispatcher always completes and can rethrow. The
+// no-fault cost is one open-coded defer and a nil recover per worker
+// per dispatch — nothing allocates, preserving the zero-allocation Ctx
+// contract.
 func (pl *Pool) runGuarded(w int) {
-	defer pl.containPanic(w)
+	defer pl.faults.recoverInto()
 	chaos.Point(chaos.PointWorker)
 	pl.run(w)
 }
 
-// containPanic is runGuarded's deferred recover. A fault inside a
-// RunWorkersCtx body additionally abandons the round barrier on the
-// panicking worker's behalf: its surviving peers would otherwise wait
-// forever for a participant that will never call Wait again.
-func (pl *Pool) containPanic(w int) {
-	if r := recover(); r != nil {
-		pl.faults.note(r)
-		if pl.kind == kindWorkers && w < pl.p {
-			pl.round.abandon()
-		}
-	}
-}
-
 // run executes worker w's share of the current job. When the job asks
-// for more workers than the pool holds (q > procs), chunked and
-// strided jobs are multiplexed: resident worker w plays job-worker
-// roles w, w+procs, w+2·procs, … so per-worker buffer indexing and the
-// chunk grid stay exactly as the caller sized them.
+// for more workers than the pool holds (p > procs), it is multiplexed:
+// resident worker w plays job-worker roles w, w+procs, w+2·procs, … so
+// per-worker buffer indexing and the chunk grid stay exactly as the
+// caller sized them.
 func (pl *Pool) run(w int) {
-	switch pl.kind {
-	case kindChunks:
-		for jw := w; jw < pl.p; jw += pl.procs {
-			lo, hi := Chunk(pl.n, pl.p, jw)
-			pl.fc(pl.ctx, jw, lo, hi)
-		}
-	case kindStrided:
-		for jw := w; jw < pl.p; jw += pl.procs {
-			for i := jw; i < pl.n; i += pl.p {
-				pl.fs(pl.ctx, jw, i)
-			}
-		}
-	case kindWorkers:
-		if w < pl.p {
-			pl.fw(pl.ctx, w, &pl.round)
-		}
+	for jw := w; jw < pl.p; jw += pl.procs {
+		lo, hi := Chunk(pl.n, pl.p, jw)
+		pl.fc(pl.ctx, jw, lo, hi)
 	}
 }
 
@@ -361,8 +318,7 @@ func (pl *Pool) tryAcquire() bool {
 // release clears the job references and frees the pool. Deferred from
 // dispatch so a panicking worker-0 body cannot wedge the pool.
 func (pl *Pool) release() {
-	pl.kind = kindNone
-	pl.ctx, pl.fc, pl.fs, pl.fw = nil, nil, nil, nil
+	pl.ctx, pl.fc = nil, nil
 	pl.busy.Store(false)
 }
 
@@ -427,56 +383,8 @@ func (pl *Pool) ForChunksCtx(n, p int, ctx any, body func(ctx any, w, lo, hi int
 		forChunksCtxSpawn(n, p, ctx, body)
 		return
 	}
-	pl.kind, pl.n, pl.p = kindChunks, n, p
+	pl.n, pl.p = n, p
 	pl.ctx, pl.fc = ctx, body
-	pl.dispatch()
-}
-
-// ForStridedCtx is the zero-allocation form of ForStrided.
-func (pl *Pool) ForStridedCtx(n, p int, ctx any, body func(ctx any, w, i int)) {
-	p = Procs(p, n)
-	if p <= 0 {
-		return
-	}
-	if p == 1 {
-		for i := 0; i < n; i++ {
-			body(ctx, 0, i)
-		}
-		return
-	}
-	if pl == nil || !pl.tryAcquire() {
-		forStridedCtxSpawn(n, p, ctx, body)
-		return
-	}
-	pl.kind, pl.n, pl.p = kindStrided, n, p
-	pl.ctx, pl.fs = ctx, body
-	pl.dispatch()
-}
-
-// barrier1 is the shared single-participant barrier handed to inline
-// RunWorkersCtx bodies; Wait on it never blocks, and concurrent use is
-// safe because every Wait completes a phase by itself.
-var barrier1 = NewBarrier(1)
-
-// RunWorkersCtx is the zero-allocation form of RunWorkers. Bodies are
-// round-synchronous: all p participants call b.Wait between rounds, so
-// the job cannot be multiplexed onto fewer workers — a request for
-// more workers than the pool holds falls back to spawning.
-func (pl *Pool) RunWorkersCtx(p int, ctx any, body func(ctx any, w int, b *Barrier)) {
-	if p < 1 {
-		p = 1
-	}
-	if p == 1 {
-		body(ctx, 0, barrier1)
-		return
-	}
-	if pl == nil || p > pl.procs || !pl.tryAcquire() {
-		runWorkersCtxSpawn(p, ctx, body)
-		return
-	}
-	pl.round.n = p // quiescent between dispatches; resize is safe
-	pl.kind, pl.p = kindWorkers, p
-	pl.ctx, pl.fw = ctx, body
 	pl.dispatch()
 }
 
@@ -489,39 +397,12 @@ func (pl *Pool) ForChunks(n, p int, body func(w, lo, hi int)) {
 
 func chunkAdapter(ctx any, w, lo, hi int) { ctx.(func(w, lo, hi int))(w, lo, hi) }
 
-// ForStrided mirrors the free ForStrided on the pool's resident
-// workers; see ForChunks for the closure caveat.
-func (pl *Pool) ForStrided(n, p int, body func(w, i int)) {
-	pl.ForStridedCtx(n, p, body, strideAdapter)
-}
-
-func strideAdapter(ctx any, w, i int) { ctx.(func(w, i int))(w, i) }
-
-// RunWorkers mirrors the free RunWorkers on the pool's resident
-// workers; see ForChunks for the closure caveat and RunWorkersCtx for
-// the oversubscription fallback.
-func (pl *Pool) RunWorkers(p int, body func(w int, b *Barrier)) {
-	pl.RunWorkersCtx(p, body, workerAdapter)
-}
-
-func workerAdapter(ctx any, w int, b *Barrier) { ctx.(func(w int, b *Barrier))(w, b) }
-
-// Spawn-per-call fallbacks, used when the pool is nil, closed, busy
-// with another dispatch, or (for RunWorkers) too small for the job.
-// They wrap the free functions — the closure this allocates is
-// immaterial next to the per-call goroutines the spawn path pays
-// anyway.
-
+// forChunksCtxSpawn is the spawn-per-call fallback, used when the pool
+// is nil, closed or busy with another dispatch. It wraps the free
+// ForChunks — the closure this allocates is immaterial next to the
+// per-call goroutines the spawn path pays anyway.
 func forChunksCtxSpawn(n, p int, ctx any, body func(ctx any, w, lo, hi int)) {
 	ForChunks(n, p, func(w, lo, hi int) { body(ctx, w, lo, hi) })
-}
-
-func forStridedCtxSpawn(n, p int, ctx any, body func(ctx any, w, i int)) {
-	ForStrided(n, p, func(w, i int) { body(ctx, w, i) })
-}
-
-func runWorkersCtxSpawn(p int, ctx any, body func(ctx any, w int, b *Barrier)) {
-	RunWorkers(p, func(w int, b *Barrier) { body(ctx, w, b) })
 }
 
 // Shared returns the process-wide pool, created on first use and sized

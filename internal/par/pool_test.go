@@ -51,72 +51,6 @@ func TestPoolForChunksMatchesFree(t *testing.T) {
 	}
 }
 
-// TestPoolForStridedMatchesFree: the pooled strided assignment must be
-// strip-mined exactly like the free function's (item i to worker
-// i mod p), across pool sizes below and above the job width.
-func TestPoolForStridedMatchesFree(t *testing.T) {
-	for _, procs := range []int{1, 3, 8} {
-		pl := NewPool(procs)
-		n, p := 40, 4
-		var mu sync.Mutex
-		owner := make([]int, n)
-		pl.ForStrided(n, p, func(w, i int) {
-			mu.Lock()
-			owner[i] = w
-			mu.Unlock()
-		})
-		for i := 0; i < n; i++ {
-			if owner[i] != i%p {
-				t.Fatalf("procs=%d: item %d owned by worker %d, want %d", procs, i, owner[i], i%p)
-			}
-		}
-		pl.Close()
-	}
-}
-
-// TestPoolRunWorkersBarrier: pooled round-synchronous workers share a
-// correct reusable barrier — every worker observes every increment of
-// the round after the rendezvous — and the pool's round barrier must
-// come back reusable for a dispatch of a different width.
-func TestPoolRunWorkersBarrier(t *testing.T) {
-	pl := NewPool(8)
-	defer pl.Close()
-	for _, workers := range []int{8, 3, 8, 2} {
-		const rounds = 25
-		var counter int64
-		pl.RunWorkers(workers, func(w int, b *Barrier) {
-			for r := 0; r < rounds; r++ {
-				atomic.AddInt64(&counter, 1)
-				b.Wait()
-				if got := atomic.LoadInt64(&counter); got < int64((r+1)*workers) {
-					t.Errorf("round %d: counter %d < %d", r, got, (r+1)*workers)
-				}
-				b.Wait()
-			}
-		})
-		if counter != int64(workers*rounds) {
-			t.Fatalf("workers=%d: counter = %d, want %d", workers, counter, workers*rounds)
-		}
-	}
-}
-
-// TestPoolRunWorkersOversubscribed: a barrier job wider than the pool
-// cannot be multiplexed and must fall back to spawning, preserving
-// exact RunWorkers semantics.
-func TestPoolRunWorkersOversubscribed(t *testing.T) {
-	pl := NewPool(2)
-	defer pl.Close()
-	const workers = 6
-	var counter int64
-	pl.RunWorkers(workers, func(w int, b *Barrier) {
-		atomic.AddInt64(&counter, 1)
-		b.Wait()
-		if got := atomic.LoadInt64(&counter); got != workers {
-			t.Errorf("worker %d: counter %d after barrier, want %d", w, got, workers)
-		}
-	})
-}
-
 // TestPoolNilAndClosedFallBack: a nil pool and a closed pool must both
 // behave exactly like the free functions.
 func TestPoolNilAndClosedFallBack(t *testing.T) {
@@ -133,14 +67,6 @@ func TestPoolNilAndClosedFallBack(t *testing.T) {
 		})
 		if sum != 99*100/2 {
 			t.Fatalf("%s pool: sum = %d", name, sum)
-		}
-		var rounds int64
-		pl.RunWorkers(3, func(w int, b *Barrier) {
-			atomic.AddInt64(&rounds, 1)
-			b.Wait()
-		})
-		if rounds != 3 {
-			t.Fatalf("%s pool: %d workers ran", name, rounds)
 		}
 	}
 }
@@ -200,7 +126,6 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 	pl := NewPool(8)
 	for i := 0; i < 10; i++ {
 		pl.ForChunks(1000, 8, func(_, lo, hi int) {})
-		pl.RunWorkers(8, func(w int, b *Barrier) { b.Wait() })
 	}
 	pl.Close()
 	// Close waits for worker exit, but the runtime may take a moment to
@@ -231,11 +156,6 @@ func TestPoolCtxDispatchZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Errorf("ForChunksCtx: %v allocs/op on a warm pool, want 0", allocs)
 	}
-	runW := func() { pl.RunWorkersCtx(4, ctx, poolAllocWorker) }
-	runW()
-	if allocs := testing.AllocsPerRun(10, runW); allocs != 0 {
-		t.Errorf("RunWorkersCtx: %v allocs/op on a warm pool, want 0", allocs)
-	}
 }
 
 type poolAllocProbe struct{ items []int64 }
@@ -245,11 +165,6 @@ func poolAllocBody(ctx any, w, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		items[i]++
 	}
-}
-
-func poolAllocWorker(ctx any, w int, b *Barrier) {
-	_ = ctx.(*poolAllocProbe)
-	b.Wait()
 }
 
 // BenchmarkFanout compares per-fan-out overhead: spawn-per-call (the

@@ -23,11 +23,9 @@
 // the paper's argument being that real machines run problems far
 // larger than their processor counts, so work and constants dominate.
 //
-// Four reference algorithms from the paper's evaluation are also
-// exposed: the serial walk, Wyllie's pointer jumping, and the
-// Miller-Reif and Anderson-Miller randomized contraction baselines.
-// ScanValues generalizes the scan to arbitrary associative operators
-// over any element type, as the paper's own definition allows.
+// The serial walk is also exposed, as Algorithm Serial. ScanValues
+// generalizes the scan to arbitrary associative operators over any
+// element type, as the paper's own definition allows.
 //
 // # The engine layer
 //
@@ -57,12 +55,13 @@
 // biconnectivity on top of those — the application classes the
 // paper's introduction and closing question point at.
 //
-// # Two execution tracks
+// # The reproduction track
 //
-// The package computes real results on goroutines (this file), and can
-// additionally replay the paper's cycle-level evaluation on a
-// simulated Cray C90 vector multiprocessor and a simulated DEC
-// 3000/600 workstation (sim.go) — see DESIGN.md and EXPERIMENTS.md.
+// This package computes real results on goroutines. The paper's
+// baselines (Wyllie, Miller-Reif, Anderson-Miller, the §6 ruling set)
+// and its cycle-level evaluation on a simulated Cray C90 vector
+// multiprocessor and DEC 3000/600 workstation live in package
+// listrank/repro — see DESIGN.md and EXPERIMENTS.md.
 package listrank
 
 import (
@@ -70,9 +69,7 @@ import (
 
 	"listrank/internal/core"
 	"listrank/internal/list"
-	"listrank/internal/randmate"
-	"listrank/internal/ruling"
-	"listrank/internal/wyllie"
+	"listrank/internal/rng"
 )
 
 // List is a linked list in the array-of-links representation all the
@@ -107,7 +104,7 @@ func (l *List) Validate() error { return l.view().Validate() }
 // placement also avoids systematic memory-bank conflicts on the
 // simulated machine).
 func NewRandomList(n int, seed uint64) *List {
-	il := list.NewRandom(n, rngFor(seed))
+	il := list.NewRandom(n, rng.New(seed))
 	return &List{Next: il.Next, Value: il.Value, Head: il.Head}
 }
 
@@ -125,7 +122,8 @@ func FromOrder(order []int) *List {
 	return &List{Next: il.Next, Value: il.Value, Head: il.Head}
 }
 
-// Algorithm selects which of the paper's five implementations runs.
+// Algorithm selects how a call ranks or scans. The paper's other
+// algorithms are the reproduction's (package listrank/repro).
 type Algorithm int
 
 const (
@@ -133,56 +131,18 @@ const (
 	Sublist Algorithm = iota
 	// Serial is the sequential walk (§2.1).
 	Serial
-	// Wyllie is pointer jumping (§2.2): simple, O(n log n) work, best
-	// only on short lists.
-	Wyllie
-	// MillerReif is randomized splicing with per-round packing (§2.3).
-	MillerReif
-	// AndersonMiller is queue-based randomized splicing with a biased
-	// coin (§2.4).
-	AndersonMiller
-	// RulingSet is the deterministic contraction algorithm built on
-	// Cole-Vishkin coin tossing and 2-ruling sets — the family §6 of
-	// the paper surveys and predicts to be uncompetitive. Included so
-	// that prediction is measurable; it is deterministic (ignores
-	// Seed) and never mutates the list.
-	RulingSet
 )
-
-// String returns the algorithm's name as used in the paper.
-func (a Algorithm) String() string {
-	switch a {
-	case Sublist:
-		return "sublist"
-	case Serial:
-		return "serial"
-	case Wyllie:
-		return "wyllie"
-	case MillerReif:
-		return "miller-reif"
-	case AndersonMiller:
-		return "anderson-miller"
-	case RulingSet:
-		return "ruling-set"
-	}
-	return "unknown"
-}
 
 // Options tunes a run. The zero value selects the sublist algorithm
 // with automatic parameters on all available CPUs.
 type Options struct {
-	// Algorithm selects the implementation (default Sublist). RankWith,
-	// ScanWith and ScanOpWith run any of them; engines — and so the
-	// *Into functions, Server requests, RankAll/ScanAll and the tree
-	// and graph engines — run Sublist, or the serial walk for Serial,
-	// and treat the reference algorithms as Sublist.
+	// Algorithm selects the implementation (default Sublist).
 	Algorithm Algorithm
 	// Procs is the number of worker goroutines; 0 means GOMAXPROCS.
-	// Serial and MillerReif are single-threaded and ignore it, as in
-	// the paper; AndersonMiller parallelizes across its queues.
+	// Serial is single-threaded and ignores it.
 	Procs int
-	// Seed drives splitter selection and coin flips. Results never
-	// depend on it; only performance does.
+	// Seed drives splitter selection. Results never depend on it;
+	// only performance does.
 	Seed uint64
 	// M overrides the sublist algorithm's splitter count (0 = auto:
 	// n/256, sublists of 256 vertices on average; see core.DefaultM).
@@ -219,71 +179,31 @@ func Rank(l *List) []int64 { return RankWith(l, Options{}) }
 // values of all vertices strictly preceding v, 0 at the head.
 func Scan(l *List) []int64 { return ScanWith(l, Options{}) }
 
-// RankWith is Rank with explicit options. The sublist and serial
-// algorithms run through a pooled Engine, so repeated calls reuse
-// working space and only the result slice is allocated; the reference
-// algorithms keep their own storage behavior. An empty list has an
-// empty result under every algorithm.
+// RankWith is Rank with explicit options. It runs through a pooled
+// Engine, so repeated calls reuse working space and only the result
+// slice is allocated. An empty list has an empty result.
 func RankWith(l *List, opt Options) []int64 {
-	if l.Len() == 0 {
-		return []int64{}
-	}
-	switch opt.Algorithm {
-	case Wyllie:
-		return wyllie.RanksParallel(l.view(), opt.procs())
-	case MillerReif:
-		return randmate.MillerReifRanks(l.view(), randmate.Options{Seed: opt.Seed})
-	case AndersonMiller:
-		return randmate.AndersonMillerRanksParallel(l.view(), randmate.Options{Seed: opt.Seed}, opt.procs())
-	case RulingSet:
-		return ruling.Ranks(l.view(), ruling.Options{Procs: opt.procs()})
-	default: // Sublist, Serial
-		out := make([]int64, l.Len())
-		RankInto(out, l, opt)
-		return out
-	}
+	out := make([]int64, l.Len())
+	RankInto(out, l, opt)
+	return out
 }
 
-// ScanWith is Scan with explicit options; storage behavior and the
-// empty list as in RankWith.
+// ScanWith is Scan with explicit options; storage and the empty list
+// as in RankWith.
 func ScanWith(l *List, opt Options) []int64 {
-	if l.Len() == 0 {
-		return []int64{}
-	}
-	switch opt.Algorithm {
-	case Wyllie:
-		return wyllie.ScanParallel(l.view(), opt.procs())
-	case MillerReif:
-		return randmate.MillerReifScan(l.view(), randmate.Options{Seed: opt.Seed})
-	case AndersonMiller:
-		return randmate.AndersonMillerScanParallel(l.view(), randmate.Options{Seed: opt.Seed}, opt.procs())
-	case RulingSet:
-		return ruling.Scan(l.view(), ruling.Options{Procs: opt.procs()})
-	default: // Sublist, Serial
-		out := make([]int64, l.Len())
-		ScanInto(out, l, opt)
-		return out
-	}
+	out := make([]int64, l.Len())
+	ScanInto(out, l, opt)
+	return out
 }
 
 // ScanOpWith computes the exclusive scan under an arbitrary
 // associative operator with the given identity, combining strictly
 // preceding values in list order (safe for non-commutative
-// operators). Only the Sublist, Serial and Wyllie algorithms support
-// general operators; others fall back to Sublist. The sublist and
-// serial paths run through a pooled Engine like RankWith.
+// operators). Storage and the empty list as in RankWith.
 func ScanOpWith(l *List, op func(a, b int64) int64, identity int64, opt Options) []int64 {
-	if l.Len() == 0 {
-		return []int64{}
-	}
-	switch opt.Algorithm {
-	case Wyllie:
-		return wyllie.ScanOpParallel(l.view(), op, identity, opt.procs())
-	default:
-		out := make([]int64, l.Len())
-		ScanOpInto(out, l, op, identity, opt)
-		return out
-	}
+	out := make([]int64, l.Len())
+	ScanOpInto(out, l, op, identity, opt)
+	return out
 }
 
 func coreOptions(opt Options) core.Options {

@@ -23,10 +23,9 @@ import (
 // block totals, expand each. op runs on several goroutines at once, on
 // disjoint blocks, so it must be a pure function. Shorter lists, and
 // Algorithm Serial, take the one-pass serial walk, which is as fast or
-// faster there; the other algorithms count as Sublist. The list is
-// never mutated. The ranked path holds 16n bytes of ranks and
-// permutation besides the engine's arena. A malformed list panics
-// rather than spin or return a wrong answer.
+// faster there. The list is never mutated. The ranked path holds 16n
+// bytes of ranks and permutation besides the engine's arena. A
+// malformed list panics rather than spin or return a wrong answer.
 func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Options) []T {
 	n := l.Len()
 	if len(vals) != n {

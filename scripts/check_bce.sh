@@ -1,11 +1,11 @@
 #!/bin/sh
 # BCE/codegen gate for the traversal kernels — the lane-interleaved
-# chase loops, the sequential reorder-cache kernels (SeqSum,
-# SeqScanAdd, SeqScanOp, SeqRank in seq.go), which the Server's warm
-# hit path runs per request, AND the segmented engine's Phase 3
-# broadcast kernels (broadcast.go), which sweep every vertex of an
-# out-of-core or cross-shard list once per rank. All must stream at
-# memcpy-class speed.
+# chase loops, the sequential reorder-cache kernels (SeqScanAdd,
+# SeqScanOp, SeqRank in seq.go), which the Server's warm hit path
+# runs per request, AND the segmented engine's Phase 3 broadcast
+# kernels (broadcast.go), which sweep every vertex of an out-of-core
+# or cross-shard list once per rank. All must stream at memcpy-class
+# speed.
 #
 # internal/kernel promises that its hot loops carry no
 # compiler-inserted bounds checks: data-dependent gathers and scatters

@@ -109,8 +109,7 @@ type Request struct {
 	// dispatches on its own worker pool — so Opt.Procs is ignored;
 	// Seed, M and LaneWidth are honored per request. Every request runs
 	// on a shard engine: the sublist algorithm, or the serial walk when
-	// Algorithm is Serial (the reference algorithms run as Sublist; see
-	// Engine).
+	// Algorithm is Serial.
 	Opt Options
 	// Deadline, if non-zero, is the wall-clock instant after which the
 	// request must not keep running: a request that expires while

@@ -62,17 +62,17 @@ func TestServerServesCorrectly(t *testing.T) {
 	}
 }
 
-// TestServerRespectsRequestOptions: a request may name any Algorithm
-// and Seed (Procs is server-owned and ignored). Its shard engine serves
-// it with the serial walk for Serial and the sublist algorithm for
-// every reference algorithm, and each answer must match the serial
+// TestServerRespectsRequestOptions: a request may name either
+// Algorithm and any Seed (Procs is server-owned and ignored). Its shard
+// engine serves it with the serial walk for Serial and the sublist
+// algorithm otherwise, and each answer must match the serial
 // reference.
 func TestServerRespectsRequestOptions(t *testing.T) {
 	s := NewServer(ServerOptions{Procs: 2})
 	defer s.Close()
 	l := NewRandomList(3000, 17)
 	want := serverRef(OpRank, l)
-	for _, alg := range []Algorithm{Sublist, Serial, Wyllie, MillerReif, AndersonMiller, RulingSet} {
+	for _, alg := range []Algorithm{Sublist, Serial} {
 		got, err := s.Submit(Request{Op: OpRank, List: l, Opt: Options{Algorithm: alg, Procs: 999}}).Wait()
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -146,8 +146,8 @@ func (t *Tree) Len() int { return t.n }
 // read-only (every algorithm in package listrank only reads it, so
 // concurrent calls may share it). Exposed so the tour can be
 // run on the evaluation substrates — e.g. handing it to
-// listrank.SimulateC90 prices the whole tree-statistics computation
-// in 1994 machine cycles.
+// repro.SimulateC90 prices the whole tree-statistics computation in
+// 1994 machine cycles.
 func (t *Tree) Tour() *listrank.List { return t.tour }
 
 // Root returns the root vertex.

@@ -247,14 +247,14 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestAlgorithmChoices: a tree accepts any Algorithm. Its list ranking
-// runs on an engine — the serial walk for Serial, the sublist algorithm
-// for the rest, Wyllie included — and the depths must match the
-// reference computation.
+// TestAlgorithmChoices: a tree accepts either Algorithm. Its list
+// ranking runs on an engine — the serial walk for Serial, the sublist
+// algorithm otherwise — and the depths must match the reference
+// computation.
 func TestAlgorithmChoices(t *testing.T) {
 	parent := randomParent(20000, 13, 0.5)
 	ref := refCompute(parent)
-	for _, alg := range []listrank.Algorithm{listrank.Sublist, listrank.Serial, listrank.Wyllie} {
+	for _, alg := range []listrank.Algorithm{listrank.Sublist, listrank.Serial} {
 		tr, err := New(parent, listrank.Options{Algorithm: alg, Seed: 14})
 		if err != nil {
 			t.Fatal(err)
