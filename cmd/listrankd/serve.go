@@ -438,8 +438,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("listrank_shed_total", "Requests fast-rejected by adaptive load shedding.", st.Shed)
 	counter("listrank_dispatches_total", "Engine dispatches (a coalesced batch is one).", st.Dispatches)
 	counter("listrank_coalesced_total", "Requests served inside multi-request dispatches.", st.Coalesced)
-	counter("listrank_segmented_total", "Requests served by segmented (cross-shard) dispatch.", st.Segmented)
-	counter("listrank_seg_submits_total", "Per-segment sub-requests spawned by segmented dispatch.", st.SegSubmits)
+	counter("listrank_segmented_total", "Requests served by the segmented engine.", st.Segmented)
 
 	// Reorder-cache counters: warm handle traffic served from a cached
 	// sequential layout (hits) vs. handle traffic that chased pointers
@@ -528,7 +527,7 @@ func runServe(args []string) int {
 	reject := fs.Bool("reject", false, "reject-on-full backpressure instead of blocking")
 	warm := fs.String("warm", "", "comma-separated list sizes to pre-warm the fleet for")
 	validate := fs.Bool("validate", false, "structurally validate lists before serving (reject instead of containing)")
-	autoSegment := fs.Int("auto-segment", 0, "list length above which requests are served segmented across the shard fleet (0 disables)")
+	autoSegment := fs.Int("auto-segment", 0, "list length above which requests are served by the segmented engine (0 disables)")
 	maxElems := fs.Int("max-elems", wire.DefaultMaxElems, "largest accepted list length per frame")
 	reorderAfter := fs.Int("reorder-after", 0, "serves per list version before caching a reordered layout (0 = server default, negative disables)")
 	reorderBudget := fs.Int64("reorder-budget", 0, "reorder-cache byte budget across all shards (0 = server default, negative disables)")

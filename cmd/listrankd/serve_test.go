@@ -335,6 +335,72 @@ func TestServeMetricsIdentity(t *testing.T) {
 	}
 }
 
+// TestServeAutoSegmentBooks boots the daemon with auto-segmentation
+// on and checks the books over the wire: a segmented request is one
+// submission like any other, so every /metrics bucket equals the
+// client's tally, and every over-threshold frame that was served or
+// poisoned ran on the segmented engine.
+func TestServeAutoSegmentBooks(t *testing.T) {
+	_, hs := newTestDaemon(t, listrank.ServerOptions{Procs: 2, AutoSegment: 4096}, 0, 0)
+	l := listrank.NewRandomList(20000, 21)
+	for i := range l.Value {
+		l.Value[i] = int64(i%5) - 2
+	}
+	wantRank := listrank.RankWith(l, listrank.Options{})
+	wantScan := listrank.ScanWith(l, listrank.Options{})
+	poison := listrank.NewOrderedList(20000)
+	poison.Next[100] = 500 // orphans 101..499: only a run walk sees it
+	big := listrank.NewOrderedList(1 << 20)
+
+	tally := map[string]int64{}
+	var b wire.Buffer
+	send := func(path string, frame []byte, want []int64) string {
+		_, outcome, body := post(t, hs.URL+path, frame, nil)
+		tally[outcome]++
+		if want != nil && outcome == "served" {
+			got, err := wire.DecodeResponse(body, &b, 0)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", path, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s[%d] = %d, want %d", path, i, got[i], want[i])
+				}
+			}
+		}
+		return outcome
+	}
+	for i := 0; i < 3; i++ {
+		send("/rank", encodeList(t, wire.OpRank, 0, l, false), wantRank)
+		send("/scan", encodeList(t, wire.OpScan, 0, l, true), wantScan)
+	}
+	if got := send("/rank", encodeList(t, wire.OpRank, 0, poison, false), nil); got != "poisoned" {
+		t.Errorf("poisoned frame: outcome %q", got)
+	}
+	if got := send("/rank", encodeList(t, wire.OpRank, 1, big, false), nil); got != "expired" {
+		t.Errorf("1 ms frame deadline on 2^20 vertices: outcome %q", got)
+	}
+
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := string(mb)
+	for _, o := range []string{"served", "rejected", "expired", "poisoned"} {
+		if got := metricValue(t, m, "listrank_"+o+"_total"); got != tally[o] {
+			t.Errorf("listrank_%s_total = %d, client counted %d (tallies %v)", o, got, tally[o], tally)
+		}
+	}
+	if seg := metricValue(t, m, "listrank_segmented_total"); seg == 0 || seg < tally["served"]+tally["poisoned"] {
+		t.Errorf("listrank_segmented_total = %d, want > 0 and ≥ served + poisoned (tallies %v)", seg, tally)
+	}
+}
+
 // encodeTagged encodes l as a request frame carrying the list_id/
 // list_version handle extension.
 func encodeTagged(t *testing.T, op wire.Op, l *listrank.List, withValues bool, id, version uint32) []byte {

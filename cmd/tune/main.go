@@ -16,9 +16,9 @@
 // every size's best, then times the serial walk against the engine
 // around the serial cutoff, reps interleaved, and prints each cell's
 // quartiles and the crossover where they separate. Feed a winning K
-// to Options.LaneWidth / Engine.SetLaneWidth or a winning m to
-// Options.M; the persisted defaults are kernel.DefaultWidth, and
-// sublistLen and defaultSerialCutoff in internal/core.
+// to Options.LaneWidth or a winning m to Options.M; the persisted
+// defaults are kernel.DefaultWidth, and sublistLen and
+// defaultSerialCutoff in internal/core.
 //
 // Usage:
 //

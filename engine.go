@@ -78,9 +78,6 @@ type Engine struct {
 	// il is the reused internal list header: building it in place
 	// keeps the view conversion off the heap.
 	il list.List
-	// laneWidth is the engine-level default chase lane width applied
-	// when a call's Options.LaneWidth is 0; see SetLaneWidth.
-	laneWidth int
 }
 
 // NewEngine returns an empty engine; buffers are allocated lazily and
@@ -93,25 +90,6 @@ func NewEngine() *Engine { return &Engine{sc: core.NewScratch()} }
 // arena. nil (the default) selects the process-wide shared pool. The
 // engine never closes the pool; the caller that created it does.
 func (e *Engine) SetPool(pl *WorkerPool) { e.sc.SetPool(pl) }
-
-// SetLaneWidth sets this engine's default lane width for the sublist
-// algorithm's chase loops — how many independent sublist cursors each
-// worker keeps in flight (the software analog of the paper's vector
-// lanes). It applies whenever a call's Options.LaneWidth is 0; 0 (the
-// default) restores the tuned per-regime constants, and values are
-// clamped to [1, 32]. Results are identical at every width. Use
-// cmd/tune -lanes to measure the best width for a host and workload.
-func (e *Engine) SetLaneWidth(lanes int) { e.laneWidth = lanes }
-
-// engineOptions resolves a call's core options against the engine's
-// defaults.
-func (e *Engine) engineOptions(opt Options) core.Options {
-	co := coreOptions(opt)
-	if co.LaneWidth == 0 {
-		co.LaneWidth = e.laneWidth
-	}
-	return co
-}
 
 func (e *Engine) view(l *List) *list.List {
 	e.il = list.List{Next: l.Next, Value: l.Value, Head: l.Head}
@@ -143,7 +121,7 @@ func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 	if opt.Algorithm == Serial {
 		serial.RanksInto(dst, il)
 	} else {
-		core.RanksInto(dst, il, e.engineOptions(opt), e.sc)
+		core.RanksInto(dst, il, coreOptions(opt), e.sc)
 	}
 	e.release()
 }
@@ -160,7 +138,7 @@ func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 	if opt.Algorithm == Serial {
 		serial.ScanInto(dst, il)
 	} else {
-		core.ScanInto(dst, il, e.engineOptions(opt), e.sc)
+		core.ScanInto(dst, il, coreOptions(opt), e.sc)
 	}
 	e.release()
 }
@@ -178,7 +156,7 @@ func (e *Engine) ScanOpInto(dst []int64, l *List, op func(a, b int64) int64, ide
 	if opt.Algorithm == Serial {
 		serial.ScanOpInto(dst, il, op, identity)
 	} else {
-		core.ScanOpInto(dst, il, op, identity, e.engineOptions(opt), e.sc)
+		core.ScanOpInto(dst, il, op, identity, coreOptions(opt), e.sc)
 	}
 	e.release()
 }

@@ -3,11 +3,12 @@ package listrank
 import "listrank/internal/govern"
 
 // Governor is the process-wide memory governor: a single accounting
-// point for reorder-cache layouts, segment-orchestrator arenas,
-// out-of-core mmap windows and pooled wire buffers, with a derived
-// pressure level (ok/soft/hard) that the serving layer reads at
-// admission. It is an alias for the internal implementation so
-// callers outside this module can construct and share one.
+// point for reorder-cache layouts, the segment arenas of segmented
+// requests in service, out-of-core mmap windows and pooled wire
+// buffers, with a derived pressure level (ok/soft/hard) that the
+// serving layer reads at admission. It is an alias for the internal
+// implementation so callers outside this module can construct and
+// share one.
 //
 // Policy at each level:
 //   - GovernOK: full function.

@@ -49,11 +49,9 @@ type Scratch struct {
 	enc    []uint64
 	encSum []int64
 
-	// in is a reused list header for a call that arrives as bare
-	// arrays, so no list.List is allocated per call: a boundary list
-	// (segrank.go) in a caller's arena, the reduced list of its parent
-	// (phase2) in a child arena. stats is a child's Stats, kept out of
-	// the caller's.
+	// in is the reused header of the reduced list a child arena runs
+	// for its parent (phase2), so no list.List is allocated per call.
+	// stats is a child's Stats, kept out of the caller's.
 	in    list.List
 	stats Stats
 

@@ -1,9 +1,9 @@
 // Package govern provides a process-wide memory governor: one
 // accounting point for the byte footprints that the serving stack
 // otherwise tracks in private budgets (reorder-cache layouts,
-// segment-orchestrator arenas, out-of-core mmap windows, pooled wire
-// buffers), plus a derived pressure level every subsystem can read
-// cheaply.
+// the segment arenas of segmented requests in service, out-of-core
+// mmap windows, pooled wire buffers), plus a derived pressure level
+// every subsystem can read cheaply.
 //
 // The governor is an accountant, not an allocator: Adjust never
 // fails and never blocks. Subsystems report what they hold and ask
@@ -27,7 +27,9 @@ type Class int
 const (
 	// ClassReorder counts cached reorder-layout bytes (handle.go).
 	ClassReorder Class = iota
-	// ClassSegment counts segment-orchestrator scratch arenas.
+	// ClassSegment counts the segment arenas (segment.Scratch) of
+	// segmented requests a Server is serving, each from its Prepare to
+	// its completion.
 	ClassSegment
 	// ClassMmap counts resident out-of-core mmap windows.
 	ClassMmap

@@ -80,7 +80,7 @@ const (
 // for DRAM-resident lists (each miss is hundreds of cycles, so the
 // kernel wants every outstanding-miss slot the core has). The
 // constants are the persisted result of the cmd/tune -lanes sweep;
-// LaneWidth / SetLaneWidth override them per run or per engine.
+// Options.LaneWidth overrides them per call.
 func DefaultWidth(n int) int {
 	switch {
 	case n < widthSmallN:

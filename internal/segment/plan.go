@@ -15,11 +15,10 @@
 //	         vertex's prefix *within its run* and accumulating per-run
 //	         totals — touching only that segment's index window, which
 //	         is what lets the out-of-core backend keep one segment
-//	         resident at a time and the cross-shard backend ship each
-//	         segment to a different engine.
+//	         resident at a time.
 //	Phase 2: the runs form a reduced boundary list (per-run totals
 //	         linked by exit → next run head), ranked in memory by the
-//	         full sublist engine (core.BoundaryScanAddInto).
+//	         full sublist engine (core.ScanInto / ScanOpInto).
 //	Phase 3: every vertex folds its run's boundary offset into its
 //	         local prefix — a pure streaming broadcast
 //	         (kernel.BroadcastAdd / BroadcastOp).

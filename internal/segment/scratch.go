@@ -7,6 +7,7 @@ import (
 
 	"listrank/internal/arena"
 	"listrank/internal/core"
+	"listrank/internal/list"
 	"listrank/internal/par"
 )
 
@@ -63,8 +64,11 @@ type Scratch struct {
 	cuts []int
 
 	// cs is the core arena for the Phase 2 boundary rank, created on
-	// first use and reused for every later call.
-	cs *core.Scratch
+	// first use and reused for every later call; reduced is the list
+	// header it ranks, built in place over succ and sum so no list.List
+	// is allocated per call.
+	cs      *core.Scratch
+	reduced list.List
 
 	// pool is the resident worker pool for segment fan-outs; nil
 	// selects the process-wide shared pool.
@@ -321,11 +325,12 @@ func (sc *Scratch) Stitch(plan Plan, head int64) int64 {
 func (sc *Scratch) Phase2(rhead int64, mode Mode, op func(a, b int64) int64, identity int64, opt Options) {
 	B := len(sc.headv)
 	sc.pfx = arena.Grow(sc.pfx, B)
+	sc.reduced = list.List{Next: sc.succ[:B], Value: sc.sum[:B], Head: rhead}
 	co := core.Options{Procs: opt.Procs, Seed: opt.Seed, Cancel: opt.Cancel}
 	if mode == ModeOp {
-		core.BoundaryScanOpInto(sc.pfx, sc.succ[:B], sc.sum[:B], rhead, op, identity, co, sc.coreScratch())
+		core.ScanOpInto(sc.pfx, &sc.reduced, op, identity, co, sc.coreScratch())
 	} else {
-		core.BoundaryScanAddInto(sc.pfx, sc.succ[:B], sc.sum[:B], rhead, co, sc.coreScratch())
+		core.ScanInto(sc.pfx, &sc.reduced, co, sc.coreScratch())
 	}
 }
 
@@ -335,10 +340,10 @@ func (sc *Scratch) Nodes() int { return len(sc.headv) }
 // Footprint returns the arena's retained heap bytes — the summed
 // capacities of every buffer it owns, which persist across calls by
 // design. The serving layer reports this to the process memory
-// governor for the lifetime of each segmented parent. The embedded
-// core arena (Phase 2) is not included: it is sized by B, the reduced
-// list, which is orders of magnitude smaller than the per-vertex
-// tables counted here.
+// governor for each segmented request, from Prepare to completion.
+// The embedded core arena (Phase 2) is not included: it is sized by
+// B, the reduced list, which is orders of magnitude smaller than the
+// per-vertex tables counted here.
 func (sc *Scratch) Footprint() int64 {
 	var b int64
 	for _, ls := range sc.exits {
@@ -356,9 +361,9 @@ func (sc *Scratch) Footprint() int64 {
 }
 
 // Release drops the arena's references to caller-owned storage.
-// Backends that drive the step API directly (rather than through
-// RankInto and friends, which release on return) call it when their
-// call completes.
+// Backends that drive the step API directly (Prepare and Solve, or
+// the per-segment steps, rather than RankInto and friends, which
+// release on return) call it when their call completes.
 func (sc *Scratch) Release() { sc.releaseCall() }
 
 // SubWindows returns segment s's boundary-node windows (heads, run
@@ -372,8 +377,7 @@ func (sc *Scratch) SubWindows(s int) (heads, sum, exit []int64, nodeBase int32, 
 }
 
 // Sub assembles segment s's self-contained slice of the call — the
-// unit both phases fan out over, and the unit the serving layer ships
-// to a worker as a sub-request. value may be nil for ModeRank; dst is
+// unit both phases fan out over. value may be nil for ModeRank; dst is
 // the caller's full result array. Valid after Prepare; Pfx additionally
 // requires Phase2.
 func (sc *Scratch) Sub(s int, plan Plan, mode Mode, next, value, dst []int64, op func(a, b int64) int64, identity int64) SubTask {

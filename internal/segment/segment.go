@@ -7,10 +7,10 @@ import (
 
 // In-memory orchestration: segments fan out across the worker pool in
 // Phase 1 and Phase 3, with the assembly, stitch and boundary rank in
-// between. This is the backend behind listrank.Segmented*; the
-// out-of-core and cross-shard backends drive the same Prepare /
-// Phase1 / Stitch / Phase2 / Phase3 steps with their own segment
-// scheduling.
+// between. This is the backend behind listrank.Segmented* and the
+// Server's segmented requests; the out-of-core backend drives the
+// same Prepare / Phase1 / Stitch / Phase2 / Phase3 steps with its own
+// segment scheduling.
 
 // RankInto writes every vertex's rank into dst. dst and next must
 // have length plan.Len(); next is not mutated. Panics ErrMalformed if
@@ -51,10 +51,21 @@ func (sc *Scratch) run(dst, next, value []int64, head int64, plan Plan, mode Mod
 	}
 	defer sc.releaseCall()
 	sc.Prepare(next, head, plan, opt)
+	sc.Solve(dst, value, head, mode, op, identity, opt)
+}
+
+// Solve runs every step after Prepare — the Phase 1 run walks, the
+// stitch, the Phase 2 boundary rank and the Phase 3 broadcast — over
+// the plan and list Prepare was given, writing the result into dst
+// (length plan.Len(); value is nil for ModeRank). A caller that
+// drives Prepare itself, to account the arena's footprint in between,
+// calls Solve next and Release when done.
+func (sc *Scratch) Solve(dst, value []int64, head int64, mode Mode, op func(a, b int64) int64, identity int64, opt Options) {
 	sc.fc.dst, sc.fc.value = dst, value
 	sc.fc.mode, sc.fc.op, sc.fc.identity = mode, op, identity
 	sc.fc.cancel = opt.Cancel
 
+	plan := sc.fc.plan
 	S := plan.Segments()
 	p := par.Procs(opt.Procs, S)
 	sc.fanPhase(p, S, taskPhase1, opt.Cancel)

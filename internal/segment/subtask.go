@@ -23,8 +23,7 @@ const (
 // plus its group of boundary nodes. Phase 1 and Phase 3 touch nothing
 // outside the SubTask (Pfx is read-only in Phase 3), so subtasks run
 // concurrently without coordination — on pool workers in the
-// in-memory path, as independent sub-requests in the cross-shard
-// path, one at a time in the out-of-core path.
+// in-memory path, one at a time in the out-of-core path.
 type SubTask struct {
 	// Lo, Hi are the segment's global vertex range; every window below
 	// has length Hi-Lo and is indexed by v-Lo.

@@ -10,10 +10,10 @@ import (
 )
 
 // lifecycleDelta is the part of ServerStats a lifecycle case pins: the
-// five identity buckets, segmented dispatch and reorder-cache traffic.
+// five identity buckets, segmented serves and reorder-cache traffic.
 type lifecycleDelta struct {
 	Submitted, Served, Rejected, Expired, Poisoned, Shed int64
-	Segmented, SegSubmits, ReorderHits, ReorderMisses    int64
+	Segmented, ReorderHits, ReorderMisses                int64
 }
 
 func deltaOf(before, after ServerStats) lifecycleDelta {
@@ -25,15 +25,14 @@ func deltaOf(before, after ServerStats) lifecycleDelta {
 		Poisoned:      after.Poisoned - before.Poisoned,
 		Shed:          after.Shed - before.Shed,
 		Segmented:     after.Segmented - before.Segmented,
-		SegSubmits:    after.SegSubmits - before.SegSubmits,
 		ReorderHits:   after.ReorderHits - before.ReorderHits,
 		ReorderMisses: after.ReorderMisses - before.ReorderMisses,
 	}
 }
 
 // opGate is an OpScanOp operator that parks whichever serve calls it
-// first until the test opens the gate: it pins a shard (or a segment
-// sub-request) at a known point without timing assumptions.
+// first until the test opens the gate: it pins a shard at a known
+// point without timing assumptions.
 type opGate struct {
 	entered chan struct{}
 	release chan struct{}
@@ -72,7 +71,7 @@ func wantErr(t *testing.T, what string, tk *Ticket, want error) {
 
 // TestTicketLifecycle walks every entry path into every terminal
 // outcome — admission, solo and coalesced serves, handle cold and warm
-// serves, segmented parents — and checks that each submission lands in
+// serves, segmented serves — and checks that each submission lands in
 // exactly one ServerStats bucket, that the identity balances, and that
 // every shard's backlog gauge drains back to zero.
 func TestTicketLifecycle(t *testing.T) {
@@ -212,35 +211,66 @@ func TestTicketLifecycle(t *testing.T) {
 			wantErr(t, "warm handle", s.Submit(Request{Op: OpScan, Handle: warm}), nil)
 		}, want: lifecycleDelta{Submitted: 1, Served: 1, ReorderHits: 1}},
 
-		// Segmented parents: S = 4 segments, each phase one sub-request
-		// per segment.
+		// Segmented requests (S = 4) are queued and served on their
+		// shard like any other request; Segmented counts the ones the
+		// segmented engine ran.
 		{name: "segmented/served", run: func(t *testing.T, s *Server) {
 			tk := s.Submit(Request{Op: OpRank, List: NewRandomList(20000, 1), Segments: 4})
 			wantErr(t, "segmented", tk, nil)
-		}, want: lifecycleDelta{Submitted: 9, Served: 9, Segmented: 1, SegSubmits: 8}},
+		}, want: lifecycleDelta{Submitted: 1, Served: 1, Segmented: 1}},
 		{name: "segmented/poisoned", run: func(t *testing.T, s *Server) {
-			// An out-of-range link: the orchestrator's Prepare trips on
-			// it before any sub-request is spawned.
+			// An out-of-range link: Prepare trips on it.
 			tk := s.Submit(Request{Op: OpRank, List: poisoned(20000), Segments: 4})
 			wantErr(t, "segmented poisoned", tk, ErrPanic)
 		}, want: lifecycleDelta{Submitted: 1, Poisoned: 1, Segmented: 1}},
 		{name: "segmented/expired", run: func(t *testing.T, s *Server) {
-			// The gate parks a Phase 1 sub-request; the parent is
-			// canceled meanwhile, so its orchestrator withdraws it after
-			// Phase 1 while the four sub-requests are served.
+			// The gate parks a Phase 1 run walk; the request is canceled
+			// meanwhile, so the engine abandons it after Phase 1.
 			g := newOpGate()
 			tk := s.Submit(Request{Op: OpScanOp, List: NewRandomList(20000, 1), ScanOp: g.op, Segments: 4})
 			<-g.entered
 			tk.Cancel()
 			g.open()
 			wantErr(t, "segmented canceled", tk, ErrCanceled)
-		}, want: lifecycleDelta{Submitted: 5, Served: 4, Expired: 1, Segmented: 1, SegSubmits: 4}},
+		}, want: lifecycleDelta{Submitted: 1, Expired: 1, Segmented: 1}},
+		{name: "segmented/canceled-while-queued", opt: ServerOptions{Procs: 1},
+			run: func(t *testing.T, s *Server) {
+				g := newOpGate()
+				blocker := g.pin(s, NewRandomList(20000, 1))
+				tk := s.Submit(Request{Op: OpRank, List: NewRandomList(20000, 2), Segments: 4})
+				tk.Cancel()
+				g.open()
+				wantErr(t, "segmented canceled while queued", tk, ErrCanceled)
+				wantErr(t, "blocker", blocker, nil)
+			}, want: lifecycleDelta{Submitted: 2, Served: 1, Expired: 1}},
+		{name: "segmented/coalesced", opt: ServerOptions{Procs: 4},
+			run: func(t *testing.T, s *Server) {
+				// Queued behind the gate, the segmented requests and a
+				// plain peer share one batch: each runs at Procs 1 on
+				// its pool worker.
+				g := newOpGate()
+				blocker := g.pin(s, NewRandomList(20000, 1))
+				before := s.Stats().Coalesced
+				tks := []*Ticket{
+					s.Submit(Request{Op: OpRank, List: NewRandomList(20000, 2), Segments: 4}),
+					s.Submit(Request{Op: OpScan, List: NewRandomList(20000, 3), Segments: 3}),
+					s.Rank(NewRandomList(20000, 4), nil),
+				}
+				g.open()
+				wantErr(t, "blocker", blocker, nil)
+				for _, tk := range tks {
+					wantErr(t, "batch peer", tk, nil)
+				}
+				if got := s.Stats().Coalesced - before; got != int64(len(tks)) {
+					t.Errorf("Coalesced delta = %d, want %d (one batch)", got, len(tks))
+				}
+			}, want: lifecycleDelta{Submitted: 4, Served: 4, Segmented: 2}},
 		{name: "segmented/short-value", run: func(t *testing.T, s *Server) {
 			l := NewRandomList(20000, 1)
 			l.Value = l.Value[:100]
 			tk := s.Submit(Request{Op: OpScan, List: l, Segments: 4})
 			wantErr(t, "segmented short Value", tk, ErrBadRequest)
-		}, want: lifecycleDelta{Submitted: 1, Rejected: 1, Segmented: 1}},
+		}, want: lifecycleDelta{Submitted: 1, Rejected: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

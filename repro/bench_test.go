@@ -206,23 +206,46 @@ func BenchmarkGoroutine_AndersonMiller(b *testing.B) {
 
 // BenchmarkAblation_PackSchedule compares pack schedules on the
 // simulated machine: the Eq. 4 optimum vs packing every round vs never
-// packing (chasing completed tails to the end).
+// packing (chasing completed tails to the end). The never leg packs
+// once, after the draw's longest sublist has finished: its one round
+// is as many steps as the every-round leg takes rounds at the same
+// seed.
 func BenchmarkAblation_PackSchedule(b *testing.B) {
 	n := 1 << 18
 	tuned := vecalg.TunedParams(n)
+	params := func(schedule []int) vecalg.SublistParams {
+		return vecalg.SublistParams{M: tuned.M, Schedule1: schedule, Schedule3: schedule, Seed: 10}
+	}
 	for _, tc := range []struct {
 		name     string
 		schedule []int
 	}{
 		{"optimal", tuned.Schedule1},
 		{"every-round", []int{1}},
-		{"never", []int{1 << 30}},
+		{"never", []int{packRounds(params([]int{1}))}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			pr := vecalg.SublistParams{M: tuned.M, Schedule1: tc.schedule, Schedule3: tc.schedule, Seed: 10}
+			pr := params(tc.schedule)
 			simulate(b, 1, func(in *vecalg.Input) { vecalg.SublistScan(in, pr) })
 		})
 	}
+}
+
+// packRounds runs pr once on simulate's list and machine and returns
+// the larger of its Phase 1 and Phase 3 round counts (one pack per
+// round).
+func packRounds(pr vecalg.SublistParams) int {
+	c := &struct {
+		Steps1, ElemSteps1, Packs1, PackElems1 int64
+		Steps3, ElemSteps3, Packs3, PackElems3 int64
+	}{}
+	vecalg.DebugCounters = c
+	defer func() { vecalg.DebugCounters = nil }()
+	cfg := vm.CrayC90()
+	cfg.Procs = 1
+	in := vecalg.Load(vm.New(cfg, 16*benchN+4096), list.NewRandom(benchN, rng.New(1)))
+	vecalg.SublistScan(in, pr)
+	return int(max(c.Packs1, c.Packs3))
 }
 
 // BenchmarkAblation_BankConflicts measures the simulated cost of an

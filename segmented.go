@@ -13,8 +13,9 @@ import (
 // reduced boundary list is ranked in memory by the sublist engine,
 // and boundary offsets are broadcast back. Segments never interact
 // during Phases 1 and 3, which is what lets the same decomposition
-// back the out-of-core engine (OutOfCore) and the server's
-// cross-shard dispatch (ServerOptions.AutoSegment, Request.Segments).
+// back the out-of-core engine (OutOfCore); the same in-core driver
+// serves a Server's segmented requests (ServerOptions.AutoSegment,
+// Request.Segments).
 //
 // Like the monolithic entry points, segmented calls never mutate the
 // input list; unlike them, they validate its structure for free: a

@@ -13,11 +13,11 @@ import (
 // permutation ("shattered") leaves its segment on almost every link
 // and degenerates to a boundary list of ~n nodes — the documented
 // worst case, priced here rather than hidden. The server legs run
-// the same comparison through cross-shard dispatch, where each
-// segment also pays admission and ticket traffic; the out-of-core
-// leg ranks from spill files under a resident budget of a quarter of
-// the data, pricing the three streaming sweeps. cmd/benchjson turns
-// this into BENCH_segmented.json in CI.
+// the same comparison through a Server, where the request also pays
+// admission and its ticket and is served by its shard; the
+// out-of-core leg ranks from spill files under a resident budget of a
+// quarter of the data, pricing the three streaming sweeps.
+// cmd/benchjson turns this into BENCH_segmented.json in CI.
 func BenchmarkSegmented(b *testing.B) {
 	const n = 1 << 20
 	shapes := []struct {

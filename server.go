@@ -82,17 +82,16 @@ type Request struct {
 	// handle registered with a different server fails with
 	// ErrBadRequest.
 	Handle *Handle
-	// Segments, when > 1, asks for segmented service: the list is cut
-	// into that many contiguous segments, each segment's run walk and
-	// offset broadcast served as its own sub-request on the shard
-	// fleet, with the reduced boundary list ranked in between (see
+	// Segments, when > 1, asks for segmented service: the request is
+	// queued like any other, and its shard cuts the list into that many
+	// contiguous segments and serves it on the in-core segmented engine
+	// — run walks, boundary-list rank, offset broadcast (see
 	// internal/segment and DESIGN.md, "Ranking beyond one arena").
 	// 0 and 1 serve monolithically; negative values, or Segments with
 	// Handle, fail with ErrBadRequest. Segmented requests validate the
 	// list's structure as a side effect and ignore Opt.Algorithm, even
-	// Serial; they are off the zero-allocation steady-state contract,
-	// and one that races Close may be finished inline by its
-	// orchestrator rather than on the fleet.
+	// Serial, and Opt.M and Opt.LaneWidth; they are off the
+	// zero-allocation steady-state contract.
 	Segments int
 	// ScanOp and Identity define the OpScanOp operator: an associative
 	// op folded in list order from identity (non-commutative operators
@@ -125,10 +124,6 @@ type Request struct {
 	// The context is polled, not watched — no goroutine is spawned per
 	// request — and is released at completion.
 	Ctx context.Context
-
-	// seg marks a segment sub-request spawned by the segmented
-	// orchestrator (see server_segment.go); never set by callers.
-	seg *segTask
 }
 
 // Errors reported by Ticket.Wait.
@@ -242,9 +237,8 @@ type ServerOptions struct {
 	MaxCoalesce int
 	// AutoSegment, when positive, serves any bare-List request longer
 	// than this threshold segmented — cut into ceil(n/AutoSegment)
-	// contiguous segments (at most 64) fanned across the shard fleet
-	// as sub-requests, exactly as if Request.Segments had been set.
-	// Handle requests are never auto-split. 0 disables
+	// contiguous segments (at most 64), exactly as if Request.Segments
+	// had been set. Handle requests are never auto-split. 0 disables
 	// auto-segmentation.
 	AutoSegment int
 	// WarmSizes pre-grows the fleet for problems of these sizes
@@ -323,15 +317,12 @@ type ServerStats struct {
 	// backlog, or hard memory pressure. Shed requests never ran and
 	// never occupied a queue slot.
 	Shed int64
-	// Segmented counts requests served by segmented (cross-shard)
-	// dispatch — each such parent also lands in exactly one of the four
-	// identity buckets above — and SegSubmits counts the per-segment
-	// sub-requests those parents spawned, each a full submission of its
-	// own (so they appear in Submitted and the per-bin counters too).
-	Segmented, SegSubmits int64
+	// Segmented counts requests served by the segmented engine (see
+	// Request.Segments); each also lands in exactly one of the identity
+	// buckets above — served, poisoned, or expired mid-run.
+	Segmented int64
 	// BinServed counts successfully served requests per size bin
-	// (zero-length completions and segmented parents appear in no bin;
-	// their segment sub-requests appear in their windows' bins).
+	// (zero-length completions appear in no bin).
 	BinServed []int64
 	// BinQueued is the instantaneous admission-queue depth per size
 	// bin at snapshot time — a gauge, not a counter, exposed so the
@@ -369,21 +360,10 @@ type Server struct {
 	shedOn bool
 	gov    *govern.Governor
 
-	// Segmented (cross-shard) dispatch. procs is the resolved worker
-	// budget (the orchestrator's inline phases use it); autoSegment is
-	// ServerOptions.AutoSegment. segActive bounds live orchestrators
-	// (beyond the cap a parent degrades to monolithic service), and
-	// segWG lets Close wait for them. segPool is the orchestrators'
-	// own worker pool for the fan-outs they run inline (Prepare, the
-	// boundary rank); Close closes it, after which an orchestrator's
-	// fan-outs fall back to spawn-per-call, which cannot leak.
-	procs       int
+	// autoSegment is ServerOptions.AutoSegment; segmented feeds
+	// ServerStats.Segmented.
 	autoSegment int
 	segmented   atomic.Int64
-	segSubmits  atomic.Int64
-	segActive   atomic.Int64
-	segWG       sync.WaitGroup
-	segPool     *WorkerPool
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -489,8 +469,6 @@ func NewServer(opt ServerOptions) *Server {
 		reorderAfter, reorderBudget = 0, 0 // cache disabled
 	}
 	s := &Server{bins: fleet.NewBins(bounds)}
-	s.procs = procs
-	s.segPool = NewWorkerPool(procs)
 	s.autoSegment = opt.AutoSegment
 	s.shedOn = opt.Shed
 	s.gov = opt.Governor
@@ -609,19 +587,15 @@ func (s *Server) submit(req Request) (*Ticket, error) {
 }
 
 // admit takes a fresh ticket through admission. It returns queued =
-// true once a shard queue or a segmented orchestrator owns the ticket
-// and will complete it; otherwise the ticket ends at admission with
-// err, which is nil only for a zero-length list (served in place).
+// true once a shard queue owns the ticket and will complete it;
+// otherwise the ticket ends at admission with err, which is nil only
+// for a zero-length list (served in place).
 func (s *Server) admit(t *Ticket) (queued bool, err error) {
 	req := &t.req
 	// Exactly one problem source: a bare List, or a Handle registered
 	// with this server.
 	var n int
 	switch {
-	case req.seg != nil:
-		// A segment sub-request spawned by serveSegmented: its window
-		// length routes it to a size bin like any other request.
-		n = int(req.seg.st.Hi - req.seg.st.Lo)
 	case req.Handle != nil:
 		if req.List != nil || req.Handle.srv != s {
 			return false, ErrBadRequest
@@ -642,11 +616,9 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 	if n == 0 {
 		return false, nil // nothing to do
 	}
-	// Hard memory pressure sheds all new top-level load outright —
-	// the cheapest possible rejection, before the cancellation token
-	// is even armed. Segment sub-requests are exempt: their parent was
-	// already admitted and holds the resources either way.
-	if req.seg == nil && s.gov.Level() >= govern.LevelHard {
+	// Hard memory pressure sheds all new load outright — the cheapest
+	// possible rejection, before the cancellation token is even armed.
+	if s.gov.Level() >= govern.LevelHard {
 		return false, ErrShed
 	}
 	// Arm the cancellation token before the queue hand-off so a
@@ -657,19 +629,6 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 	if t.cancel.Canceled() {
 		return false, t.withdrawn()
 	}
-	if req.seg == nil && req.Handle == nil {
-		if S := s.resolveSegments(req.Segments, n); S > 1 {
-			if s.segActive.Add(1) <= maxSegmented {
-				s.segmented.Add(1)
-				s.segWG.Add(1)
-				go s.serveSegmented(t, S)
-				return true, nil
-			}
-			// Orchestrator cap reached: degrade gracefully to monolithic
-			// service rather than invent a new failure mode.
-			s.segActive.Add(-1)
-		}
-	}
 	sh := s.shards[s.bins.Index(n)]
 	if req.Handle != nil {
 		sh = req.Handle.sh // routing fixed at registration
@@ -677,9 +636,8 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 	// Deadline-aware adaptive admission: if the shard's estimated
 	// queue wait already exceeds the request's deadline, fail in
 	// microseconds now instead of expiring at p99 later. Cold shards
-	// (no EWMA yet) admit everything; segment sub-requests are exempt
-	// (the parent's deadline governs them cooperatively).
-	if s.shedOn && req.seg == nil && !req.Deadline.IsZero() {
+	// (no EWMA yet) admit everything.
+	if s.shedOn && !req.Deadline.IsZero() {
 		if wait := sh.estWait(n); wait > 0 && time.Now().Add(wait).After(req.Deadline) {
 			return false, ErrShed
 		}
@@ -774,11 +732,6 @@ func (s *Server) Close() {
 		sh.q.Close()
 	}
 	s.wg.Wait()
-	// Orchestrators waiting on sub-requests have them all by now (the
-	// dispatchers drained before exiting); any later wave fails
-	// admission and is finished inline, so this wait is bounded.
-	s.segWG.Wait()
-	s.segPool.Close()
 	for _, sh := range s.shards {
 		sh.pool.Close()
 		// Release the shard's cached reorder layouts so the governor's
@@ -791,16 +744,15 @@ func (s *Server) Close() {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
-		Submitted:  s.submitted.Load(),
-		Served:     s.served.Load(),
-		Rejected:   s.rejected.Load(),
-		Expired:    s.expired.Load(),
-		Poisoned:   s.poisoned.Load(),
-		Shed:       s.shed.Load(),
-		Segmented:  s.segmented.Load(),
-		SegSubmits: s.segSubmits.Load(),
-		BinServed:  make([]int64, len(s.shards)),
-		BinQueued:  make([]int64, len(s.shards)),
+		Submitted: s.submitted.Load(),
+		Served:    s.served.Load(),
+		Rejected:  s.rejected.Load(),
+		Expired:   s.expired.Load(),
+		Poisoned:  s.poisoned.Load(),
+		Shed:      s.shed.Load(),
+		Segmented: s.segmented.Load(),
+		BinServed: make([]int64, len(s.shards)),
+		BinQueued: make([]int64, len(s.shards)),
 	}
 	for b, sh := range s.shards {
 		st.BinServed[b] = sh.served.Load()
@@ -906,12 +858,14 @@ func shardServeChunk(ctx any, w, lo, hi int) {
 	}
 }
 
-// run serves one ticket on the given engine at the given parallelism.
-// Its deferred finish completes the ticket and contains any panic out
-// of the serve — a poisoned list violating List's invariants, or a
-// cooperative-cancellation abandonment — to this ticket instead of
-// killing the dispatcher (or, on a coalesced batch, the pool worker
-// serving the rest of its chunk).
+// run serves one ticket on the given engine at the given parallelism
+// — the only code that serves a ticket. A bare-List request that
+// resolves to more than one segment runs on the segmented engine
+// instead of e. Its deferred finish completes the ticket and contains
+// any panic out of the serve — a poisoned list violating List's
+// invariants, or a cooperative-cancellation abandonment — to this
+// ticket instead of killing the dispatcher (or, on a coalesced batch,
+// the pool worker serving the rest of its chunk).
 func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 	defer t.finish()
 	// A request that expired or was canceled while queued must not
@@ -921,10 +875,6 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 		return
 	}
 	req := &t.req
-	if req.seg != nil {
-		req.seg.run(t)
-		return
-	}
 	l, h := req.List, req.Handle
 	if h != nil {
 		l = h.list
@@ -932,7 +882,12 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 	if req.Dst == nil {
 		req.Dst = make([]int64, l.Len())
 	}
-	if h != nil && sh.cache.serveHit(req) {
+	if h == nil {
+		if S := t.srv.resolveSegments(req.Segments, l.Len()); S > 1 {
+			t.err = sh.runSegmented(t, S, procs)
+			return
+		}
+	} else if sh.cache.serveHit(req) {
 		return
 	}
 	if sh.validate {
@@ -1002,9 +957,9 @@ func (sh *shard) checkList(l *List, procs int) error {
 }
 
 // The ticket lifecycle. Every submission ends in exactly one call to
-// complete — rejected, shed or expired at admission, served or failed
-// on a shard, or finished by a segmented orchestrator — so the
-// ServerStats identity is kept in one place.
+// complete — rejected, shed or expired at admission, or served or
+// failed on a shard — so the ServerStats identity is kept in one
+// place.
 
 // complete ends the ticket's lifecycle: it drains the ticket's share
 // of its shard's backlog, records err as the outcome, counts the
@@ -1036,9 +991,9 @@ func (t *Ticket) complete(err error) {
 	t.done <- struct{}{}
 }
 
-// finish is deferred by every serve — shard.run for queued tickets,
-// serveSegmented for segmented parents: it recovers whatever unwound
-// out of the serve into the ticket's error and completes the ticket.
+// finish is deferred by every serve (shard.run): it recovers whatever
+// unwound out of the serve into the ticket's error and completes the
+// ticket.
 func (t *Ticket) finish() {
 	if r := recover(); r != nil {
 		t.err = t.panicErr(r)

@@ -7,10 +7,8 @@ import (
 )
 
 // segIdentity asserts the accounting identity at a quiescent point
-// and returns the snapshot. Segmented traffic is its sharpest test:
-// parents complete outside any shard while their sub-requests count
-// through the ordinary shard buckets, and every submission must still
-// land in exactly one bucket.
+// and returns the snapshot: a segmented request is one submission and
+// must land in exactly one bucket like any other.
 func segIdentity(t *testing.T, s *Server) ServerStats {
 	t.Helper()
 	st := s.Stats()
@@ -22,15 +20,13 @@ func segIdentity(t *testing.T, s *Server) ServerStats {
 }
 
 // TestServerSegmentedMatchesMonolithic drives rank, scan and
-// operator-scan requests through cross-shard segmented dispatch and
-// checks every result against the serial reference, plus the exact
-// sub-request arithmetic: under the blocking admission policy every
-// segment of every phase is admitted exactly once, so SegSubmits is
-// exactly 2·S per segmented request.
+// operator-scan requests through the segmented engine and checks
+// every result against the serial reference and every request
+// against the Segmented count.
 func TestServerSegmentedMatchesMonolithic(t *testing.T) {
 	s := NewServer(ServerOptions{Procs: 4, BinBounds: []int{1 << 10, 1 << 14}})
 	defer s.Close()
-	wantSeg, wantSubs := int64(0), int64(0)
+	wantSeg := int64(0)
 	for _, S := range []int{2, 3, 7} {
 		for _, n := range []int{5000, 40000, 37*S + 1} {
 			l := NewRandomList(n, uint64(n+S))
@@ -58,15 +54,11 @@ func TestServerSegmentedMatchesMonolithic(t *testing.T) {
 			// Segments is clamped to n, so every request above split into
 			// exactly S segments (n >> S throughout).
 			wantSeg += 3
-			wantSubs += int64(2 * 3 * S)
 		}
 	}
 	st := segIdentity(t, s)
 	if st.Segmented != wantSeg {
 		t.Errorf("Segmented = %d, want %d", st.Segmented, wantSeg)
-	}
-	if st.SegSubmits != wantSubs {
-		t.Errorf("SegSubmits = %d, want %d", st.SegSubmits, wantSubs)
 	}
 	if st.Rejected != 0 || st.Expired != 0 || st.Poisoned != 0 {
 		t.Errorf("clean trace hit failure buckets: %+v", st)
@@ -89,10 +81,6 @@ func TestServerAutoSegment(t *testing.T) {
 	st := s.Stats()
 	if st.Segmented != 1 {
 		t.Fatalf("Segmented = %d after over-threshold request, want 1", st.Segmented)
-	}
-	wantSubs := int64(2 * ((100000 + 4095) / 4096))
-	if st.SegSubmits != wantSubs {
-		t.Errorf("SegSubmits = %d, want %d", st.SegSubmits, wantSubs)
 	}
 
 	small := NewRandomList(1000, 2)
@@ -136,9 +124,9 @@ func TestServerSegmentedBadRequest(t *testing.T) {
 // TestServerSegmentedPoisoned is the fault-containment gate: a
 // poisoned segment — structural damage confined to one segment's
 // window, or damage only the cross-segment assembly can see — fails
-// exactly the parent request with ErrPanic, healthy sub-requests and
-// later traffic are unaffected, and the accounting stays balanced
-// with no stranded tickets (every Wait returns).
+// exactly its own request with ErrPanic, later traffic is unaffected,
+// and the accounting stays balanced with no stranded tickets (every
+// Wait returns).
 func TestServerSegmentedPoisoned(t *testing.T) {
 	s := NewServer(ServerOptions{Procs: 4, BinBounds: []int{1 << 12}})
 	defer s.Close()
@@ -146,8 +134,8 @@ func TestServerSegmentedPoisoned(t *testing.T) {
 
 	// In-segment damage: vertex 100 links forward to 500, orphaning
 	// 101..499 inside segment 0. The segment's own walk discovers the
-	// coverage gap, so the fault surfaces in a sub-request on a shard
-	// worker and must propagate to the parent alone.
+	// coverage gap, so the fault surfaces in a Phase 1 walk and must
+	// fail this request alone.
 	inSeg := NewOrderedList(n)
 	inSeg.Next[100] = 500
 	if _, err := s.Submit(Request{Op: OpRank, List: inSeg, Segments: 4}).Wait(); !errors.Is(err, ErrPanic) {
@@ -155,8 +143,8 @@ func TestServerSegmentedPoisoned(t *testing.T) {
 	}
 
 	// Cross-segment damage: vertex 100 jumps to 17000, giving 17000
-	// two predecessors in different segments. Only the orchestrator's
-	// boundary assembly can see this one.
+	// two predecessors in different segments. Only the boundary
+	// assembly can see this one.
 	crossSeg := NewOrderedList(n)
 	crossSeg.Next[100] = 17000
 	if _, err := s.Submit(Request{Op: OpRank, List: crossSeg, Segments: 4}).Wait(); !errors.Is(err, ErrPanic) {
@@ -182,10 +170,9 @@ func TestServerSegmentedPoisoned(t *testing.T) {
 	}
 }
 
-// TestServerSegmentedExpired checks deadline plumbing end to end: the
-// parent's deadline rides into every sub-request, an expiring segment
-// withdraws the parent with ErrDeadlineExceeded, and the books stay
-// balanced.
+// TestServerSegmentedExpired checks deadline plumbing end to end: a
+// segmented request expiring queued or mid-run is withdrawn with
+// ErrDeadlineExceeded, and the books stay balanced.
 func TestServerSegmentedExpired(t *testing.T) {
 	s := NewServer(ServerOptions{Procs: 2})
 	defer s.Close()
@@ -194,7 +181,7 @@ func TestServerSegmentedExpired(t *testing.T) {
 	if _, err := tk.Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("racing deadline on a 2M-element segmented rank: %v, want ErrDeadlineExceeded", err)
 	}
-	// Client cancellation takes the same path via the parent's token.
+	// Client cancellation takes the same path via the ticket's token.
 	tk = s.Submit(Request{Op: OpRank, List: l, Segments: 8})
 	tk.Cancel()
 	if _, err := tk.Wait(); err != nil && !errors.Is(err, ErrCanceled) {

@@ -167,8 +167,8 @@ func TestSoftPressureSuppressesReorderBuilds(t *testing.T) {
 }
 
 // TestSoftPressureSuppressesAutoSegment: soft pressure turns off
-// automatic segmentation (its orchestrator arenas are exactly the
-// memory being defended) while an explicit Request.Segments — a
+// automatic segmentation (its segment arenas are exactly the memory
+// being defended) while an explicit Request.Segments — a
 // caller's deliberate choice — is still honored.
 func TestSoftPressureSuppressesAutoSegment(t *testing.T) {
 	g := govern.New(1000)
