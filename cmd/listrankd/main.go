@@ -9,7 +9,7 @@
 //
 //	listrankd [-addr 127.0.0.1:8347] [-addr-file path] [-procs 0]
 //	          [-bins 4096,262144] [-queue 1024] [-maxbatch 64]
-//	          [-reject] [-warm 1024,65536] [-validate]
+//	          [-reject] [-warm 1024,65536]
 //	          [-max-elems 16777216] [-quota-rate 0] [-quota-burst 32]
 //	          [-drain-timeout 30s]
 //

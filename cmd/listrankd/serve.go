@@ -392,7 +392,7 @@ func (d *daemon) handle(w http.ResponseWriter, r *http.Request, op listrank.Op) 
 	case errors.Is(err, listrank.ErrServerClosed):
 		d.rejected.Add(1)
 		d.failRetry(w, http.StatusServiceUnavailable, "rejected", err.Error())
-	default: // ErrBadRequest (e.g. -validate structural rejects)
+	default: // ErrBadRequest
 		d.rejected.Add(1)
 		fail(w, http.StatusBadRequest, "rejected", err.Error())
 	}
@@ -526,7 +526,6 @@ func runServe(args []string) int {
 	maxBatch := fs.Int("maxbatch", 64, "max requests coalesced per dispatch")
 	reject := fs.Bool("reject", false, "reject-on-full backpressure instead of blocking")
 	warm := fs.String("warm", "", "comma-separated list sizes to pre-warm the fleet for")
-	validate := fs.Bool("validate", false, "structurally validate lists before serving (reject instead of containing)")
 	autoSegment := fs.Int("auto-segment", 0, "list length above which requests are served by the segmented engine (0 disables)")
 	maxElems := fs.Int("max-elems", wire.DefaultMaxElems, "largest accepted list length per frame")
 	reorderAfter := fs.Int("reorder-after", 0, "serves per list version before caching a reordered layout (0 = server default, negative disables)")
@@ -567,7 +566,6 @@ func runServe(args []string) int {
 		MaxCoalesce:        *maxBatch,
 		Reject:             *reject,
 		WarmSizes:          warmSizes,
-		ValidateInputs:     *validate,
 		AutoSegment:        *autoSegment,
 		ReorderAfter:       *reorderAfter,
 		ReorderBudgetBytes: *reorderBudget,

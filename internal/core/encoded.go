@@ -44,8 +44,9 @@ import (
 // is one sequential pass over the words and out rather than a second
 // chase. A sublist's successor is read from the record at the
 // successor's head. The record's sentinel bit is also the
-// malformed-list guard: a lane that reaches a recorded vertex panics,
-// and so does the stream at a vertex no lane reached.
+// malformed-list guard: a lane that reaches a recorded vertex panics
+// with list.ErrNotList, and so does the stream at a vertex no lane
+// reached.
 
 // layout selects the derived words the engine chases.
 type layout uint8
@@ -178,8 +179,8 @@ func encoded(out []int64, l *list.List, values []int64, op func(a, b int64) int6
 // lay on p workers, refilling in the wide layout when a narrow word
 // cannot hold some link or value exactly or a scan's Σ|value| reaches
 // encMaxSum. It returns the list's tail — its first self-loop, found
-// in the same pass — and the layout it filled, and panics if the list
-// has no self-loop.
+// in the same pass — and the layout it filled, and panics with
+// list.ErrNotList if the list has no self-loop.
 func (sc *Scratch) encode(next, values []int64, lay layout, p int) (int64, layout) {
 	tail, ok := sc.fill(next, values, lay, p)
 	if !ok {
@@ -187,7 +188,7 @@ func (sc *Scratch) encode(next, values []int64, lay layout, p int) (int64, layou
 		tail, _ = sc.fill(next, values, lay, p)
 	}
 	if tail < 0 {
-		panic("core: list has no tail self-loop")
+		panic(list.ErrNotList)
 	}
 	return tail, lay
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -76,7 +77,8 @@ func probeList(back int64, exit bool) *list.List {
 const probeWatchdog = 10 * time.Second
 
 // mustPanicWithin runs f on its own goroutine and fails unless it
-// panics within probeWatchdog. A hung f is left running: the test has
+// panics with list.ErrNotList (or, at Procs > 1, a fan-out's wrapper
+// of it) within probeWatchdog. A hung f is left running: the test has
 // failed and the process exits with it.
 func mustPanicWithin(t *testing.T, what string, f func()) {
 	t.Helper()
@@ -89,6 +91,9 @@ func mustPanicWithin(t *testing.T, what string, f func()) {
 	case r := <-done:
 		if r == nil {
 			t.Fatalf("%s: completed on a malformed list instead of panicking", what)
+		}
+		if err, ok := r.(error); !ok || !errors.Is(err, list.ErrNotList) {
+			t.Fatalf("%s: panicked with %v, want list.ErrNotList", what, r)
 		}
 	case <-time.After(probeWatchdog):
 		t.Fatalf("%s: still running after %v (hang)", what, probeWatchdog)

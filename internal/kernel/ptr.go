@@ -1,6 +1,10 @@
 package kernel
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"listrank/internal/list"
+)
 
 // Unchecked indexed access for the hot loops. The compiler cannot
 // eliminate bounds checks on data-dependent gather indices (the index
@@ -35,9 +39,11 @@ func chk(i int64, n uint64) {
 
 // badIndex is the cold panic path, kept out of line (and free of
 // indexing of its own) so the hot loops stay small and the BCE gate
-// stays clean.
+// stays clean. Every index it guards comes from the list or from
+// words derived from it — an out-of-range link, a revisited vertex or
+// an unrecorded one — so it refuses the list with list.ErrNotList.
 //
 //go:noinline
 func badIndex() {
-	panic("kernel: link or index out of range (malformed list)")
+	panic(list.ErrNotList)
 }

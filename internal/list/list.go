@@ -60,7 +60,10 @@ func (l *List) Tail() int64 {
 }
 
 // ErrNotList is returned by Validate when the Next array does not
-// describe a single linked list over all vertices.
+// describe a single linked list over all vertices. It is also the one
+// panic value of every rank and scan that refuses such a list: the
+// serial walks, the kernels' range guard, the sublist engine, the
+// segmented engine and ScanValues.
 var ErrNotList = errors.New("list: structure is not a single linked list")
 
 // Validate checks that l is a single list containing every vertex

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"errors"
 	"math"
 	"slices"
 
@@ -10,14 +9,6 @@ import (
 	"listrank/internal/list"
 	"listrank/internal/par"
 )
-
-// ErrMalformed is the panic value raised when the input is not a
-// single chain over all n vertices: a link outside [0, n), a vertex
-// with two predecessors, an unreachable vertex, or a cycle. Segmented
-// ranking detects all of these for free as a side effect of its run
-// walks and reduced-chain check; the serving layer's panic containment
-// turns the panic into a per-request failure.
-var ErrMalformed = errors.New("segment: list is not a single chain over all vertices")
 
 // Options configures one segmented ranking call.
 type Options struct {
@@ -155,7 +146,7 @@ func growLists(ls [][]int64, s int) [][]int64 {
 // discovery) and the serial assembly that turns exits into the
 // boundary-node table: every exit target plus the global head becomes
 // a run head, grouped by segment and sorted ascending within it. It
-// returns B, the boundary-list size, and panics ErrMalformed on a
+// returns B, the boundary-list size, and panics list.ErrNotList on a
 // link outside [0, n), an out-of-range head, or a vertex with two
 // predecessors. next is retained in the stash until releaseCall.
 // A zero-length plan returns 0 without touching head.
@@ -221,7 +212,7 @@ func (sc *Scratch) AnalyzeWindow(s int, next []int64) {
 	for i, nx := range next {
 		v := int64(lo + i)
 		if uint64(nx) >= n {
-			panic(ErrMalformed) // link outside the list
+			panic(list.ErrNotList) // link outside the list
 		}
 		if nx != v && (nx < int64(lo) || nx >= int64(hi)) {
 			ex = append(ex, nx)
@@ -244,7 +235,7 @@ func (sc *Scratch) Assemble(head int64) int {
 // predecessors — malformed.
 func (sc *Scratch) assemble(plan Plan, head int64) int {
 	if uint64(head) >= uint64(plan.Len()) {
-		panic(ErrMalformed)
+		panic(list.ErrNotList)
 	}
 	S := plan.Segments()
 	sc.inbox[plan.Find(head)] = append(sc.inbox[plan.Find(head)], head)
@@ -259,7 +250,7 @@ func (sc *Scratch) assemble(plan Plan, head int64) int {
 		slices.Sort(in)
 		for i := 1; i < len(in); i++ {
 			if in[i] == in[i-1] {
-				panic(ErrMalformed) // vertex with two predecessors
+				panic(list.ErrNotList) // vertex with two predecessors
 			}
 		}
 		sc.headv = append(sc.headv, in...)
@@ -282,11 +273,10 @@ func (sc *Scratch) nodeOf(plan Plan, v int64) (int64, bool) {
 
 // Stitch links the per-run totals into the reduced boundary list after
 // every segment's Phase 1 walk has filled sum/exit: succ[j] is the
-// node owning run j's exit vertex (self for the global tail). It
-// validates the reduced chain — the walk from the head's node must
-// visit exactly B nodes and end at the tail run — which combined with
-// the per-segment coverage checks proves the input was a single chain.
-// Returns the reduced head node.
+// node owning run j's exit vertex (self for the global tail). It does
+// not walk the reduced list: Phase2's rank refuses one that is not a
+// single chain, which with the per-segment coverage checks proves the
+// input was one. Returns the reduced head node.
 func (sc *Scratch) Stitch(plan Plan, head int64) int64 {
 	B := len(sc.headv)
 	sc.succ = arena.Grow(sc.succ, B)
@@ -296,24 +286,14 @@ func (sc *Scratch) Stitch(plan Plan, head int64) int64 {
 		} else {
 			nj, ok := sc.nodeOf(plan, e)
 			if !ok {
-				panic(ErrMalformed) // exit lands mid-run: input mutated between passes
+				panic(list.ErrNotList) // exit lands mid-run: input mutated between passes
 			}
 			sc.succ[j] = nj
 		}
 	}
 	rh, ok := sc.nodeOf(plan, head)
 	if !ok {
-		panic(ErrMalformed)
-	}
-	cnt, j := 1, rh
-	for sc.succ[j] != j {
-		j = sc.succ[j]
-		if cnt++; cnt > B {
-			panic(ErrMalformed) // cross-segment cycle
-		}
-	}
-	if cnt != B {
-		panic(ErrMalformed) // disconnected boundary runs
+		panic(list.ErrNotList)
 	}
 	return rh
 }
@@ -321,7 +301,9 @@ func (sc *Scratch) Stitch(plan Plan, head int64) int64 {
 // Phase2 ranks the reduced boundary list in memory with the full
 // sublist engine, writing each run's boundary offset (the scan of
 // everything strictly preceding its head) into the offset table the
-// Phase 3 broadcast reads. rhead is Stitch's return value.
+// Phase 3 broadcast reads. rhead is Stitch's return value. The rank
+// panics list.ErrNotList unless the reduced list is one chain from
+// rhead; assemble's duplicate-head check keeps it race-free.
 func (sc *Scratch) Phase2(rhead int64, mode Mode, op func(a, b int64) int64, identity int64, opt Options) {
 	B := len(sc.headv)
 	sc.pfx = arena.Grow(sc.pfx, B)

@@ -13,8 +13,8 @@ import (
 // segment scheduling.
 
 // RankInto writes every vertex's rank into dst. dst and next must
-// have length plan.Len(); next is not mutated. Panics ErrMalformed if
-// the input is not a single chain, core.ErrCanceled if opt.Cancel
+// have length plan.Len(); next is not mutated. Panics list.ErrNotList
+// if the input is not a single chain, core.ErrCanceled if opt.Cancel
 // trips.
 func (sc *Scratch) RankInto(dst, next []int64, head int64, plan Plan, opt Options) {
 	sc.run(dst, next, nil, head, plan, ModeRank, nil, 0, opt)

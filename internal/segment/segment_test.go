@@ -100,34 +100,39 @@ func checkEq(t *testing.T, kind string, S, n, procs int, what string, got, want 
 
 // TestMalformedPanics checks the structural-validation side effect:
 // inputs that are not a single chain over all vertices must panic
-// ErrMalformed rather than return garbage.
+// list.ErrNotList rather than return garbage.
 func TestMalformedPanics(t *testing.T) {
-	mustPanic := func(name string, next []int64, head int64) {
+	mustPanic := func(name string, segs int, next []int64, head int64) {
 		t.Helper()
 		defer func() {
-			if r := recover(); r != ErrMalformed {
-				t.Fatalf("%s: recovered %v, want ErrMalformed", name, r)
+			if r := recover(); r != list.ErrNotList {
+				t.Fatalf("%s: recovered %v, want list.ErrNotList", name, r)
 			}
 		}()
 		sc := NewScratch()
 		dst := make([]int64, len(next))
-		sc.RankInto(dst, next, head, NewPlan(len(next), 3), Options{Procs: 1})
+		sc.RankInto(dst, next, head, NewPlan(len(next), segs), Options{Procs: 1})
 	}
 
 	// Link outside [0, n).
-	mustPanic("oob-link", []int64{1, 2, 99, 3, 4, 5, 6, 6}, 0)
+	mustPanic("oob-link", 3, []int64{1, 2, 99, 3, 4, 5, 6, 6}, 0)
 	// Full cycle crossing segments: no tail, head mid-cycle.
-	mustPanic("cycle", []int64{1, 2, 3, 4, 5, 6, 7, 0}, 0)
+	mustPanic("cycle", 3, []int64{1, 2, 3, 4, 5, 6, 7, 0}, 0)
 	// In-segment cycle: 6→7→6 with the main chain stopping at 5.
-	mustPanic("seg-cycle", []int64{1, 2, 3, 4, 5, 5, 7, 6}, 0)
+	mustPanic("seg-cycle", 3, []int64{1, 2, 3, 4, 5, 5, 7, 6}, 0)
 	// Two predecessors converging on a boundary head (0→4 and 3→4).
-	mustPanic("converge", []int64{4, 2, 3, 4, 5, 6, 7, 7}, 0)
+	mustPanic("converge", 3, []int64{4, 2, 3, 4, 5, 6, 7, 7}, 0)
 	// Two predecessors converging inside one segment: 8 vertices,
 	// chain 0..5 then 5→5, but 6→1 re-enters segment 0's chain from
 	// segment 2 — vertex 1 visited twice, vertex 7 (tailless) never.
-	mustPanic("overlap", []int64{1, 2, 3, 4, 5, 5, 1, 7}, 0)
+	mustPanic("overlap", 3, []int64{1, 2, 3, 4, 5, 5, 1, 7}, 0)
 	// Head out of range.
-	mustPanic("bad-head", []int64{1, 2, 3, 3}, 9)
+	mustPanic("bad-head", 3, []int64{1, 2, 3, 3}, 9)
+	// The head is the tail, and 1→2→3→1 is a cycle crossing both
+	// segments. Every run walk and the duplicate-head check pass; the
+	// reduced list is node 0's self-loop beside a 2-node cycle, which
+	// only Phase 2's rank refuses.
+	mustPanic("reduced-cycle", 2, []int64{0, 2, 3, 1}, 0)
 }
 
 // TestCancelTripsPhase1 checks the cooperative-cancellation protocol:

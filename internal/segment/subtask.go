@@ -3,6 +3,7 @@ package segment
 import (
 	"listrank/internal/core"
 	"listrank/internal/kernel"
+	"listrank/internal/list"
 )
 
 // Mode selects what a segmented call computes.
@@ -51,7 +52,7 @@ type SubTask struct {
 // Phase1 walks the segment's runs: for every run head, chase Next
 // within [Lo, Hi), writing each vertex's within-run prefix to Dst and
 // its boundary node to RunID, and record the run's total and exit.
-// Panics ErrMalformed unless the runs cover the segment exactly —
+// Panics list.ErrNotList unless the runs cover the segment exactly —
 // every vertex visited once (a -1 sentinel prefilled into RunID
 // catches revisits, which also subsumes in-segment cycles; the
 // visited count catches unreached vertices) — the per-segment half of
@@ -75,7 +76,7 @@ func (t *SubTask) phase1(cancel *core.Cancel) bool {
 	for j := range t.Heads {
 		w := t.Heads[j] - t.Lo
 		if uint64(w) >= uint64(n) {
-			panic(ErrMalformed) // head outside its segment: Scratch misuse
+			panic(list.ErrNotList) // head outside its segment: Scratch misuse
 		}
 		var acc int64
 		if t.Mode == ModeOp {
@@ -85,7 +86,7 @@ func (t *SubTask) phase1(cancel *core.Cancel) bool {
 		steps := int64(0)
 		for {
 			if t.RunID[w] != -1 {
-				panic(ErrMalformed) // revisit: overlapping runs or in-segment cycle
+				panic(list.ErrNotList) // revisit: overlapping runs or in-segment cycle
 			}
 			t.Dst[w] = acc
 			t.RunID[w] = t.NodeBase + int32(j)
@@ -117,7 +118,7 @@ func (t *SubTask) phase1(cancel *core.Cancel) bool {
 		visited += steps
 	}
 	if visited != n {
-		panic(ErrMalformed) // unreached vertices, or runs overlapped
+		panic(list.ErrNotList) // unreached vertices, or runs overlapped
 	}
 	return true
 }

@@ -8,15 +8,11 @@
 // Every walk returns only when it reaches the self-loop tail at link
 // n−1, as a walk of a well-formed list does. One that reaches it sooner
 // has left vertices unwritten, and one that has not reached it by then
-// is going round a cycle; both panic rather than return a wrong answer
-// or spin.
+// is going round a cycle; both panic with list.ErrNotList rather than
+// return a wrong answer or spin, as does a head or link outside [0, n).
 package serial
 
 import "listrank/internal/list"
-
-// errNoEnd is the panic value of a walk that does not reach a
-// self-loop tail at exactly link n−1.
-const errNoEnd = "serial: no tail self-loop within n links (malformed list)"
 
 // Ranks returns, for each vertex of l, the number of vertices that
 // precede it in the list.
@@ -32,17 +28,20 @@ func RanksInto(dst []int64, l *list.List) {
 	v := l.Head
 	next := l.Next
 	for rank := int64(0); rank < int64(len(next)); rank++ {
+		if uint64(v) >= uint64(len(next)) {
+			panic(list.ErrNotList)
+		}
 		dst[v] = rank
 		n := next[v]
 		if n == v {
 			if rank < int64(len(next))-1 {
-				panic(errNoEnd)
+				panic(list.ErrNotList)
 			}
 			return
 		}
 		v = n
 	}
-	panic(errNoEnd)
+	panic(list.ErrNotList)
 }
 
 // Scan returns the exclusive list scan of l under integer addition:
@@ -60,18 +59,21 @@ func ScanInto(dst []int64, l *list.List) {
 	next, value := l.Next, l.Value
 	var sum int64
 	for i := 0; i < len(next); i++ {
+		if uint64(v) >= uint64(len(next)) {
+			panic(list.ErrNotList)
+		}
 		dst[v] = sum
 		sum += value[v]
 		n := next[v]
 		if n == v {
 			if i < len(next)-1 {
-				panic(errNoEnd)
+				panic(list.ErrNotList)
 			}
 			return
 		}
 		v = n
 	}
-	panic(errNoEnd)
+	panic(list.ErrNotList)
 }
 
 // ScanOp returns the exclusive list scan of l under an arbitrary
@@ -92,16 +94,19 @@ func ScanOpInto(dst []int64, l *list.List, op func(a, b int64) int64, identity i
 	next, value := l.Next, l.Value
 	acc := identity
 	for i := 0; i < len(next); i++ {
+		if uint64(v) >= uint64(len(next)) {
+			panic(list.ErrNotList)
+		}
 		dst[v] = acc
 		acc = op(acc, value[v])
 		n := next[v]
 		if n == v {
 			if i < len(next)-1 {
-				panic(errNoEnd)
+				panic(list.ErrNotList)
 			}
 			return
 		}
 		v = n
 	}
-	panic(errNoEnd)
+	panic(list.ErrNotList)
 }

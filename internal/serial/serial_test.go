@@ -172,8 +172,8 @@ func TestWalksRefuseEarlyTail(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if r := recover(); r != errNoEnd {
-					t.Errorf("%s: recovered %v, want %q", name, r, errNoEnd)
+				if r := recover(); r != list.ErrNotList {
+					t.Errorf("%s: recovered %v, want list.ErrNotList", name, r)
 				}
 			}()
 			walk()

@@ -99,6 +99,11 @@ func TestTicketLifecycle(t *testing.T) {
 		{name: "admit/dst-length", run: func(t *testing.T, s *Server) {
 			wantErr(t, "short Dst", s.Rank(NewRandomList(n, 1), make([]int64, n-1)), ErrBadRequest)
 		}, want: lifecycleDelta{Submitted: 1, Rejected: 1}},
+		{name: "admit/short-value", run: func(t *testing.T, s *Server) {
+			l := NewRandomList(n, 1)
+			l.Value = l.Value[:n-1]
+			wantErr(t, "short Value", s.Scan(l, nil), ErrBadRequest)
+		}, want: lifecycleDelta{Submitted: 1, Rejected: 1}},
 		{name: "admit/nil-scanop", run: func(t *testing.T, s *Server) {
 			wantErr(t, "nil ScanOp", s.Submit(Request{Op: OpScanOp, List: NewRandomList(n, 1)}), ErrBadRequest)
 		}, want: lifecycleDelta{Submitted: 1, Rejected: 1}},
@@ -161,10 +166,6 @@ func TestTicketLifecycle(t *testing.T) {
 				wantErr(t, "canceled while queued", tk, ErrCanceled)
 				wantErr(t, "blocker", blocker, nil)
 			}, want: lifecycleDelta{Submitted: 2, Served: 1, Expired: 1}},
-		{name: "solo/validate-rejected", opt: ServerOptions{Procs: 1, ValidateInputs: true},
-			run: func(t *testing.T, s *Server) {
-				wantErr(t, "invalid list", s.Rank(poisoned(n), nil), ErrBadRequest)
-			}, want: lifecycleDelta{Submitted: 1, Rejected: 1}},
 
 		// A coalesced batch: the gate holds the shard while the burst
 		// queues, so the dispatcher takes it in one multi-request batch.

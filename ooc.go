@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"listrank/internal/govern"
+	"listrank/internal/list"
 	"listrank/internal/mmapbuf"
 	"listrank/internal/segment"
 )
@@ -267,11 +268,12 @@ func (o *OutOfCoreList) run(head int64, mode segment.Mode, op func(a, b int64) i
 	defer func() {
 		live.drop()
 		o.sc.Release()
-		// Structural damage surfaces as the segment engine's panic;
-		// everything else (I/O, budget) is already an error.
+		// Structural damage surfaces as the segment engine's panic,
+		// wrapped when the boundary rank fanned out; everything else
+		// (I/O, budget) is already an error.
 		if r := recover(); r != nil {
-			if r == segment.ErrMalformed {
-				err = fmt.Errorf("%w: %v", ErrOutOfCore, r)
+			if e, ok := r.(error); ok && errors.Is(e, list.ErrNotList) {
+				err = fmt.Errorf("%w: %w", ErrOutOfCore, e)
 				return
 			}
 			panic(r)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"listrank/internal/list"
 )
 
 // affineCompose treats a value m<<32|c as the map x -> m*x+c over
@@ -202,10 +204,20 @@ func TestOutOfCoreErrors(t *testing.T) {
 	bad.Next[4095] = 17 // tail links back into the chain
 	o = stageOOC(t, bad, OutOfCoreOptions{Budget: 64 * page}, false)
 	defer o.Close()
-	if err := o.Rank(bad.Head); !errors.Is(err, ErrOutOfCore) {
+	if err := o.Rank(bad.Head); !errors.Is(err, ErrOutOfCore) || !errors.Is(err, list.ErrNotList) {
 		t.Fatalf("Rank of cyclic list: %v", err)
 	}
 	if _, err := os.Stat(o.dir); err != nil {
 		t.Fatalf("spill dir should survive a failed call: %v", err)
+	}
+
+	// The head is the tail, and 1→2→3→1 is a cycle across both
+	// segments: every run walk passes, and only the boundary rank of
+	// the reduced list refuses it.
+	rc := &List{Next: []int64{0, 2, 3, 1}, Value: make([]int64, 4)}
+	o = stageOOC(t, rc, OutOfCoreOptions{Segments: 2}, false)
+	defer o.Close()
+	if err := o.Rank(rc.Head); !errors.Is(err, ErrOutOfCore) || !errors.Is(err, list.ErrNotList) {
+		t.Fatalf("Rank of a list whose reduced list has a cycle: %v", err)
 	}
 }

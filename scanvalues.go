@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"listrank/internal/kernel"
+	"listrank/internal/list"
 	"listrank/internal/par"
 )
 
@@ -24,8 +25,9 @@ import (
 // disjoint blocks, so it must be a pure function. Shorter lists, and
 // Algorithm Serial, take the one-pass serial walk, which is as fast or
 // faster there. The list is never mutated. The ranked path holds 16n
-// bytes of ranks and permutation besides the engine's arena. A
-// malformed list panics rather than spin or return a wrong answer.
+// bytes of ranks and permutation besides the engine's arena. A list
+// that is not one chain panics, with the error List.Validate wraps,
+// rather than spin or return a wrong answer.
 func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Options) []T {
 	n := l.Len()
 	if len(vals) != n {
@@ -48,29 +50,29 @@ func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Optio
 // element size (EXPERIMENTS.md, "ScanValues on the one engine").
 const scanValuesRankedMin = 1 << 20
 
-// errScanValuesNoEnd is the panic value of a ScanValues call on a list
-// that is not one chain from the head to a self-loop tail.
-const errScanValuesNoEnd = "listrank: ScanValues: no tail self-loop within n links (malformed list)"
-
 // scanValuesSerial is the one-pass walk over a non-empty list. It
 // returns only on reaching the tail at link n−1: sooner, it has left
-// vertices unvisited; later, it is going round a cycle.
+// vertices unvisited; later, it is going round a cycle. A head or link
+// outside the list refuses it too.
 func scanValuesSerial[T any](l *List, vals []T, op func(T, T) T, identity T, out []T) {
 	acc := identity
 	v := l.Head
 	for i := 0; i < len(l.Next); i++ {
+		if uint64(v) >= uint64(len(l.Next)) {
+			panic(list.ErrNotList)
+		}
 		out[v] = acc
 		next := l.Next[v]
 		if next == v {
 			if i < len(l.Next)-1 {
-				panic(errScanValuesNoEnd)
+				panic(list.ErrNotList)
 			}
 			return
 		}
 		acc = op(acc, vals[v])
 		v = next
 	}
-	panic(errScanValuesNoEnd)
+	panic(list.ErrNotList)
 }
 
 // scanValuesRanked is the ranked path over a non-empty list; perm[r]
@@ -107,7 +109,7 @@ func scanValuesRanked[T any](l *List, vals []T, op func(T, T) T, identity T, opt
 		for i := lo; i < hi; i++ {
 			v, succ := perm[i], perm[min(i+1, n-1)] // the tail links to itself
 			if l.Next[v] != succ || succ == v && i < n-1 || i == 0 && v != l.Head {
-				panic(errScanValuesNoEnd)
+				panic(list.ErrNotList)
 			}
 			out[v] = acc
 			acc = op(acc, vals[v])

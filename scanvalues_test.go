@@ -1,10 +1,13 @@
 package listrank
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"listrank/internal/list"
 )
 
 // refScanValues is the obvious serial reference.
@@ -299,6 +302,9 @@ func TestScanValuesMalformedPanics(t *testing.T) {
 				case r := <-done:
 					if r == nil {
 						t.Fatalf("%s n=%d %+v: completed on a malformed list instead of panicking", path, tc.n, opt)
+					}
+					if err, ok := r.(error); !ok || !errors.Is(err, list.ErrNotList) {
+						t.Fatalf("%s n=%d %+v: panicked with %v, want list.ErrNotList", path, tc.n, opt, r)
 					}
 				case <-time.After(10 * time.Second):
 					t.Fatalf("%s n=%d %+v: still running after 10s (hang)", path, tc.n, opt)

@@ -18,10 +18,9 @@ import (
 // Request.Segments).
 //
 // Like the monolithic entry points, segmented calls never mutate the
-// input list; unlike them, they validate its structure for free: a
-// list that is not a single chain over all vertices panics (use
-// Validate or the serving layer, which contains the panic, when inputs
-// are untrusted).
+// input list, and a list that is not a single chain over all vertices
+// panics with the error List.Validate wraps (the serving layer
+// contains the panic when inputs are untrusted).
 
 // SegmentedOptions configures the segmented entry points.
 type SegmentedOptions struct {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,10 +87,9 @@ type Request struct {
 	// — run walks, boundary-list rank, offset broadcast (see
 	// internal/segment and DESIGN.md, "Ranking beyond one arena").
 	// 0 and 1 serve monolithically; negative values, or Segments with
-	// Handle, fail with ErrBadRequest. Segmented requests validate the
-	// list's structure as a side effect and ignore Opt.Algorithm, even
-	// Serial, and Opt.M and Opt.LaneWidth; they are off the
-	// zero-allocation steady-state contract.
+	// Handle, fail with ErrBadRequest. Segmented requests ignore
+	// Opt.Algorithm, even Serial, and Opt.M and Opt.LaneWidth; they
+	// are off the zero-allocation steady-state contract.
 	Segments int
 	// ScanOp and Identity define the OpScanOp operator: an associative
 	// op folded in list order from identity (non-commutative operators
@@ -134,10 +132,10 @@ var (
 	// ErrBackpressure reports a rejected submission: the target
 	// shard's admission queue was full under the Reject policy.
 	ErrBackpressure = errors.New("listrank: admission queue full")
-	// ErrBadRequest reports a malformed request: a nil List, a Dst
-	// whose length does not match the list, or (with
-	// ServerOptions.ValidateInputs) a list failing the cheap structural
-	// checks.
+	// ErrBadRequest reports a request rejected at admission: a nil
+	// List, a Dst or (for a bare-List scan) a Value whose length does
+	// not match the list, and the like. A list that is not one chain
+	// is not checked here: its engine refuses it (ErrPanic).
 	ErrBadRequest = errors.New("listrank: malformed request")
 	// ErrDeadlineExceeded reports a request whose Deadline passed —
 	// while queued (it never ran) or mid-run (it was cooperatively
@@ -275,16 +273,6 @@ type ServerOptions struct {
 	// stops auto-segmenting (explicit Request.Segments is still
 	// honored); under GovernHard it sheds new load with ErrShed.
 	Governor *Governor
-	// ValidateInputs runs a cheap structural check on every list
-	// before serving it — every link in range, exactly one tail
-	// self-loop, head in range — failing the request with ErrBadRequest
-	// instead of relying on fault containment. The check is one
-	// memory-sequential parallel pass over Next (a small fraction of a
-	// rank's 2n dependent loads); it catches the out-of-range
-	// corruption class but, by design, not in-range structural damage
-	// such as disjoint cycles — full verification is list ranking
-	// itself. See DESIGN.md, "Failure domains".
-	ValidateInputs bool
 }
 
 // ServerStats is a snapshot of a server's counters. Every submission
@@ -296,8 +284,8 @@ type ServerOptions struct {
 // under mixed fault traffic).
 type ServerStats struct {
 	// Submitted counts Submit calls; Rejected counts the ones that
-	// never ran (backpressure, closed server, malformed request —
-	// including ValidateInputs failures).
+	// never ran (backpressure, closed server, ErrBadRequest). A list
+	// that is not one chain runs and counts as Poisoned.
 	Submitted, Rejected int64
 	// Served counts successfully completed requests (including
 	// zero-length requests completed trivially at admission);
@@ -387,9 +375,6 @@ type shard struct {
 	batch     []*Ticket
 	batchDone []bool
 	coalesce  bool
-	// validate enables the cheap pre-serve structural check
-	// (ServerOptions.ValidateInputs).
-	validate bool
 	// cache is this shard's reorder cache (see handle.go).
 	cache reorderCache
 
@@ -512,7 +497,6 @@ func NewServer(opt ServerOptions) *Server {
 			batch:     make([]*Ticket, maxBatch),
 			batchDone: make([]bool, maxBatch),
 			coalesce:  coalesce,
-			validate:  opt.ValidateInputs,
 		}
 		for w := range sh.engines {
 			sh.engines[w] = NewEngine()
@@ -568,22 +552,13 @@ func (s *Server) Warm(sizes ...int) {
 // ticket whose Wait reports ErrServerClosed. Wait must be called
 // exactly once on the returned ticket.
 func (s *Server) Submit(req Request) *Ticket {
-	t, _ := s.submit(req)
-	return t
-}
-
-// submit is Submit plus the outcome as an error, so SubmitTimeout can
-// distinguish retryable backpressure from terminal failures without
-// consuming the ticket.
-func (s *Server) submit(req Request) (*Ticket, error) {
 	s.submitted.Add(1)
 	t := s.tickets.Get()
 	t.req = req
-	queued, err := s.admit(t)
-	if !queued {
+	if queued, err := s.admit(t); !queued {
 		t.complete(err)
 	}
-	return t, err
+	return t
 }
 
 // admit takes a fresh ticket through admission. It returns queued =
@@ -607,6 +582,7 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 		return false, ErrBadRequest
 	}
 	if (req.Dst != nil && len(req.Dst) != n) || (req.Op == OpScanOp && req.ScanOp == nil) ||
+		(req.List != nil && req.Op != OpRank && len(req.List.Value) != n) ||
 		req.Segments < 0 || (req.Segments > 1 && req.Handle != nil) {
 		return false, ErrBadRequest
 	}
@@ -651,60 +627,6 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 		return false, ErrBackpressure
 	}
 	return true, nil
-}
-
-// SubmitTimeout submits under the Reject backpressure policy with
-// bounded retry: on ErrBackpressure it backs off and resubmits until
-// the request is admitted or timeout elapses, returning the admitted
-// ticket or (nil, ErrBackpressure) if the queue never opened. Each
-// retry sleeps a full-jitter draw — uniform in (0, cap], with the cap
-// doubling from 50µs to 5ms — so concurrent retriers decorrelate
-// instead of re-colliding in synchronized herds. Non-backpressure
-// failures (including ErrShed — shedding means "back off for longer
-// than a queue slot takes to open", so hammering it defeats the
-// point) return the failed ticket's error immediately with a nil
-// ticket; in every error case the ticket has already been consumed —
-// the caller must not Wait. Each attempt is one submission, so under
-// retry the stats identity counts every rejected attempt
-// individually. Under the default blocking policy Submit never
-// reports backpressure and SubmitTimeout degenerates to a single
-// Submit.
-func (s *Server) SubmitTimeout(req Request, timeout time.Duration) (*Ticket, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := 50 * time.Microsecond
-	for {
-		t, err := s.submit(req)
-		if err == nil {
-			return t, nil
-		}
-		t.Wait() // consume and recycle the failed ticket
-		if !errors.Is(err, ErrBackpressure) {
-			return nil, err
-		}
-		now := time.Now()
-		if !now.Before(deadline) {
-			return nil, ErrBackpressure
-		}
-		d := jitterBackoff(backoff)
-		if rem := deadline.Sub(now); d > rem {
-			d = rem
-		}
-		time.Sleep(d)
-		if backoff < 5*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// jitterBackoff draws a full-jitter retry delay: uniform in (0, max].
-// Full jitter (delay = rand(0, cap) rather than delay = cap) is what
-// keeps a herd of simultaneous rejects from retrying in lockstep and
-// re-colliding on the same queue-full instant forever.
-func jitterBackoff(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	return time.Duration(rand.Int63n(int64(max))) + 1
 }
 
 // Rank submits a ranking request with default per-request options;
@@ -884,16 +806,11 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 	}
 	if h == nil {
 		if S := t.srv.resolveSegments(req.Segments, l.Len()); S > 1 {
-			t.err = sh.runSegmented(t, S, procs)
+			sh.runSegmented(t, S, procs)
 			return
 		}
 	} else if sh.cache.serveHit(req) {
 		return
-	}
-	if sh.validate {
-		if t.err = sh.checkList(l, procs); t.err != nil {
-			return
-		}
 	}
 	opt := req.Opt
 	opt.Procs = procs
@@ -909,51 +826,6 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 	if h != nil {
 		sh.maybeBuild(h, e, procs, req)
 	}
-}
-
-// checkList is the ValidateInputs pass (see ServerOptions): one
-// parallel memory-sequential sweep over Next checking that the head
-// and every link are in range and that exactly one vertex — the tail —
-// links to itself. It rejects the out-of-range corruption class before
-// it can trip the kernel guards; in-range structural damage (disjoint
-// cycles) is indistinguishable from a valid list without ranking it,
-// and is left to fault containment. Runs on the shard's pool but
-// closes over locals (validation is opt-in, off the zero-allocation
-// steady-state contract).
-func (sh *shard) checkList(l *List, procs int) error {
-	n := l.Len()
-	if l.Head < 0 || l.Head >= int64(n) {
-		return fmt.Errorf("%w: head %d out of range [0,%d)", ErrBadRequest, l.Head, n)
-	}
-	if len(l.Value) != n {
-		return fmt.Errorf("%w: %d values for %d vertices", ErrBadRequest, len(l.Value), n)
-	}
-	next := l.Next
-	var bad, loops atomic.Int64
-	sh.pool.ForChunks(n, procs, func(w, lo, hi int) {
-		var b, sl int64
-		for i := lo; i < hi; i++ {
-			nx := next[i]
-			if uint64(nx) >= uint64(n) {
-				b++
-			} else if nx == int64(i) {
-				sl++
-			}
-		}
-		if b != 0 {
-			bad.Add(b)
-		}
-		if sl != 0 {
-			loops.Add(sl)
-		}
-	})
-	if b := bad.Load(); b != 0 {
-		return fmt.Errorf("%w: %d out-of-range links", ErrBadRequest, b)
-	}
-	if sl := loops.Load(); sl != 1 {
-		return fmt.Errorf("%w: %d self-loops, want exactly 1 (the tail)", ErrBadRequest, sl)
-	}
-	return nil
 }
 
 // The ticket lifecycle. Every submission ends in exactly one call to

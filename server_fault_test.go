@@ -18,9 +18,9 @@ func checkIdentity(t *testing.T, s *Server) {
 	}
 }
 
-// checkRestored asserts a canceled or failed request left its list
+// checkIntact asserts a canceled or failed request left its list
 // un-mutated: still a valid chain, unit values intact.
-func checkListRestored(t *testing.T, l *List) {
+func checkIntact(t *testing.T, l *List) {
 	t.Helper()
 	if err := l.Validate(); err != nil {
 		t.Fatalf("list not restored: %v", err)
@@ -82,7 +82,7 @@ func TestServerDeadlineWhileQueued(t *testing.T) {
 	if _, err := tk.Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Errorf("queued past deadline: %v, want ErrDeadlineExceeded", err)
 	}
-	checkListRestored(t, l)
+	checkIntact(t, l)
 	if _, err := slow.Wait(); err != nil {
 		t.Fatalf("slow request: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestServerTicketCancel(t *testing.T) {
 	if _, err := tk.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Errorf("canceled while queued: %v, want ErrCanceled", err)
 	}
-	checkListRestored(t, l)
+	checkIntact(t, l)
 	if _, err := slow.Wait(); err != nil {
 		t.Fatalf("slow request: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestServerTicketCancel(t *testing.T) {
 	if _, err := tk.Wait(); err != nil && !errors.Is(err, ErrCanceled) {
 		t.Errorf("canceled mid-run: %v, want nil or ErrCanceled", err)
 	}
-	checkListRestored(t, big)
+	checkIntact(t, big)
 	checkIdentity(t, s)
 }
 
@@ -186,34 +186,37 @@ func TestServerPoisonContained(t *testing.T) {
 	checkIdentity(t, s)
 }
 
-// TestServerValidateInputs: with ValidateInputs on, structurally
-// corrupt lists are rejected up front with ErrBadRequest — never run,
-// never panic — while valid lists serve normally.
+// TestServerValidateInputs: the server validates a list by ranking it,
+// with no check in front of the engine. A list with an out-of-range
+// link, a second self-loop or an out-of-range head is refused as
+// Poisoned (ErrPanic), never served and never fatal to the process,
+// and its shard then serves a valid list normally.
 func TestServerValidateInputs(t *testing.T) {
-	s := NewServer(ServerOptions{Procs: 2, ValidateInputs: true})
+	s := NewServer(ServerOptions{Procs: 2})
 	defer s.Close()
 
-	oob := NewRandomList(1000, 3)
-	oob.Next[oob.Head] = -1
-	if _, err := s.Rank(oob, nil).Wait(); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("out-of-range link: %v, want ErrBadRequest", err)
-	}
-	twoTails := NewRandomList(1000, 4)
-	twoTails.Next[twoTails.Head] = twoTails.Head // second self-loop
-	if _, err := s.Rank(twoTails, nil).Wait(); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("two self-loops: %v, want ErrBadRequest", err)
-	}
-	badHead := NewRandomList(1000, 5)
-	badHead.Head = 1000
-	if _, err := s.Rank(badHead, nil).Wait(); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("out-of-range head: %v, want ErrBadRequest", err)
+	for _, damage := range []struct {
+		name string
+		do   func(l *List)
+	}{
+		{"out-of-range link", func(l *List) { l.Next[l.Head] = -1 }},
+		{"two self-loops", func(l *List) { l.Next[l.Head] = l.Head }},
+		{"out-of-range head", func(l *List) { l.Head = 1000 }},
+	} {
+		for _, op := range []Op{OpRank, OpScan} {
+			l := NewRandomList(1000, 3)
+			damage.do(l)
+			if _, err := s.Submit(Request{Op: op, List: l}).Wait(); !errors.Is(err, ErrPanic) {
+				t.Errorf("%s, op %v: %v, want ErrPanic", damage.name, op, err)
+			}
+		}
 	}
 
 	good := NewRandomList(1000, 6)
 	want := serverRef(OpRank, good)
 	got, err := s.Rank(good, nil).Wait()
 	if err != nil {
-		t.Fatalf("valid list under ValidateInputs: %v", err)
+		t.Fatalf("valid list after refused ones: %v", err)
 	}
 	for v := range want {
 		if got[v] != want[v] {
@@ -221,59 +224,8 @@ func TestServerValidateInputs(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Rejected != 3 || st.Poisoned != 0 {
-		t.Errorf("stats: rejected %d poisoned %d, want 3 and 0", st.Rejected, st.Poisoned)
-	}
-	checkIdentity(t, s)
-}
-
-// TestSubmitTimeout: the retry-with-backoff helper for Reject-mode
-// clients — admitted when space frees up within the timeout, a clean
-// ErrBackpressure when it does not, and immediate pass-through of
-// terminal errors.
-func TestSubmitTimeout(t *testing.T) {
-	s := NewServer(ServerOptions{Procs: 1, BinBounds: []int{1 << 23}, QueueDepth: 1, Reject: true})
-	defer s.Close()
-
-	// Terminal errors return immediately, ticket already consumed.
-	if tk, err := s.SubmitTimeout(Request{Op: OpRank, List: nil}, time.Second); tk != nil || !errors.Is(err, ErrBadRequest) {
-		t.Errorf("nil list: (%v, %v), want (nil, ErrBadRequest)", tk, err)
-	}
-
-	// Pin the shard and fill its depth-1 queue; a short-timeout
-	// submission must give up with ErrBackpressure.
-	big := NewRandomList(1<<22, 5)
-	slow := s.Submit(Request{Op: OpRank, List: big})
-	for s.Stats().Dispatches == 0 {
-		time.Sleep(50 * time.Microsecond) // until the dispatcher picks up slow
-	}
-	blocker := NewRandomList(200, 6)
-	queued := s.Submit(Request{Op: OpRank, List: blocker})
-	small := NewRandomList(300, 7)
-	if tk, err := s.SubmitTimeout(Request{Op: OpRank, List: small}, 3*time.Millisecond); err == nil {
-		// The slow request finished faster than the timeout; still a
-		// valid admission — consume it.
-		if _, werr := tk.Wait(); werr != nil {
-			t.Errorf("admitted request failed: %v", werr)
-		}
-	} else if !errors.Is(err, ErrBackpressure) || tk != nil {
-		t.Errorf("full queue: (%v, %v), want (nil, ErrBackpressure)", tk, err)
-	}
-
-	// With a generous timeout the helper must ride out the slow request
-	// and get admitted and served.
-	tk, err := s.SubmitTimeout(Request{Op: OpRank, List: small}, 30*time.Second)
-	if err != nil {
-		t.Fatalf("generous timeout still rejected: %v", err)
-	}
-	if _, err := tk.Wait(); err != nil {
-		t.Fatalf("admitted request failed: %v", err)
-	}
-	if _, err := queued.Wait(); err != nil {
-		t.Fatalf("queued request: %v", err)
-	}
-	if _, err := slow.Wait(); err != nil {
-		t.Fatalf("slow request: %v", err)
+	if st.Poisoned != 6 || st.Served != 1 || st.Rejected != 0 {
+		t.Errorf("stats: poisoned %d served %d rejected %d, want 6, 1 and 0", st.Poisoned, st.Served, st.Rejected)
 	}
 	checkIdentity(t, s)
 }
@@ -360,8 +312,8 @@ func TestServerMalformedProbesPoisoned(t *testing.T) {
 			t.Fatalf("probe request %d still running after 10s (hang)", i)
 		}
 	}
-	if st := s.Stats(); st.Poisoned != int64(len(tickets)) {
-		t.Errorf("poisoned %d, want %d", st.Poisoned, len(tickets))
+	if st := s.Stats(); st.Poisoned != int64(len(tickets)) || st.Served != 0 {
+		t.Errorf("poisoned %d, served %d, want %d and 0", st.Poisoned, st.Served, len(tickets))
 	}
 	checkIdentity(t, s)
 	s.Close()

@@ -1,8 +1,6 @@
 package listrank
 
 import (
-	"fmt"
-
 	"listrank/internal/govern"
 	"listrank/internal/segment"
 )
@@ -50,7 +48,7 @@ func (s *Server) resolveSegments(explicit, n int) int {
 // segment arena's footprint counts as ClassSegment from Prepare to
 // completion, so the governor sees segmented traffic's real memory
 // (the pressure that in turn gates auto-segmentation).
-func (sh *shard) runSegmented(t *Ticket, S, procs int) error {
+func (sh *shard) runSegmented(t *Ticket, S, procs int) {
 	s, req := t.srv, &t.req
 	l := req.List
 	n := l.Len()
@@ -63,10 +61,7 @@ func (sh *shard) runSegmented(t *Ticket, S, procs int) error {
 	}
 	var value []int64
 	if mode != segment.ModeRank {
-		if len(l.Value) != n {
-			return fmt.Errorf("%w: %d values for %d vertices", ErrBadRequest, len(l.Value), n)
-		}
-		value = l.Value
+		value = l.Value // admit checked its length
 	}
 	s.segmented.Add(1)
 	sc := getSegScratch()
@@ -75,13 +70,12 @@ func (sh *shard) runSegmented(t *Ticket, S, procs int) error {
 	sc.SetPool(sh.pool)
 	defer sc.SetPool(nil)
 	opt := segment.Options{Procs: procs, Seed: req.Opt.Seed, Cancel: &t.cancel}
-	// Prepare validates links and assembles the boundary nodes; a
-	// malformed list panics segment.ErrMalformed here or in Solve, and
-	// the serve's finish contains either into ErrPanic.
+	// Prepare range-checks links and assembles the boundary nodes; a
+	// list that is not one chain panics list.ErrNotList here or in
+	// Solve, and the serve's finish contains either into ErrPanic.
 	sc.Prepare(l.Next, l.Head, sc.EvenPlan(n, S), opt)
 	fp := sc.Footprint()
 	s.gov.Adjust(govern.ClassSegment, fp)
 	defer s.gov.Adjust(govern.ClassSegment, -fp)
 	sc.Solve(req.Dst, value, l.Head, mode, req.ScanOp, req.Identity, opt)
-	return nil
 }

@@ -2,7 +2,6 @@ package listrank
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -109,27 +108,6 @@ func TestShedColdShardAdmits(t *testing.T) {
 	checkIdentity(t, s)
 }
 
-// TestShedNonRetryableInSubmitTimeout: ErrShed means "back off for
-// longer than a queue slot takes to open", so SubmitTimeout must
-// surface it immediately instead of burning the timeout hammering an
-// overloaded server.
-func TestShedNonRetryableInSubmitTimeout(t *testing.T) {
-	g := govern.New(1000)
-	s := NewServer(ServerOptions{Procs: 1, Governor: g})
-	defer s.Close()
-	g.Adjust(govern.ClassSegment, 999)
-
-	start := time.Now()
-	tk, err := s.SubmitTimeout(Request{Op: OpRank, List: NewRandomList(256, 8)}, time.Second)
-	if tk != nil || !errors.Is(err, ErrShed) {
-		t.Fatalf("SubmitTimeout under hard pressure: ticket %v err %v, want nil + ErrShed", tk, err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("SubmitTimeout retried a shed for %v — shed must return immediately", elapsed)
-	}
-	checkIdentity(t, s)
-}
-
 // TestSoftPressureSuppressesReorderBuilds: under soft pressure the
 // server stops converting repeat handle traffic into cached layouts —
 // no new ClassReorder bytes — but keeps serving; when pressure clears
@@ -197,60 +175,4 @@ func TestSoftPressureSuppressesAutoSegment(t *testing.T) {
 		t.Fatalf("auto-segmentation did not resume after pressure cleared (%+v)", st)
 	}
 	checkIdentity(t, s)
-}
-
-// TestJitterBackoffDecorrelates: the backoff draw is full jitter —
-// uniform over (0, cap] — not a fixed or narrowly-banded wait. A
-// synchronized burst of rejected submitters must spread out, so the
-// draws have to cover the low and high ends of the range and rarely
-// collide.
-func TestJitterBackoffDecorrelates(t *testing.T) {
-	const cap = time.Millisecond
-	const draws = 2000
-	var low, high int
-	seen := map[time.Duration]int{}
-	for i := 0; i < draws; i++ {
-		d := jitterBackoff(cap)
-		if d <= 0 || d > cap {
-			t.Fatalf("draw %d: %v outside (0, %v]", i, d, cap)
-		}
-		if d < cap/4 {
-			low++
-		}
-		if d > 3*cap/4 {
-			high++
-		}
-		seen[d]++
-	}
-	// Uniform over a millisecond of nanosecond granularity: each
-	// quarter holds ~25% of draws, and collisions are negligible.
-	if low < draws/8 || high < draws/8 {
-		t.Errorf("draws not spread: %d below %v, %d above %v of %d", low, cap/4, high, 3*cap/4, draws)
-	}
-	if len(seen) < draws*9/10 {
-		t.Errorf("only %d distinct draws in %d — not decorrelated", len(seen), draws)
-	}
-	if jitterBackoff(0) != 0 {
-		t.Errorf("jitterBackoff(0) != 0")
-	}
-
-	// Concurrent retriers draw independently: goroutines sharing the
-	// source must still spread (the race detector guards the locking).
-	var wg sync.WaitGroup
-	results := make([]time.Duration, 64)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = jitterBackoff(cap)
-		}(i)
-	}
-	wg.Wait()
-	distinct := map[time.Duration]bool{}
-	for _, d := range results {
-		distinct[d] = true
-	}
-	if len(distinct) < len(results)/2 {
-		t.Errorf("concurrent draws collapsed: %d distinct of %d", len(distinct), len(results))
-	}
 }

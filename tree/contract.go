@@ -61,7 +61,8 @@ type Expr struct {
 // root is discovered (the one node that is no node's child). The
 // options select the list-ranking configuration used for leaf
 // numbering. NewExpr returns an error unless the arrays describe a
-// single full binary tree.
+// single full binary tree; a cycle of child links off the root is
+// found by the leaf numbering's scan of the tour, which refuses it.
 func NewExpr(left, right []int, ops []Op, leafVal []int64, opt listrank.Options) (*Expr, error) {
 	n := len(left)
 	if n == 0 {
@@ -135,10 +136,11 @@ func NewExpr(left, right []int, ops []Op, leafVal []int64, opt listrank.Options)
 // the leaves, validating acyclicity as a side effect. The tour list
 // and its scan live in a pooled engine's arena; only the retained
 // leaves array is allocated.
-func (e *Expr) numberLeaves() error {
+func (e *Expr) numberLeaves() (err error) {
 	n := e.n
 	en := getEngine(n)
 	defer putEngine(n, en)
+	defer refused(&err, "tree: expression structure is cyclic")
 	en.next = arena.Grow(en.next, 2*n)
 	en.value = arena.Zeroed(en.value, 2*n)
 	next, value := en.next, en.value
@@ -158,13 +160,8 @@ func (e *Expr) numberLeaves() error {
 	}
 	next[up(e.root)] = up(e.root)
 	en.il = listrank.List{Next: next, Value: value, Head: down(e.root)}
-	tour := &en.il
-	if err := tour.Validate(); err != nil {
-		en.il = listrank.List{}
-		return fmt.Errorf("tree: expression structure is cyclic: %w", err)
-	}
 	en.pfx = arena.Grow(en.pfx, 2*n)
-	en.lrEngine().ScanInto(en.pfx, tour, e.opt)
+	en.lrEngine().ScanInto(en.pfx, &en.il, e.opt)
 	en.il = listrank.List{}
 	idx := en.pfx
 	e.leaves = make([]int32, nLeaves)

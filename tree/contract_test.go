@@ -1,10 +1,12 @@
 package tree
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"listrank"
+	"listrank/internal/list"
 )
 
 // randomExpr builds a random full binary expression tree with nLeaves
@@ -166,6 +168,33 @@ func TestNewExprRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
+	for _, r := range cycleRows {
+		left, right, ops, vals := cycleExpr(r.n, r.c)
+		for _, procs := range []int{1, 2} {
+			_, err := NewExpr(left, right, ops, vals, listrank.Options{Procs: procs})
+			if !errors.Is(err, list.ErrNotList) {
+				t.Errorf("%s: err = %v, want a refusal wrapping list.ErrNotList", cycleName(r.n, r.c, procs), err)
+			}
+		}
+	}
+}
+
+// cycleExpr is a random full binary expression tree of about n − 2c
+// nodes and, beside it, c internal nodes whose left children close a
+// cycle, each with a leaf as its right child. Every node has at most
+// one parent and only the tree's root has none, so only the scan of
+// the tour can refuse it.
+func cycleExpr(n, c int) (left, right []int, ops []Op, vals []int64) {
+	left, right, ops, vals = randomExpr(max(1, (n-2*c)/2), uint64(n+c), 0.5)
+	base := len(left)
+	for i := 0; i < c; i++ {
+		x := base + 2*i
+		left = append(left, base+2*((i+1)%c), -1)
+		right = append(right, x+1, -1)
+	}
+	ops = append(ops, make([]Op, 2*c)...)
+	vals = append(vals, make([]int64, 2*c)...)
+	return left, right, ops, vals
 }
 
 // Property: parallel contraction equals serial evaluation over random

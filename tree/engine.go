@@ -1,11 +1,13 @@
 package tree
 
 import (
+	"errors"
 	"fmt"
 
 	"listrank"
 	"listrank/internal/arena"
 	"listrank/internal/fleet"
+	"listrank/internal/list"
 )
 
 // Engine is a reusable working-space arena for the tree algorithms,
@@ -36,6 +38,10 @@ import (
 // least Procs wide with no competing dispatcher (an engine-owned pool
 // via SetPool always qualifies; an undersized or contended pool
 // degrades fan-outs to spawn-per-call — allocations, not errors).
+//
+// No entry point walks a tour to check it: on input that is not a
+// single tree the rank refuses the tour, the entry point returns an
+// error wrapping the refusal, and the engine stays usable.
 type Engine struct {
 	lr *listrank.Engine
 
@@ -81,11 +87,10 @@ type Engine struct {
 	next, value, ranks                  []int64
 
 	// pfx is the destination for tour scans (LCA depths, leaf
-	// numbering, vertex depths); seen backs the circuit validation;
-	// il is the reused list header that keeps tour views off the heap.
-	pfx  []int64
-	seen []bool
-	il   listrank.List
+	// numbering, vertex depths); il is the reused list header that
+	// keeps tour views off the heap.
+	pfx []int64
+	il  listrank.List
 }
 
 // NewEngine returns an empty engine; buffers are allocated lazily and
@@ -128,6 +133,23 @@ func (en *Engine) fanout() *listrank.WorkerPool {
 func (en *Engine) releaseCall() {
 	en.call.e, en.call.live = nil, nil
 	en.call.dst, en.call.parent = nil, nil
+}
+
+// refused is deferred around every rank or scan of a tour. It recovers
+// the rank's refusal — list.ErrNotList, or a fan-out's *par.WorkerPanic
+// wrapping it — into *err, prefixed with what; every other panic
+// propagates. A tour is a permutation cut at the root, so no element
+// has two predecessors and the Procs > 1 record race cannot arise.
+func refused(err *error, what string) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if e, ok := r.(error); ok && errors.Is(e, list.ErrNotList) {
+		*err = fmt.Errorf("%s: %w", what, e)
+		return
+	}
+	panic(r)
 }
 
 // engineFleet backs the package-level entry points: Expr.Eval,
@@ -478,7 +500,9 @@ func taskExpand(c any, _, lo, hi int) {
 // array, which must have length n — the allocation-free counterpart of
 // RootAt (see there for the Euler-circuit algorithm). The arc arrays,
 // adjacency rings, circuit list and ranks all live in the engine.
-func (en *Engine) RootAtInto(parent []int, n int, edges [][2]int, root int, opt listrank.Options) error {
+// Edges that pass the per-edge checks but are not a single tree leave
+// arcs off the circuit, and the rank's refusal becomes the error.
+func (en *Engine) RootAtInto(parent []int, n int, edges [][2]int, root int, opt listrank.Options) (err error) {
 	if n <= 0 {
 		return fmt.Errorf("tree: RootAt requires n > 0")
 	}
@@ -496,6 +520,7 @@ func (en *Engine) RootAtInto(parent []int, n int, edges [][2]int, root int, opt 
 		return nil
 	}
 	defer en.releaseCall()
+	defer refused(&err, "tree: edges do not form a single tree")
 
 	// Arc 2i is edges[i] tail→head, arc 2i+1 its twin; twin(a) = a^1.
 	m := 2 * (n - 1)
@@ -559,13 +584,6 @@ func (en *Engine) RootAtInto(parent []int, n int, edges [][2]int, root int, opt 
 	last := int64(incident[start[root+1]-1] ^ 1)
 	en.next[last] = last
 
-	// A malformed input (disconnected, duplicate edges) leaves arcs off
-	// the circuit; validate before handing it to the ranking engines.
-	// The walk uses the engine's own visited buffer, where
-	// listrank.List.Validate would allocate one per call.
-	if err := en.validateCircuit(m, first); err != nil {
-		return fmt.Errorf("tree: edges do not form a single tree: %w", err)
-	}
 	en.value = arena.Zeroed(en.value, m)
 	en.il = listrank.List{Next: en.next, Value: en.value, Head: first}
 	tour := &en.il
@@ -580,38 +598,6 @@ func (en *Engine) RootAtInto(parent []int, n int, edges [][2]int, root int, opt 
 		en.orientChunk(parent, 0, n-1)
 	} else {
 		en.orientParallel(parent, n-1, procs)
-	}
-	return nil
-}
-
-// validateCircuit checks that en.next forms a single list over all m
-// arcs starting at head and ending at the self-looped tail — the same
-// contract as listrank.List.Validate, on the engine's visited buffer.
-func (en *Engine) validateCircuit(m int, head int64) error {
-	en.seen = arena.Zeroed(en.seen, m)
-	seen, next := en.seen, en.next
-	v := head
-	for count := 0; ; count++ {
-		if count >= m {
-			return fmt.Errorf("walk exceeded %d arcs without reaching the tail", m)
-		}
-		if seen[v] {
-			return fmt.Errorf("arc %d visited twice", v)
-		}
-		seen[v] = true
-		nx := next[v]
-		if nx < 0 || nx >= int64(m) {
-			return fmt.Errorf("link %d -> %d out of range", v, nx)
-		}
-		if nx == v {
-			break // tail
-		}
-		v = nx
-	}
-	for a := 0; a < m; a++ {
-		if !seen[a] {
-			return fmt.Errorf("arc %d unreachable from the circuit head", a)
-		}
 	}
 	return nil
 }

@@ -1,11 +1,14 @@
 package tree
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"listrank"
+	"listrank/internal/list"
 )
 
 // TestTreeEngineReuseAcrossSizes drives one engine through expression
@@ -171,7 +174,39 @@ func TestTreeZeroAllocSteadyState(t *testing.T) {
 				}
 			})
 		}
+		// A warm engine whose rank refused a circuit — the tree's first
+		// n−4 edges and a 3-cycle through its last three vertices —
+		// roots the next valid tree correctly without allocating.
+		t.Run(fmt.Sprintf("root-at-into-after-refusal-p%d", procs), func(t *testing.T) {
+			bad := append(append([][2]int(nil), edges[:n-4]...), [2]int{n - 3, n - 2}, [2]int{n - 2, n - 1}, [2]int{n - 1, n - 3})
+			if err := en.RootAtInto(parent, n, bad, 0, listrank.Options{Procs: procs}); !errors.Is(err, list.ErrNotList) {
+				t.Fatalf("cyclic edges: err = %v, want a refusal wrapping list.ErrNotList", err)
+			}
+			var err error
+			if allocs := mallocsOf(func() { err = en.RootAtInto(parent, n, edges, 0, listrank.Options{Procs: procs}) }); allocs != 0 {
+				t.Errorf("%d allocs rooting after a refusal, want 0", allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 1; v < n; v++ {
+				if parent[v] != (v-1)/2 {
+					t.Fatalf("parent[%d] = %d after a refusal, want %d", v, parent[v], (v-1)/2)
+				}
+			}
+		})
 	}
+}
+
+// mallocsOf counts the heap allocations of one call of f, measured as
+// testing.AllocsPerRun does but without its warm-up call.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestIntoLengthMismatchPanicsTree: the *Into entry points must reject

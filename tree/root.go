@@ -22,7 +22,8 @@ import (
 //
 // RootAt returns an error if the edges do not form a single tree over
 // the n vertices (wrong edge count, self-loops, duplicate edges,
-// disconnected or cyclic input).
+// disconnected or cyclic input); the last three are found by the
+// circuit's rank, not by a walk before it.
 //
 // The arc arrays, adjacency rings and Euler circuit live in a pooled
 // Engine's arena; only the returned parent array is allocated. Hold an

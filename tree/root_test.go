@@ -1,10 +1,12 @@
 package tree
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"listrank"
+	"listrank/internal/list"
 )
 
 // edgesOf converts a parent array into an undirected edge list with a
@@ -129,6 +131,27 @@ func TestRootAtRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
+	for _, r := range cycleRows {
+		edges := cycleEdges(r.n, r.c)
+		for _, procs := range []int{1, 2} {
+			_, err := RootAt(r.n, edges, 0, listrank.Options{Procs: procs})
+			if !errors.Is(err, list.ErrNotList) {
+				t.Errorf("%s: err = %v, want a refusal wrapping list.ErrNotList", cycleName(r.n, r.c, procs), err)
+			}
+		}
+	}
+}
+
+// cycleEdges is the edge list of a random tree on vertices [0, n−c)
+// and a cycle through the other c vertices (for c = 2, one edge
+// twice): n−1 edges, each in range and no self-loop, so only the rank
+// of the circuit can refuse them.
+func cycleEdges(n, c int) [][2]int {
+	edges := edgesOf(randomParent(n-c, uint64(n+c), 0.5), uint64(c))
+	for i := 0; i < c; i++ {
+		edges = append(edges, [2]int{n - c + i, n - c + (i+1)%c})
+	}
+	return edges
 }
 
 // Property: for random trees and random roots, RootAt agrees with a

@@ -38,6 +38,8 @@ type Tree struct {
 	// tour is the Euler tour linked list: element v is down(v) for
 	// v < n and up(v-n) for v >= n. Values are +1 / −1.
 	tour *listrank.List
+	// depths is every vertex's depth, New's scan of the tour at down(v).
+	depths []int64
 	// cached tour ranks (computed on first need).
 	ranks []int64
 	opt   listrank.Options
@@ -46,11 +48,13 @@ type Tree struct {
 // New builds a Tree from a parent array: parent[v] is v's parent and
 // parent[root] == -1. Children are ordered by vertex number. It
 // returns an error if the array does not describe a single rooted
-// tree. The options set the parallelism and tuning of the list
-// ranking behind every subsequent computation, which runs on an
-// engine: the serial walk if Algorithm is Serial, the sublist
-// algorithm otherwise (see listrank.Engine).
-func New(parent []int, opt listrank.Options) (*Tree, error) {
+// tree; a cycle of parent links off the root is found by New's scan of
+// the tour for the depths, which refuses it. The options set the
+// parallelism and tuning of the list ranking behind that scan and every
+// later computation, which runs on an engine: the serial walk if
+// Algorithm is Serial, the sublist algorithm otherwise (see
+// listrank.Engine).
+func New(parent []int, opt listrank.Options) (_ *Tree, err error) {
 	n := len(parent)
 	if n == 0 {
 		return nil, fmt.Errorf("tree: empty parent array")
@@ -128,11 +132,17 @@ func New(parent []int, opt listrank.Options) (*Tree, error) {
 		tour:   &listrank.List{Next: next, Value: value, Head: down(int32(root))},
 		opt:    opt,
 	}
-	// A malformed forest (cycle among non-root components) shows up as
-	// an invalid tour; validate once here so later calls cannot hang.
-	if err := t.tour.Validate(); err != nil {
-		return nil, fmt.Errorf("tree: parent array is not a single tree: %w", err)
-	}
+	// Depths are the exclusive prefix sums of the ±1 tour values: the
+	// sum before down(v) counts one +1 for each ancestor entered and
+	// not yet left. An engine whose scan refused the tour is dropped,
+	// not pooled, so it cannot pin the tour.
+	defer refused(&err, "tree: parent array is not a single tree")
+	en := getEngine(n)
+	en.pfx = arena.Grow(en.pfx, 2*n)
+	en.lrEngine().ScanInto(en.pfx, t.tour, opt)
+	t.depths = make([]int64, n)
+	copy(t.depths, en.pfx[:n]) // prefix at down(v)
+	putEngine(n, en)
 	return t, nil
 }
 
@@ -168,18 +178,11 @@ func (t *Tree) tourRanks() []int64 {
 	return t.ranks
 }
 
-// Depths returns the depth of every vertex (root = 0), via the
-// exclusive prefix sums of the ±1 tour values: the sum before down(v)
-// counts one +1 for each ancestor entered and not yet left. The
-// 2n-element scan runs in a pooled engine's arena; only the returned
-// n-element result is allocated.
+// Depths returns the depth of every vertex (root = 0): a copy of the
+// depths New computed from the tour's ±1 prefix sums.
 func (t *Tree) Depths() []int64 {
 	out := make([]int64, t.n)
-	en := getEngine(t.n)
-	en.pfx = arena.Grow(en.pfx, 2*t.n)
-	en.lrEngine().ScanInto(en.pfx, t.tour, t.opt)
-	copy(out, en.pfx[:t.n]) // prefix at down(v)
-	putEngine(t.n, en)
+	copy(out, t.depths)
 	return out
 }
 
@@ -189,8 +192,7 @@ func (t *Tree) Depths() []int64 {
 // vertex and one up per those already closed (all but the depth(v)
 // open ancestors).
 func (t *Tree) Preorder() []int64 {
-	ranks := t.tourRanks()
-	depths := t.Depths()
+	ranks, depths := t.tourRanks(), t.depths
 	out := make([]int64, t.n)
 	for v := 0; v < t.n; v++ {
 		out[v] = (ranks[v] + depths[v]) / 2
@@ -206,8 +208,7 @@ func (t *Tree) Preorder() []int64 {
 // (post(v) + depth(v) + 1) + post(v), so
 // post(v) = (rank(up(v)) − depth(v) − 1) / 2.
 func (t *Tree) Postorder() []int64 {
-	ranks := t.tourRanks()
-	depths := t.Depths()
+	ranks, depths := t.tourRanks(), t.depths
 	out := make([]int64, t.n)
 	for v := 0; v < t.n; v++ {
 		out[v] = (ranks[t.n+v] - depths[v] - 1) / 2

@@ -1,10 +1,13 @@
 package tree
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"listrank"
+	"listrank/internal/list"
 )
 
 // reference computes all statistics by a sequential DFS.
@@ -245,6 +248,44 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%s: no error", name)
 		}
 	}
+	for _, r := range cycleRows {
+		parent := cycleParent(r.n, r.c)
+		for _, procs := range []int{1, 2} {
+			_, err := New(parent, listrank.Options{Procs: procs})
+			if !errors.Is(err, list.ErrNotList) {
+				t.Errorf("%s: err = %v, want a refusal wrapping list.ErrNotList", cycleName(r.n, r.c, procs), err)
+			}
+		}
+	}
+}
+
+// cycleRows are the large malformed rows of TestErrors,
+// TestRootAtRejectsBadInput and TestNewExprRejectsBadInput: a valid
+// tree of about n vertices beside a cycle of c. A tour of 2^14
+// vertices is ranked by the sublist engine, whose Phase 2 walks; at
+// 2^20 Phase 2 runs the engine one level down. No walk checks the tour
+// first, so only the rank can refuse it. A short cycle seldom holds a
+// splitter, so the stream finds its vertices unrecorded; a long one
+// leaves a cycle in the reduced list for Phase 2 to refuse.
+var cycleRows = []struct{ n, c int }{
+	{1 << 14, 2}, {1 << 14, 3}, {1 << 14, 1000}, {1 << 14, 1 << 13},
+	{1 << 20, 2}, {1 << 20, 1 << 19},
+}
+
+// cycleParent is a random tree on vertices [0, n−c) and, beside it, a
+// cycle of parent links through the other c vertices, which the root
+// does not reach.
+func cycleParent(n, c int) []int {
+	parent := append(randomParent(n-c, uint64(n+c), 0.5), make([]int, c)...)
+	for i := 0; i < c; i++ {
+		parent[n-c+i] = n - c + (i+1)%c
+	}
+	return parent
+}
+
+// cycleName labels one large malformed row.
+func cycleName(n, c, procs int) string {
+	return fmt.Sprintf("n=%d off-root %d-cycle procs %d", n, c, procs)
 }
 
 // TestAlgorithmChoices: a tree accepts either Algorithm. Its list
