@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"listrank/internal/arena"
-	"listrank/internal/fleet"
 	"listrank/internal/govern"
 	"listrank/internal/kernel"
 )
@@ -15,9 +13,10 @@ import (
 // permutation that reorders a linked list into an array in one step —
 // after which every traversal of that list is a streaming sweep
 // instead of a chain of dependent cache misses. A Handle gives a list
-// identity across requests, and each shard keeps an LRU-bounded cache
-// of reordered layouts: after a handle's ReorderAfter-th serve within
-// a version, the shard pays one amortized re-layout (rank + scatter),
+// identity across requests, and the server keeps one LRU-bounded cache
+// of reordered layouts that every shard serves hits from and publishes
+// builds into: after a handle's ReorderAfter-th serve within a
+// version, its shard pays one amortized re-layout (rank + scatter),
 // and every subsequent request on that handle runs the sequential
 // kernels in internal/kernel/seq.go — rank degenerates to a memcpy of
 // the cached rank table, scans to one streaming pass over the values
@@ -30,9 +29,11 @@ import (
 // detaches any cached layout before returning, so a request submitted
 // after Invalidate returns can never be served from the stale layout
 // (an in-flight build for the old version is discarded at publish
-// time). Layout storage is arena-backed and FreeList-recycled, and
-// each shard's cache is bounded by its share of
-// ServerOptions.ReorderBudgetBytes with least-recently-used eviction.
+// time). Each build allocates its layout's arrays, which the garbage
+// collector takes back once the layout is detached and its last hit
+// is done, so the budget counts every byte the cache holds. The cache
+// is bounded by ServerOptions.ReorderBudgetBytes as a whole, with
+// server-wide least-recently-used eviction.
 
 // Handle is a list registered with a Server — the "list the Server
 // remembers across requests". Submit a Request with Handle set (and
@@ -41,7 +42,9 @@ import (
 // registered list, so any number of requests on one handle may be in
 // flight at once, but the caller must not mutate the list while any
 // are. To mutate it between requests, quiesce the handle (no requests
-// in flight), mutate, then call Invalidate before submitting again.
+// in flight), mutate, then call Invalidate before submitting again. A
+// handle whose list has no value per vertex serves ranks only; a scan
+// on it fails with ErrBadRequest.
 type Handle struct {
 	srv  *Server
 	sh   *shard
@@ -62,7 +65,7 @@ type Handle struct {
 	hitsVer uint64
 
 	// layout is the cached reordered layout, nil when cold. Guarded by
-	// the shard cache mutex, not mu.
+	// the server's cache mutex, not mu.
 	layout *layout
 }
 
@@ -77,9 +80,7 @@ func (h *Handle) Len() int { return h.n }
 // goroutine, and is cheap when nothing is cached.
 func (h *Handle) Invalidate() {
 	h.version.Add(1)
-	if h.sh != nil {
-		h.sh.cache.invalidate(h)
-	}
+	h.srv.cache.invalidate(h)
 }
 
 // Register registers a list with the server and returns its handle.
@@ -97,10 +98,10 @@ func (s *Server) Register(l *List) *Handle {
 
 // layout is one cached re-layout: the rank table (vertex → position;
 // the complete OpRank answer), the permutation (position → vertex),
-// and the values gathered into list order. All three are immutable
-// once published, so warm hits read them without the handle lock;
-// lifetime is refcounted under the shard cache mutex so eviction or
-// invalidation never frees storage out from under an in-flight hit.
+// and the values gathered into list order (nil for a list without
+// values). All three are immutable once published, so warm hits read
+// them without any lock, and a hit that outlives its layout's eviction
+// or invalidation keeps the arrays alive until it is done.
 type layout struct {
 	h       *Handle
 	version uint64
@@ -109,19 +110,13 @@ type layout struct {
 	seq     []int64 // seq[r]  = value of the vertex at position r
 	bytes   int64
 
-	// refs counts users: 1 for the cache itself while attached, +1 per
-	// in-flight warm hit. detached marks a layout dropped from the
-	// cache (eviction or invalidation) that is waiting for its last
-	// reader before recycling. Both guarded by the cache mutex.
-	refs     int
-	detached bool
-
 	// Intrusive LRU links (front = most recently used), guarded by the
 	// cache mutex.
 	lruPrev, lruNext *layout
 }
 
-// reorderCache is one shard's cache of reordered layouts.
+// reorderCache is a server's cache of reordered layouts: one budget
+// and one LRU over the handles of every shard.
 type reorderCache struct {
 	// after is the serve count within a version that triggers a
 	// build; 0 disables the cache. budget bounds the summed bytes of
@@ -135,24 +130,15 @@ type reorderCache struct {
 	mu         sync.Mutex
 	bytes      int64
 	head, tail *layout // LRU list of attached layouts
-	free       fleet.FreeList[*layout]
 
 	hits, misses, builds, evictions atomic.Int64
 }
 
-func (rc *reorderCache) init(after int, budget int64, gov *govern.Governor) {
-	rc.after = after
-	rc.budget = budget
-	rc.gov = gov
-	rc.free.New = func() *layout { return &layout{} }
-}
-
-// enabled reports whether this shard caches at all.
+// enabled reports whether the server caches at all.
 func (rc *reorderCache) enabled() bool { return rc.after > 0 && rc.budget > 0 }
 
-// acquire returns the handle's layout with a reader reference, or nil
-// when the handle has no live layout for its current version. The
-// caller must release exactly once.
+// acquire returns the handle's layout, moved to the front of the LRU,
+// or nil when the handle has no live layout for its current version.
 func (rc *reorderCache) acquire(h *Handle) *layout {
 	rc.mu.Lock()
 	lay := h.layout
@@ -160,46 +146,30 @@ func (rc *reorderCache) acquire(h *Handle) *layout {
 		rc.mu.Unlock()
 		return nil
 	}
-	lay.refs++
 	rc.moveFront(lay)
 	rc.mu.Unlock()
 	return lay
 }
 
-// release drops a reader reference; the last reader of a detached
-// layout recycles its storage.
-func (rc *reorderCache) release(lay *layout) {
-	rc.mu.Lock()
-	lay.refs--
-	if lay.refs == 0 && lay.detached {
-		rc.recycleLocked(lay)
-	}
-	rc.mu.Unlock()
-}
-
 // publish attaches a freshly built layout to its handle, unless the
 // handle was invalidated since the build started (version mismatch)
 // or a layout raced in — then the build is discarded. On success the
-// cache evicts least-recently-used layouts until back under budget.
-func (rc *reorderCache) publish(h *Handle, lay *layout, ver uint64) bool {
+// cache evicts the server-wide least-recently-used layouts until back
+// under budget, never the one just published.
+func (rc *reorderCache) publish(h *Handle, lay *layout) bool {
 	rc.mu.Lock()
-	if h.version.Load() != ver || h.layout != nil {
-		rc.recycleLocked(lay)
-		rc.mu.Unlock()
+	defer rc.mu.Unlock()
+	if h.version.Load() != lay.version || h.layout != nil {
 		return false
 	}
 	h.layout = lay
-	lay.refs = 1
-	lay.detached = false
 	rc.bytes += lay.bytes
 	rc.gov.Adjust(govern.ClassReorder, lay.bytes)
 	rc.pushFront(lay)
-	for rc.bytes > rc.budget && rc.tail != nil && rc.tail != lay {
-		victim := rc.tail
-		rc.detachLocked(victim)
+	for rc.bytes > rc.budget && rc.tail != lay {
+		rc.detachLocked(rc.tail)
 		rc.evictions.Add(1)
 	}
-	rc.mu.Unlock()
 	return true
 }
 
@@ -226,28 +196,14 @@ func (rc *reorderCache) invalidate(h *Handle) {
 	rc.mu.Unlock()
 }
 
-// detachLocked drops a layout from the cache: LRU unlink, budget
-// release, and the cache's own reference. In-flight readers keep the
-// storage alive; the last one recycles it.
+// detachLocked drops a layout from the cache: LRU unlink and budget
+// release. Hits in flight keep reading its arrays; nothing reuses
+// them.
 func (rc *reorderCache) detachLocked(lay *layout) {
 	rc.unlink(lay)
 	rc.bytes -= lay.bytes
 	rc.gov.Adjust(govern.ClassReorder, -lay.bytes)
 	lay.h.layout = nil
-	lay.detached = true
-	lay.refs--
-	if lay.refs == 0 {
-		rc.recycleLocked(lay)
-	}
-}
-
-// recycleLocked returns a dead layout's storage to the free list for
-// the next build of a similar size.
-func (rc *reorderCache) recycleLocked(lay *layout) {
-	lay.h = nil
-	lay.detached = false
-	lay.refs = 0
-	rc.free.Put(lay)
 }
 
 func (rc *reorderCache) pushFront(lay *layout) {
@@ -300,7 +256,6 @@ func (rc *reorderCache) serveHit(req *Request) bool {
 		rc.misses.Add(1)
 		return false
 	}
-	defer rc.release(lay)
 	rc.hits.Add(1)
 	switch req.Op {
 	case OpScan:
@@ -317,12 +272,12 @@ func (rc *reorderCache) serveHit(req *Request) bool {
 // lock it counts the serve toward the current version's threshold
 // and, on crossing it, builds the reordered layout — one rank (reused
 // from the request when it was a rank), a permutation inversion, and
-// a value gather — then publishes it unless the version moved. The
-// build carries no cancellation token: it is the server's amortized
-// investment, not work chargeable to the triggering request, and it
-// is bounded by one rank of a list the engine just ranked.
-func (sh *shard) maybeBuild(h *Handle, e *Engine, procs int, req *Request) {
-	rc := &sh.cache
+// a value gather when the list has values — then publishes it unless
+// the version moved. The build carries no cancellation token: it is
+// the server's amortized investment, not work chargeable to the
+// triggering request, and it is bounded by one rank of a list the
+// engine just ranked.
+func (rc *reorderCache) maybeBuild(h *Handle, e *Engine, procs int, req *Request) {
 	if !rc.enabled() {
 		return
 	}
@@ -345,13 +300,16 @@ func (sh *shard) maybeBuild(h *Handle, e *Engine, procs int, req *Request) {
 		return
 	}
 	n := h.n
-	if int64(24*n) > rc.budget {
+	vals := h.list.Value
+	arrays := 3
+	if len(vals) != n {
+		vals, arrays = nil, 2 // a list without values: its layout serves ranks
+	}
+	bytes := int64(8 * arrays * n)
+	if bytes > rc.budget {
 		return // would evict the whole cache and still not fit
 	}
-	lay := rc.free.Get()
-	lay.rank = arena.Grow(lay.rank, n)
-	lay.perm = arena.Grow(lay.perm, n)
-	lay.seq = arena.Grow(lay.seq, n)
+	lay := &layout{h: h, version: ver, rank: make([]int64, n), perm: make([]int64, n), bytes: bytes}
 	if req.Op == OpRank {
 		copy(lay.rank, req.Dst)
 	} else {
@@ -361,14 +319,13 @@ func (sh *shard) maybeBuild(h *Handle, e *Engine, procs int, req *Request) {
 		e.RankInto(lay.rank, h.list, bopt)
 	}
 	kernel.SeqRank(lay.perm, lay.rank) // invert: rank table → position → vertex
-	vals := h.list.Value
-	for r, p := range lay.perm {
-		lay.seq[r] = vals[p]
+	if vals != nil {
+		lay.seq = make([]int64, n)
+		for r, p := range lay.perm {
+			lay.seq[r] = vals[p]
+		}
 	}
-	lay.bytes = int64(24 * n)
-	lay.version = ver
-	lay.h = h
-	if rc.publish(h, lay, ver) {
+	if rc.publish(h, lay) {
 		rc.builds.Add(1)
 	}
 }

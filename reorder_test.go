@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"listrank/internal/govern"
 )
 
 // affineOp is a non-commutative operator for OpScanOp coverage; a
@@ -348,6 +350,164 @@ func TestReorderEviction(t *testing.T) {
 	}
 }
 
+// TestReorderSharedBudget: the shards share one budget and one LRU.
+// On the default bins, four top-bin and two small-bin layouts fit the
+// budget together, though an even split would give the top bin under
+// two of its layouts; and a new top-bin layout evicts the server-wide
+// least-recently-used layout, whichever bin that layout serves.
+func TestReorderSharedBudget(t *testing.T) {
+	const nTop, nSmall = 300_000, 1000 // the unbounded and the ≤4096 bin
+	const top, small = 24 * nTop, 24 * nSmall
+	// Room for the working set, and for a fifth top-bin layout in place
+	// of one small-bin layout: each new top-bin layout then evicts
+	// exactly one layout, a small-bin or a top-bin one.
+	const budget = 5*top + small
+	s := NewServer(ServerOptions{Procs: 2, ReorderAfter: 1, ReorderBudgetBytes: budget})
+	defer s.Close()
+	smalls := []*Handle{s.Register(NewRandomList(nSmall, 1)), s.Register(NewRandomList(nSmall, 2))}
+	tops := make([]*Handle, 6)
+	for i := range tops {
+		tops[i] = s.Register(NewRandomList(nTop, uint64(i)+10))
+	}
+	serve := func(h *Handle) {
+		t.Helper()
+		if _, err := s.Submit(Request{Op: OpScan, Handle: h}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.ReorderBytes > budget {
+			t.Fatalf("cached %d bytes, budget %d", st.ReorderBytes, budget)
+		}
+	}
+	checkLRU := func(stage string, want ...*Handle) {
+		t.Helper()
+		got := cachedLayouts(s)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d layouts cached, want %d", stage, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].h != want[i] {
+				t.Fatalf("%s: LRU position %d holds the wrong handle", stage, i)
+			}
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, h := range append(smalls[:2:2], tops[:4]...) {
+			serve(h)
+		}
+	}
+	st := s.Stats()
+	if st.ReorderBuilds != 6 || st.ReorderEvictions != 0 || st.ReorderHits != 6 || st.ReorderMisses != 6 {
+		t.Fatalf("working set: builds/evictions/hits/misses = %d/%d/%d/%d, want 6/0/6/6",
+			st.ReorderBuilds, st.ReorderEvictions, st.ReorderHits, st.ReorderMisses)
+	}
+	if st.ReorderBytes != 4*top+2*small {
+		t.Fatalf("working set: cached %d bytes, want %d", st.ReorderBytes, 4*top+2*small)
+	}
+	// smalls[0] is the least recently used: a fifth top-bin layout
+	// evicts it and nothing else.
+	serve(tops[4])
+	checkLRU("fifth top-bin layout", tops[4], tops[3], tops[2], tops[1], tops[0], smalls[1])
+	// A hit moves smalls[1] to the front, so tops[0] is now the least
+	// recently used.
+	serve(smalls[1])
+	serve(tops[5])
+	checkLRU("sixth top-bin layout", tops[5], smalls[1], tops[4], tops[3], tops[2], tops[1])
+	if st := s.Stats(); st.ReorderBuilds != 8 || st.ReorderEvictions != 2 {
+		t.Fatalf("builds/evictions = %d/%d, want 8/2", st.ReorderBuilds, st.ReorderEvictions)
+	}
+}
+
+// cachedLayouts returns the layouts the server's reorder cache holds,
+// most recently used first.
+func cachedLayouts(s *Server) []*layout {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	var lays []*layout
+	for lay := s.cache.head; lay != nil; lay = lay.lruNext {
+		lays = append(lays, lay)
+	}
+	return lays
+}
+
+// TestReorderBudgetCountsEverything: what the cache books is what it
+// holds. Through an eviction sweep over two sizes, the governor's
+// ClassReorder equals ReorderBytes, and the attached layouts' arrays,
+// counted by capacity, hold exactly those bytes: no build keeps a
+// larger layout's arrays, and no evicted layout's arrays stay parked.
+func TestReorderBudgetCountsEverything(t *testing.T) {
+	const big, small = 8192, 1024
+	const budget = 2 * 24 * big
+	gov := NewGovernor(0)
+	s := NewServer(ServerOptions{
+		Procs:              2,
+		BinBounds:          []int{},
+		ReorderAfter:       1,
+		ReorderBudgetBytes: budget,
+		Governor:           gov,
+	})
+	defer s.Close()
+	for i := 0; i < 12; i++ {
+		n := small
+		if i%3 == 0 {
+			n = big
+		}
+		h := s.Register(NewRandomList(n, uint64(i)+40))
+		if _, err := s.Submit(Request{Op: OpScan, Handle: h}).Wait(); err != nil {
+			t.Fatalf("handle %d: %v", i, err)
+		}
+		st := s.Stats()
+		if used := gov.ClassUsed(govern.ClassReorder); used != st.ReorderBytes {
+			t.Fatalf("handle %d: governor books %d reorder bytes, ReorderBytes %d", i, used, st.ReorderBytes)
+		}
+		var held int64
+		for _, lay := range cachedLayouts(s) {
+			held += 8 * int64(cap(lay.rank)+cap(lay.perm)+cap(lay.seq))
+		}
+		if held != st.ReorderBytes {
+			t.Fatalf("handle %d: cached layouts hold %d bytes, ReorderBytes %d", i, held, st.ReorderBytes)
+		}
+	}
+	if st := s.Stats(); st.ReorderEvictions == 0 {
+		t.Fatal("the sweep evicted nothing")
+	}
+}
+
+// TestReorderRankOnlyHandle: a handle whose list has no values serves
+// ranks, cold and then from a rank-only layout, and refuses scans at
+// admission as a bare list does.
+func TestReorderRankOnlyHandle(t *testing.T) {
+	s := NewServer(ServerOptions{Procs: 2, ReorderAfter: 1})
+	defer s.Close()
+	const n = 2048
+	l := NewRandomList(n, 3)
+	l.Value = nil
+	want := serverRef(OpRank, l)
+	h := s.Register(l)
+	for i := 0; i < 3; i++ {
+		got, err := s.Submit(Request{Op: OpRank, Handle: h}).Wait()
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("rank %d: out[%d] = %d, want %d", i, v, got[v], want[v])
+			}
+		}
+	}
+	for _, req := range []Request{{Op: OpScan, Handle: h}, {Op: OpScanOp, Handle: h, ScanOp: affineOp}} {
+		if _, err := s.Submit(req).Wait(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("op %d on a rank-only handle: %v, want ErrBadRequest", req.Op, err)
+		}
+	}
+	st := s.Stats()
+	if st.Served != 3 || st.Rejected != 2 || st.Poisoned != 0 {
+		t.Errorf("served/rejected/poisoned = %d/%d/%d, want 3/2/0", st.Served, st.Rejected, st.Poisoned)
+	}
+	if st.ReorderBuilds != 1 || st.ReorderHits != 2 || st.ReorderBytes != 16*n {
+		t.Errorf("builds/hits/bytes = %d/%d/%d, want 1/2/%d", st.ReorderBuilds, st.ReorderHits, st.ReorderBytes, 16*n)
+	}
+}
+
 // BenchmarkReorder measures the reorder cache's economics end to end
 // through the Server at three sizes: the cold rank a handle pays
 // before the cache kicks in (lane kernels), the one-time re-layout
@@ -395,8 +555,8 @@ func BenchmarkReorder(b *testing.B) {
 			} {
 				b.Run(leg.name, func(b *testing.B) {
 					// The budget must hold the largest layout (24n = 96 MiB
-					// at 2^22) within the handle's shard, or the "warm" leg
-					// silently measures the cold path.
+					// at 2^22), or the "warm" leg silently measures the
+					// cold path.
 					s := NewServer(ServerOptions{
 						Procs: 4, ReorderAfter: 1,
 						ReorderBudgetBytes: 512 << 20, WarmSizes: []int{n},

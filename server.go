@@ -133,9 +133,9 @@ var (
 	// shard's admission queue was full under the Reject policy.
 	ErrBackpressure = errors.New("listrank: admission queue full")
 	// ErrBadRequest reports a request rejected at admission: a nil
-	// List, a Dst or (for a bare-List scan) a Value whose length does
-	// not match the list, and the like. A list that is not one chain
-	// is not checked here: its engine refuses it (ErrPanic).
+	// List, a Dst or (for a scan) a Value whose length does not match
+	// the list, and the like. A list that is not one chain is not
+	// checked here: its engine refuses it (ErrPanic).
 	ErrBadRequest = errors.New("listrank: malformed request")
 	// ErrDeadlineExceeded reports a request whose Deadline passed —
 	// while queued (it never ran) or mid-run (it was cooperatively
@@ -252,8 +252,9 @@ type ServerOptions struct {
 	ReorderAfter int
 	// ReorderBudgetBytes bounds the total bytes of cached reordered
 	// layouts across the server (24 bytes per element per cached
-	// handle), split evenly among the shards, each evicting
-	// least-recently-used layouts to stay under its share. 0 selects
+	// handle, 16 for a list without values). The shards share it: a
+	// build that takes the cache over budget evicts the server-wide
+	// least-recently-used layouts, never the one just built. 0 selects
 	// the default of 256 MiB; negative disables the reorder cache.
 	ReorderBudgetBytes int64
 	// Shed enables deadline-aware adaptive admission: each shard keeps
@@ -353,6 +354,10 @@ type Server struct {
 	autoSegment int
 	segmented   atomic.Int64
 
+	// cache is the reorder cache every shard serves handle hits from
+	// and publishes builds into (see handle.go).
+	cache reorderCache
+
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
@@ -375,8 +380,15 @@ type shard struct {
 	batch     []*Ticket
 	batchDone []bool
 	coalesce  bool
-	// cache is this shard's reorder cache (see handle.go).
-	cache reorderCache
+
+	// The counters below are written on every request, by submitters,
+	// the dispatcher and completions, while pool workers and submitters
+	// read the fields above on every request too. The pads give the
+	// counters cache lines of their own (and keep them off the next
+	// heap object's), so those writes do not keep invalidating the
+	// read-mostly lines (EXPERIMENTS.md, "One reorder cache per
+	// Server", measures serve-small with and without them).
+	_ [falseSharingPad]byte
 
 	// served feeds ServerStats.BinServed (the identity's Served bucket
 	// is the server's); dispatches and coalesced feed their namesakes.
@@ -392,7 +404,14 @@ type shard struct {
 	// queue wait.
 	backlog atomic.Int64
 	ewmaNs  atomic.Uint64
+
+	_ [falseSharingPad]byte
 }
+
+// falseSharingPad is two 64-byte cache lines: the adjacent-line
+// prefetcher moves lines in aligned pairs, so a write within 128 bytes
+// of a hot read can still cost that reader a miss.
+const falseSharingPad = 128
 
 // observe folds one dispatch's measured cost into the shard's EWMA.
 // Single writer (the dispatcher), so load/store suffices.
@@ -453,12 +472,16 @@ func NewServer(opt ServerOptions) *Server {
 	if reorderAfter < 0 || reorderBudget < 0 {
 		reorderAfter, reorderBudget = 0, 0 // cache disabled
 	}
-	s := &Server{bins: fleet.NewBins(bounds)}
-	s.autoSegment = opt.AutoSegment
-	s.shedOn = opt.Shed
-	s.gov = opt.Governor
-	if s.gov == nil {
-		s.gov = govern.Process()
+	gov := opt.Governor
+	if gov == nil {
+		gov = govern.Process()
+	}
+	s := &Server{
+		bins:        fleet.NewBins(bounds),
+		shedOn:      opt.Shed,
+		gov:         gov,
+		autoSegment: opt.AutoSegment,
+		cache:       reorderCache{after: reorderAfter, budget: reorderBudget, gov: gov},
 	}
 	s.tickets.New = func() *Ticket {
 		return &Ticket{srv: s, done: make(chan struct{}, 1)}
@@ -502,13 +525,6 @@ func NewServer(opt ServerOptions) *Server {
 			sh.engines[w] = NewEngine()
 			sh.engines[w].SetPool(sh.pool)
 		}
-		// Each shard polices its even share of the reorder budget, so
-		// the summed cached bytes never exceed the configured total.
-		share64 := reorderBudget / int64(nb)
-		if b == nb-1 {
-			share64 = reorderBudget - share64*int64(nb-1)
-		}
-		sh.cache.init(reorderAfter, share64, s.gov)
 		s.shards[b] = sh
 	}
 	s.Warm(opt.WarmSizes...)
@@ -569,20 +585,20 @@ func (s *Server) admit(t *Ticket) (queued bool, err error) {
 	req := &t.req
 	// Exactly one problem source: a bare List, or a Handle registered
 	// with this server.
-	var n int
+	l, n := req.List, 0
 	switch {
 	case req.Handle != nil:
-		if req.List != nil || req.Handle.srv != s {
+		if l != nil || req.Handle.srv != s {
 			return false, ErrBadRequest
 		}
-		n = req.Handle.n
-	case req.List != nil:
-		n = req.List.Len()
+		l, n = req.Handle.list, req.Handle.n
+	case l != nil:
+		n = l.Len()
 	default:
 		return false, ErrBadRequest
 	}
 	if (req.Dst != nil && len(req.Dst) != n) || (req.Op == OpScanOp && req.ScanOp == nil) ||
-		(req.List != nil && req.Op != OpRank && len(req.List.Value) != n) ||
+		(req.Op != OpRank && len(l.Value) != n) ||
 		req.Segments < 0 || (req.Segments > 1 && req.Handle != nil) {
 		return false, ErrBadRequest
 	}
@@ -656,11 +672,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	for _, sh := range s.shards {
 		sh.pool.Close()
-		// Release the shard's cached reorder layouts so the governor's
-		// ClassReorder accounting returns to zero: a closed server
-		// holds no memory the process should still budget for.
-		sh.cache.purge()
 	}
+	// Release the cached reorder layouts so the governor's ClassReorder
+	// accounting returns to zero: a closed server holds no memory the
+	// process should still budget for.
+	s.cache.purge()
 }
 
 // Stats returns a snapshot of the server's counters.
@@ -675,21 +691,21 @@ func (s *Server) Stats() ServerStats {
 		Segmented: s.segmented.Load(),
 		BinServed: make([]int64, len(s.shards)),
 		BinQueued: make([]int64, len(s.shards)),
+
+		ReorderHits:      s.cache.hits.Load(),
+		ReorderMisses:    s.cache.misses.Load(),
+		ReorderBuilds:    s.cache.builds.Load(),
+		ReorderEvictions: s.cache.evictions.Load(),
 	}
 	for b, sh := range s.shards {
 		st.BinServed[b] = sh.served.Load()
 		st.BinQueued[b] = int64(sh.q.Len())
 		st.Dispatches += sh.dispatches.Load()
 		st.Coalesced += sh.coalesced.Load()
-		rc := &sh.cache
-		st.ReorderHits += rc.hits.Load()
-		st.ReorderMisses += rc.misses.Load()
-		st.ReorderBuilds += rc.builds.Load()
-		st.ReorderEvictions += rc.evictions.Load()
-		rc.mu.Lock()
-		st.ReorderBytes += rc.bytes
-		rc.mu.Unlock()
 	}
+	s.cache.mu.Lock()
+	st.ReorderBytes = s.cache.bytes
+	s.cache.mu.Unlock()
 	return st
 }
 
@@ -809,7 +825,7 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 			sh.runSegmented(t, S, procs)
 			return
 		}
-	} else if sh.cache.serveHit(req) {
+	} else if t.srv.cache.serveHit(req) {
 		return
 	}
 	opt := req.Opt
@@ -824,7 +840,7 @@ func (sh *shard) run(t *Ticket, e *Engine, procs int) {
 		e.RankInto(req.Dst, l, opt)
 	}
 	if h != nil {
-		sh.maybeBuild(h, e, procs, req)
+		t.srv.cache.maybeBuild(h, e, procs, req)
 	}
 }
 

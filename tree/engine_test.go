@@ -199,9 +199,16 @@ func TestTreeZeroAllocSteadyState(t *testing.T) {
 }
 
 // mallocsOf counts the heap allocations of one call of f, measured as
-// testing.AllocsPerRun does but without its warm-up call.
+// testing.AllocsPerRun does but without its warm-up call. It warms the
+// runtime instead: one blocking channel round-trip refills this P's
+// sudog cache, which f's first parked wait (a pool worker's Cond in
+// par) would otherwise refill at f's expense.
 func mallocsOf(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ping, pong := make(chan struct{}), make(chan struct{})
+	go func() { pong <- <-ping }()
+	ping <- struct{}{}
+	<-pong
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
