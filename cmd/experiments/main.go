@@ -68,8 +68,8 @@ func main() {
 		{"opstats", func() *harness.Table { return harness.OpBreakdown(nBig, *seed) }},
 		{"treedepth", func() *harness.Table { return harness.TreeDepth(nBig/2, *seed) }},
 		{"contraction", func() *harness.Table { return harness.Contraction([]int{1 << 12, 1 << 15, 1 << 18}, *seed) }},
-		{"conncomp", func() *harness.Table { return harness.Connectivity(graphN, []int{1, 4}, *seed) }},
-		{"biconn", func() *harness.Table { return harness.Biconnectivity(graphN, []int{1, 4}, *seed) }},
+		{"conncomp", func() *harness.Table { return harness.Connectivity(graphN, []int{1, 4}) }},
+		{"biconn", func() *harness.Table { return harness.Biconnectivity(graphN, []int{1, 4}) }},
 		{"conncomp-c90", func() *harness.Table { return harness.ConnectivityC90(graphN/4, *seed) }},
 	}
 

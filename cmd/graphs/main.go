@@ -6,12 +6,15 @@
 // Usage:
 //
 //	graphs [-family gnm|grid|path|cycle|tree|star|complete] [-n N] [-m M]
-//	       [-cc hook|mate|dfs|uf] [-biconn tv|ht] [-procs P] [-seed S] [-novalidate]
+//	       [-cc hook|dfs|uf] [-biconn tv|ht] [-procs P] [-seed S] [-novalidate]
+//
+// -seed seeds the gnm and tree generators. The spanning forest is
+// always union-find's, and Tarjan-Vishkin builds on the same forest.
 //
 // Examples:
 //
 //	graphs -family gnm -n 1048576 -m 2097152        # big sparse random graph
-//	graphs -family grid -n 262144 -cc mate          # mesh by random-mate contraction
+//	graphs -family grid -n 262144 -cc uf            # mesh by serial union-find
 //	graphs -family path -n 1000000 -biconn tv       # the depth adversary
 package main
 
@@ -29,10 +32,10 @@ func main() {
 	family := flag.String("family", "gnm", "graph family: gnm, grid, path, cycle, tree, star, complete")
 	n := flag.Int("n", 1<<20, "vertex count (grid uses the nearest square)")
 	m := flag.Int("m", 0, "edge count for gnm (default 2n)")
-	ccAlgo := flag.String("cc", "hook", "components algorithm: hook, mate, dfs, uf")
+	ccAlgo := flag.String("cc", "hook", "components algorithm: hook, dfs, uf")
 	biAlgo := flag.String("biconn", "tv", "biconnectivity algorithm: tv (Tarjan-Vishkin), ht (Hopcroft-Tarjan)")
 	procs := flag.Int("procs", 0, "worker goroutines (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 42, "random seed")
+	seed := flag.Uint64("seed", 42, "seed of the gnm and tree generators")
 	novalidate := flag.Bool("novalidate", false, "skip the serial cross-checks")
 	flag.Parse()
 
@@ -64,15 +67,14 @@ func main() {
 	fmt.Printf("%s graph: %d vertices, %d edges\n", *family, g.Len(), g.NumEdges())
 
 	ccNames := map[string]graph.CCAlgorithm{
-		"hook": graph.CCHookShortcut, "mate": graph.CCRandomMate,
-		"dfs": graph.CCSerialDFS, "uf": graph.CCUnionFind,
+		"hook": graph.CCHookShortcut, "dfs": graph.CCSerialDFS, "uf": graph.CCUnionFind,
 	}
 	algo, ok := ccNames[*ccAlgo]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -cc %q\n", *ccAlgo)
 		os.Exit(2)
 	}
-	opt := graph.CCOptions{Algorithm: algo, Procs: *procs, Seed: *seed}
+	opt := graph.CCOptions{Algorithm: algo, Procs: *procs}
 
 	start := time.Now()
 	cc := graph.ConnectedComponents(g, opt)
@@ -89,7 +91,7 @@ func main() {
 	}
 
 	start = time.Now()
-	forest := graph.SpanningForest(g, opt)
+	forest := graph.SpanningForest(g)
 	fmt.Printf("spanning forest: %d edges in %v\n", len(forest), time.Since(start))
 
 	biNames := map[string]graph.BiconnAlgorithm{
@@ -101,7 +103,7 @@ func main() {
 		os.Exit(2)
 	}
 	start = time.Now()
-	b, err := graph.BiconnectedComponents(g, graph.BiconnOptions{Algorithm: balgo, Procs: *procs, Seed: *seed})
+	b, err := graph.BiconnectedComponents(g, graph.BiconnOptions{Algorithm: balgo, Procs: *procs})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

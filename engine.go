@@ -111,54 +111,58 @@ func checkDst(dst []int64, l *List, what string) {
 // RankInto writes the rank of every vertex of l into dst, which must
 // have length l.Len(). It is the allocation-free counterpart of
 // RankWith: result storage is the caller's and working space is the
-// engine's.
+// engine's. A list that is not one chain panics with an error for
+// which errors.Is(err, ErrNotList) holds; the engine keeps no
+// reference to it and stays usable.
 func (e *Engine) RankInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "RankInto")
 	if l.Len() == 0 {
 		return
 	}
 	il := e.view(l)
+	defer e.release()
 	if opt.Algorithm == Serial {
 		serial.RanksInto(dst, il)
 	} else {
 		core.RanksInto(dst, il, coreOptions(opt), e.sc)
 	}
-	e.release()
 }
 
 // ScanInto writes the exclusive integer-addition scan of l into dst,
 // which must have length l.Len(): dst[v] is the sum of the values of
-// all vertices strictly preceding v, 0 at the head.
+// all vertices strictly preceding v, 0 at the head. A list that is not
+// one chain is refused as by RankInto.
 func (e *Engine) ScanInto(dst []int64, l *List, opt Options) {
 	checkDst(dst, l, "ScanInto")
 	if l.Len() == 0 {
 		return
 	}
 	il := e.view(l)
+	defer e.release()
 	if opt.Algorithm == Serial {
 		serial.ScanInto(dst, il)
 	} else {
 		core.ScanInto(dst, il, coreOptions(opt), e.sc)
 	}
-	e.release()
 }
 
 // ScanOpInto writes the exclusive scan of l under an arbitrary
 // associative operator into dst, which must have length l.Len(),
 // combining strictly preceding values in list order (safe for
-// non-commutative operators).
+// non-commutative operators). A list that is not one chain is refused
+// as by RankInto.
 func (e *Engine) ScanOpInto(dst []int64, l *List, op func(a, b int64) int64, identity int64, opt Options) {
 	checkDst(dst, l, "ScanOpInto")
 	if l.Len() == 0 {
 		return
 	}
 	il := e.view(l)
+	defer e.release()
 	if opt.Algorithm == Serial {
 		serial.ScanOpInto(dst, il, op, identity)
 	} else {
 		core.ScanOpInto(dst, il, op, identity, coreOptions(opt), e.sc)
 	}
-	e.release()
 }
 
 // enginePool backs the package-level entry points: Rank, Scan,
@@ -172,7 +176,9 @@ func putEngine(e *Engine) { enginePool.Put(e) }
 
 // RankInto is the allocation-free top-level entry point for ranking:
 // it writes into caller-provided storage using a pooled engine's
-// working space. dst must have length l.Len().
+// working space. dst must have length l.Len(). A list that is not one
+// chain panics with an error for which errors.Is(err, ErrNotList)
+// holds.
 func RankInto(dst []int64, l *List, opt Options) {
 	e := getEngine()
 	e.RankInto(dst, l, opt)

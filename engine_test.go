@@ -1,6 +1,7 @@
 package listrank
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -253,4 +254,52 @@ func TestSharedListConcurrent(t *testing.T) {
 		t.Error(e)
 	}
 	sp.checkUntouched(t)
+}
+
+// TestEngineReleasesRefusedList: a held Engine whose call panicked on
+// a refused list keeps no reference to that list, and its next call
+// on a valid list is correct — below and above the serial cutoff, at
+// Procs 1 and 2.
+func TestEngineReleasesRefusedList(t *testing.T) {
+	add := func(a, b int64) int64 { return a + b }
+	for _, n := range []int{1000, 1 << 14} {
+		bad := NewOrderedList(n)
+		bad.Next[n/2] = int64(n/2 - 2)
+		good := NewRandomList(n, 5)
+		for i := range good.Value {
+			good.Value[i] = int64(i%7) - 3
+		}
+		wantRank := RankWith(good, Options{Algorithm: Serial})
+		wantScan := ScanWith(good, Options{Algorithm: Serial})
+		for _, procs := range []int{1, 2} {
+			e := NewEngine()
+			opt := Options{Procs: procs}
+			dst := make([]int64, n)
+			calls := []struct {
+				name string
+				run  func(l *List)
+				want []int64
+			}{
+				{"RankInto", func(l *List) { e.RankInto(dst, l, opt) }, wantRank},
+				{"ScanInto", func(l *List) { e.ScanInto(dst, l, opt) }, wantScan},
+				{"ScanOpInto", func(l *List) { e.ScanOpInto(dst, l, add, 0, opt) }, wantScan},
+			}
+			for _, c := range calls {
+				what := fmt.Sprintf("%s n=%d p=%d", c.name, n, procs)
+				func() {
+					defer func() {
+						if err, ok := recover().(error); !ok || !errors.Is(err, ErrNotList) {
+							t.Errorf("%s: refusal panicked with %v, want ErrNotList", what, err)
+						}
+					}()
+					c.run(bad)
+				}()
+				if e.il.Next != nil || e.il.Value != nil {
+					t.Errorf("%s: the engine still holds the refused list", what)
+				}
+				c.run(good)
+				equal(t, dst, c.want, what)
+			}
+		}
+	}
 }

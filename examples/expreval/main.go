@@ -111,11 +111,11 @@ func main() {
 	fmt.Println("discipline halves the leaves per round even on combs,")
 	fmt.Println("where level-by-level evaluation would take ~n/2 steps.")
 
-	// Rake alone needs a full binary tree. The general rake+compress
-	// contraction (Miller-Reif, ref 31 — the author's own companion
-	// chapter) also handles unary affine chains, the shape where
-	// compress carries the whole load: a pure chain of f(x) = ax + b
-	// nodes over a single leaf.
+	// Rake alone needs a full binary tree. GeneralExpr also takes
+	// unary affine nodes f(x) = ax + b (the compress half of
+	// Miller-Reif contraction, ref 31): it folds every unary chain into
+	// the pending function of the node below it and rakes the binary
+	// tree that is left. A pure chain over a single leaf is all fold.
 	const chainLen = 1 << 19
 	left := make([]int, chainLen)
 	right := make([]int, chainLen)
@@ -140,22 +140,17 @@ func main() {
 
 	var rc tree.RakeCompressStats
 	start = time.Now()
-	got := g.EvalWith(tree.CompressFold, &rc)
-	tFold := time.Since(start)
-
-	start = time.Now()
-	gotJ := g.EvalWith(tree.CompressJump, nil)
-	tJump := time.Since(start)
-	if got != want || gotJ != want {
-		panic("rake+compress disagrees with serial")
+	got := g.Eval(&rc)
+	tEval := time.Since(start)
+	if got != want {
+		panic("GeneralExpr.Eval disagrees with serial")
 	}
 	fmt.Printf("\nunary chain  %d nodes: value %d\n", chainLen, got)
-	fmt.Printf("              serial %v | compress=fold %v (%d rounds, %d chains) | compress=jump %v\n",
-		tSerial, tFold, rc.Rounds, rc.FoldedChains, tJump)
-	fmt.Println("fold is the work-efficient column of the paper's Table II;")
-	fmt.Println("jump is Wyllie — simple, round-efficient, O(n log n) work.")
+	fmt.Printf("              serial %v | chain fold + rake %v (%d chains, %d unary nodes folded, %d rounds)\n",
+		tSerial, tEval, rc.FoldedChains, rc.Compressed, rc.Rounds)
 
-	// EvalAll gives every node's subtree value in the same bounds.
+	// EvalAll gives every node's subtree value: each chain fills
+	// bottom-up from the node below it.
 	all := g.EvalAll(nil)
 	fmt.Printf("EvalAll: root %d, node 1 %d (chain suffix values, no extra walks)\n",
 		all[g.Root()], all[1])

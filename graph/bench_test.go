@@ -19,13 +19,13 @@ func BenchmarkComponents(b *testing.B) {
 		{"gnm-1M", RandomGNM(1<<19, 1<<20, 42)},
 		{"path-1M", Path(1 << 20)},
 	}
-	algos := []CCAlgorithm{CCSerialDFS, CCUnionFind, CCHookShortcut, CCRandomMate}
+	algos := []CCAlgorithm{CCSerialDFS, CCUnionFind, CCHookShortcut}
 	for _, fam := range families {
 		for _, a := range algos {
 			b.Run(fmt.Sprintf("%s/%s", fam.name, a), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cc := ConnectedComponents(fam.g, CCOptions{Algorithm: a, Seed: uint64(i)})
+					cc := ConnectedComponents(fam.g, CCOptions{Algorithm: a})
 					if cc.Count == 0 && fam.g.Len() > 0 {
 						b.Fatal("no components")
 					}
@@ -38,16 +38,13 @@ func BenchmarkComponents(b *testing.B) {
 
 func BenchmarkSpanningForest(b *testing.B) {
 	g := RandomGNM(1<<18, 1<<19, 7)
-	for _, a := range []CCAlgorithm{CCUnionFind, CCRandomMate} {
-		b.Run(a.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := SpanningForest(g, CCOptions{Algorithm: a, Seed: uint64(i)})
-				if len(f) == 0 {
-					b.Fatal("empty forest")
-				}
+	b.Run("union-find", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(SpanningForest(g)) == 0 {
+				b.Fatal("empty forest")
 			}
-		})
-	}
+		}
+	})
 }
 
 // Biconnectivity: the parallel Euler-tour reduction against the
@@ -67,7 +64,7 @@ func BenchmarkBiconnectivity(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", fam.name, a), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out, err := BiconnectedComponents(fam.g, BiconnOptions{Algorithm: a, Seed: uint64(i)})
+					out, err := BiconnectedComponents(fam.g, BiconnOptions{Algorithm: a})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -95,13 +92,13 @@ func BenchmarkGraphEngineReuse(b *testing.B) {
 	b.Cleanup(pool.Close)
 	en.SetPool(pool)
 	var c Components
-	for _, a := range []CCAlgorithm{CCHookShortcut, CCRandomMate, CCUnionFind} {
+	for _, a := range []CCAlgorithm{CCHookShortcut, CCUnionFind} {
 		for _, procs := range []int{1, 4} {
 			if (a == CCUnionFind) && procs > 1 {
 				continue // serial algorithm; one leg is enough
 			}
 			b.Run(fmt.Sprintf("%s-p%d", a, procs), func(b *testing.B) {
-				opt := CCOptions{Algorithm: a, Procs: procs, Seed: 5}
+				opt := CCOptions{Algorithm: a, Procs: procs}
 				en.ComponentsInto(&c, g, opt) // warm the arena
 				b.ReportAllocs()
 				b.ResetTimer()

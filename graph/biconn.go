@@ -16,9 +16,9 @@ import (
 //
 // Block labels are canonical — each block is labeled by the smallest
 // edge index it contains — so two Biconnectivity values for the same
-// graph are directly comparable regardless of which algorithm,
-// spanning tree, or random seed produced them. Self-loops belong to
-// no block and get label −1.
+// graph are directly comparable regardless of which algorithm or
+// spanning tree produced them. Self-loops belong to no block and get
+// label −1.
 type Biconnectivity struct {
 	// EdgeBlock[i] is the canonical label of edge i's block.
 	EdgeBlock []int32
@@ -37,13 +37,14 @@ type Biconnectivity struct {
 type BiconnAlgorithm int
 
 const (
-	// BiconnTarjanVishkin (default) is the parallel Euler-tour
-	// reduction: spanning forest by random-mate contraction, rooting
-	// by Euler-circuit list ranking (tree.RootAt), preorder and
-	// subtree sizes by tour scans, low/high by range queries over
-	// preorder intervals, then connected components of the auxiliary
-	// graph by hook-and-shortcut. Every phase is a consumer of this
-	// library's list primitives.
+	// BiconnTarjanVishkin (default) is the Euler-tour reduction:
+	// spanning forest by union-find (SpanningForest), rooting by
+	// Euler-circuit list ranking (tree.RootAt), preorder and subtree
+	// sizes by tour scans, low/high by range queries over preorder
+	// intervals, then connected components of the auxiliary graph by
+	// hook-and-shortcut. Every phase after the forest is a parallel
+	// consumer of this library's list primitives; the forest is serial
+	// union-find.
 	BiconnTarjanVishkin BiconnAlgorithm = iota
 	// BiconnSerialDFS is the Hopcroft-Tarjan lowpoint algorithm with
 	// an explicit edge stack — the serial baseline.
@@ -66,10 +67,6 @@ type BiconnOptions struct {
 	// Procs is the number of worker goroutines for every parallel
 	// stage; 0 means GOMAXPROCS.
 	Procs int
-	// Seed drives the spanning forest's random-mate coin flips. The
-	// result never depends on it (blocks are graph properties,
-	// independent of the spanning tree).
-	Seed uint64
 }
 
 func (o BiconnOptions) procs() int {
@@ -105,8 +102,9 @@ func (en *Engine) biconnTarjanVishkin(out *Biconnectivity, g *Graph, opt BiconnO
 		return nil
 	}
 
-	// 1. Spanning forest by parallel random-mate contraction.
-	en.forestIDs = en.SpanningForestInto(en.forestIDs, g, CCOptions{Algorithm: CCRandomMate, Procs: opt.Procs, Seed: opt.Seed})
+	// 1. Spanning forest by union-find. Blocks are graph properties,
+	// so the result does not depend on which forest is found.
+	en.forestIDs = en.SpanningForestInto(en.forestIDs, g)
 	forest := en.forestIDs
 	en.isTree = arena.Zeroed(en.isTree, len(g.edges))
 	isTree := en.isTree
@@ -153,8 +151,7 @@ func (en *Engine) biconnTarjanVishkin(out *Biconnectivity, g *Graph, opt BiconnO
 		}
 	}
 	parentFull[sr] = -1
-	rankOpt := listrank.Options{Procs: opt.Procs, Seed: opt.Seed}
-	t, err := tree.New(parentFull, rankOpt)
+	t, err := tree.New(parentFull, listrank.Options{Procs: opt.Procs})
 	if err != nil {
 		return fmt.Errorf("graph: internal: %w", err)
 	}

@@ -31,11 +31,11 @@ func sameBiconn(t *testing.T, what string, got, want *Biconnectivity) {
 	}
 }
 
-func bothBiconn(t *testing.T, g *Graph, seed uint64) (tv, ht *Biconnectivity) {
+func bothBiconn(t *testing.T, g *Graph) (tv, ht *Biconnectivity) {
 	t.Helper()
 	ht = biconnSerial(g)
 	var err error
-	tv, err = BiconnectedComponents(g, BiconnOptions{Seed: seed})
+	tv, err = BiconnectedComponents(g, BiconnOptions{})
 	if err != nil {
 		t.Fatalf("tarjan-vishkin: %v", err)
 	}
@@ -45,7 +45,7 @@ func bothBiconn(t *testing.T, g *Graph, seed uint64) (tv, ht *Biconnectivity) {
 func TestBiconnHandComputed(t *testing.T) {
 	t.Run("triangle", func(t *testing.T) {
 		g := Cycle(3)
-		tv, ht := bothBiconn(t, g, 1)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 1 {
 			t.Errorf("NumBlocks = %d, want 1", ht.NumBlocks)
@@ -64,7 +64,7 @@ func TestBiconnHandComputed(t *testing.T) {
 
 	t.Run("path3", func(t *testing.T) {
 		g := Path(3) // 0-1, 1-2
-		tv, ht := bothBiconn(t, g, 2)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 2 {
 			t.Errorf("NumBlocks = %d, want 2", ht.NumBlocks)
@@ -84,7 +84,7 @@ func TestBiconnHandComputed(t *testing.T) {
 	t.Run("bowtie", func(t *testing.T) {
 		// Two triangles sharing vertex 2: 0-1-2 and 2-3-4.
 		g := MustNew(5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}})
-		tv, ht := bothBiconn(t, g, 3)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 2 {
 			t.Errorf("NumBlocks = %d, want 2", ht.NumBlocks)
@@ -108,7 +108,7 @@ func TestBiconnHandComputed(t *testing.T) {
 
 	t.Run("star", func(t *testing.T) {
 		g := Star(6)
-		tv, ht := bothBiconn(t, g, 4)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 5 {
 			t.Errorf("NumBlocks = %d, want 5", ht.NumBlocks)
@@ -125,7 +125,7 @@ func TestBiconnHandComputed(t *testing.T) {
 
 	t.Run("parallel-pair", func(t *testing.T) {
 		g := MustNew(2, [][2]int{{0, 1}, {1, 0}})
-		tv, ht := bothBiconn(t, g, 5)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 1 {
 			t.Errorf("NumBlocks = %d, want 1", ht.NumBlocks)
@@ -140,7 +140,7 @@ func TestBiconnHandComputed(t *testing.T) {
 
 	t.Run("self-loop", func(t *testing.T) {
 		g := MustNew(3, [][2]int{{0, 1}, {1, 1}, {1, 2}})
-		tv, ht := bothBiconn(t, g, 6)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.EdgeBlock[1] != -1 {
 			t.Errorf("self-loop block = %d, want -1", ht.EdgeBlock[1])
@@ -157,7 +157,7 @@ func TestBiconnHandComputed(t *testing.T) {
 			{2, 3},
 			{3, 4}, {4, 5}, {5, 3},
 		})
-		tv, ht := bothBiconn(t, g, 7)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 3 {
 			t.Errorf("NumBlocks = %d, want 3", ht.NumBlocks)
@@ -179,7 +179,7 @@ func TestBiconnHandComputed(t *testing.T) {
 
 	t.Run("cycle-is-one-block", func(t *testing.T) {
 		g := Cycle(50)
-		tv, ht := bothBiconn(t, g, 8)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tv-vs-ht", tv, ht)
 		if ht.NumBlocks != 1 {
 			t.Errorf("NumBlocks = %d, want 1", ht.NumBlocks)
@@ -189,17 +189,19 @@ func TestBiconnHandComputed(t *testing.T) {
 
 func TestBiconnAgreementFamilies(t *testing.T) {
 	for name, g := range testFamilies() {
-		tv, ht := bothBiconn(t, g, 17)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, name, tv, ht)
 	}
 }
 
+// TestBiconnSeedAndProcSweep sweeps the random component's generator
+// seed and the worker count.
 func TestBiconnSeedAndProcSweep(t *testing.T) {
-	g := Disjoint(RandomGNM(150, 250, 31), Grid(8, 8), Star(20))
-	want := biconnSerial(g)
 	for seed := uint64(0); seed < 4; seed++ {
+		g := Disjoint(RandomGNM(150, 250, 31+seed), Grid(8, 8), Star(20))
+		want := biconnSerial(g)
 		for _, p := range []int{1, 2, 4, 8} {
-			got, err := BiconnectedComponents(g, BiconnOptions{Seed: seed, Procs: p})
+			got, err := BiconnectedComponents(g, BiconnOptions{Procs: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +214,7 @@ func TestBiconnDeepPath(t *testing.T) {
 	// Exercises the iterative DFS (no stack overflow) and the
 	// connected-graph RootAt path at once.
 	g := Path(200000)
-	tv, ht := bothBiconn(t, g, 9)
+	tv, ht := bothBiconn(t, g)
 	sameBiconn(t, "deep-path", tv, ht)
 	if ht.NumBlocks != g.NumEdges() {
 		t.Errorf("NumBlocks = %d, want %d (all bridges)", ht.NumBlocks, g.NumEdges())
@@ -293,7 +295,7 @@ func TestBiconnBruteForce(t *testing.T) {
 			edges[i] = [2]int{r.Intn(n), r.Intn(n)}
 		}
 		g := MustNew(n, edges)
-		tv, ht := bothBiconn(t, g, uint64(trial))
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, fmt.Sprintf("trial %d", trial), tv, ht)
 		for v := 0; v < n; v++ {
 			if want := bruteArticulation(g, v); ht.Articulation[v] != want {
@@ -314,7 +316,7 @@ func TestBiconnQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraphQuick(seed)
 		ht := biconnSerial(g)
-		tv, err := BiconnectedComponents(g, BiconnOptions{Seed: seed * 3})
+		tv, err := BiconnectedComponents(g, BiconnOptions{})
 		if err != nil {
 			return false
 		}
@@ -373,7 +375,7 @@ func TestBiconnAlgorithmString(t *testing.T) {
 
 func TestBiconnEmptyAndTiny(t *testing.T) {
 	for _, g := range []*Graph{MustNew(0, nil), MustNew(1, nil), MustNew(1, [][2]int{{0, 0}}), MustNew(5, nil)} {
-		tv, ht := bothBiconn(t, g, 0)
+		tv, ht := bothBiconn(t, g)
 		sameBiconn(t, "tiny", tv, ht)
 		if ht.NumBlocks != 0 {
 			t.Errorf("NumBlocks = %d, want 0", ht.NumBlocks)
@@ -387,35 +389,32 @@ func TestBiconnEmptyAndTiny(t *testing.T) {
 func TestBridgesAreForcedForestEdges(t *testing.T) {
 	for trial := uint64(0); trial < 20; trial++ {
 		g := randomGraphQuick(trial * 131)
-		b, err := BiconnectedComponents(g, BiconnOptions{Seed: trial})
+		b, err := BiconnectedComponents(g, BiconnOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []CCAlgorithm{CCUnionFind, CCRandomMate} {
-			forest := SpanningForest(g, CCOptions{Algorithm: algo, Seed: trial ^ 0xff})
-			inForest := make([]bool, g.NumEdges())
-			for _, id := range forest {
-				inForest[id] = true
+		forest := SpanningForest(g)
+		inForest := make([]bool, g.NumEdges())
+		for _, id := range forest {
+			inForest[id] = true
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			// A parallel twin can substitute for a specific edge id,
+			// so check bridges by endpoint pair, not by id.
+			if !b.Bridge[i] || inForest[i] {
+				continue
 			}
-			for i := 0; i < g.NumEdges(); i++ {
-				// A parallel twin can substitute for a specific edge id,
-				// so check bridges by endpoint pair, not by id.
-				if !b.Bridge[i] || inForest[i] {
-					continue
+			u, v := g.Edge(i)
+			covered := false
+			for _, id := range forest {
+				fu, fv := g.Edge(id)
+				if fu == u && fv == v || fu == v && fv == u {
+					covered = true
+					break
 				}
-				u, v := g.Edge(i)
-				covered := false
-				for _, id := range forest {
-					fu, fv := g.Edge(id)
-					if fu == u && fv == v || fu == v && fv == u {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					t.Fatalf("trial %d/%s: bridge %d (%d-%d) missing from spanning forest",
-						trial, algo, i, u, v)
-				}
+			}
+			if !covered {
+				t.Fatalf("trial %d: bridge %d (%d-%d) missing from spanning forest", trial, i, u, v)
 			}
 		}
 	}

@@ -32,11 +32,6 @@ const (
 	// minimum label reachable over one edge and Wyllie-style pointer
 	// jumping on the label forest until it is flat.
 	CCHookShortcut CCAlgorithm = iota
-	// CCRandomMate is parallel random-mate edge contraction — the
-	// graph analogue of the Miller-Reif list algorithm (§2.3): coin
-	// flips break symmetry, females hook to adjacent males, contracted
-	// edges are packed out each round.
-	CCRandomMate
 	// CCSerialDFS is an iterative depth-first search, the natural
 	// serial baseline.
 	CCSerialDFS
@@ -50,8 +45,6 @@ func (a CCAlgorithm) String() string {
 	switch a {
 	case CCHookShortcut:
 		return "hook-shortcut"
-	case CCRandomMate:
-		return "random-mate"
 	case CCSerialDFS:
 		return "serial-dfs"
 	case CCUnionFind:
@@ -66,11 +59,8 @@ type CCOptions struct {
 	// Algorithm selects the implementation (default CCHookShortcut).
 	Algorithm CCAlgorithm
 	// Procs is the number of worker goroutines for the parallel
-	// algorithms; 0 means GOMAXPROCS. Serial algorithms ignore it.
+	// algorithm; 0 means GOMAXPROCS. Serial algorithms ignore it.
 	Procs int
-	// Seed drives the random-mate coin flips. Results never depend on
-	// it; only round counts do.
-	Seed uint64
 }
 
 func (o CCOptions) procs() int {
@@ -329,167 +319,4 @@ func (en *Engine) shortcutParallel(f []int32, n, p int) {
 func taskShortcut(c any, w, lo, hi int) {
 	en := c.(*Engine)
 	en.flatW[w] = shortcutChunk(en.call.f, lo, hi)
-}
-
-// --- Parallel random-mate contraction ----------------------------------
-//
-// The graph analogue of Miller-Reif random mate (§2.3). Each round:
-// every live vertex flips a coin; for every live edge whose endpoints
-// got opposite coins, the female endpoint hooks to the male (races
-// between a female's several male neighbors are benign — any one
-// wins); then every vertex shortcuts to its (male) root, edges are
-// relabeled by the new parents, and self-loops are packed out —
-// the same pack discipline as the paper's list algorithms. A constant
-// fraction of live edges contracts per round in expectation, giving
-// O(log n) rounds with high probability.
-//
-// The hooks form a spanning forest: a female hooks at most once per
-// round, always across two currently distinct components.
-
-// liveEdge is a random-mate worklist entry: the current contracted
-// endpoints and the original edge id.
-type liveEdge struct {
-	u, v int32
-	id   int32
-}
-
-// componentsRandomMate labels g into c. When wantForest is set it also
-// returns the hook-edge ids (engine-owned storage, valid until the
-// next random-mate call).
-func (en *Engine) componentsRandomMate(c *Components, g *Graph, p int, seed uint64, wantForest bool) []int32 {
-	defer en.releaseCall()
-	n := g.n
-	en.parent = arena.Iota32(en.parent, n)
-	parent := en.parent
-	c.Label = arena.Grow(c.Label, n)
-	if n == 0 {
-		c.Count = 0
-		return nil
-	}
-	p = par.Procs(p, n)
-
-	// Per-vertex record of which edge hooked a female this round
-	// (written under the winning CAS only), drained serially after
-	// each round.
-	var hookedBy []int32
-	en.forest = en.forest[:0]
-	if wantForest {
-		en.hookedBy = arena.Filled(en.hookedBy, n, -1)
-		hookedBy = en.hookedBy
-	}
-
-	// Live edge worklist, double-buffered across rounds.
-	live := en.liveA[:0]
-	for i, e := range g.edges {
-		if e[0] != e[1] {
-			live = append(live, liveEdge{e[0], e[1], int32(i)})
-		}
-	}
-	next := en.liveB[:0]
-	en.coin = arena.Grow(en.coin, (n+63)/64) // bit v set: male
-	coin := en.coin
-	en.rnd.Seed(seed)
-
-	for len(live) > 0 {
-		for i := range coin {
-			coin[i] = en.rnd.Uint64()
-		}
-		// Hook females to adjacent males. Several edges may race for
-		// one female; the CAS from the self-loop state picks a single
-		// winner per round.
-		if p == 1 {
-			rmHookChunk(live, coin, parent, hookedBy, 0, len(live))
-		} else {
-			en.rmHookParallel(live, hookedBy, p)
-		}
-		if wantForest {
-			for v := range hookedBy {
-				if hookedBy[v] >= 0 {
-					en.forest = append(en.forest, hookedBy[v])
-					hookedBy[v] = -1
-				}
-			}
-		}
-		// Relabel live edges through the new parents and pack out the
-		// self-loops — the same pack discipline as the list algorithms.
-		// Live endpoints were roots at the start of the round, so one
-		// parent lookup re-canonicalizes them.
-		next = next[:0]
-		for _, e := range live {
-			u, v := parent[e.u], parent[e.v]
-			if u != v {
-				next = append(next, liveEdge{u, v, e.id})
-			}
-		}
-		live, next = next, live
-	}
-	en.liveA, en.liveB = live[:0], next[:0] // keep the grown capacity
-
-	// Flatten the accumulated hook forest (its depth can reach the
-	// round count) with serial path compression, then canonicalize to
-	// minimum-vertex labels.
-	en.minOf = arena.Filled(en.minOf, n, int32(n))
-	minOf := en.minOf
-	count := 0
-	for v := 0; v < n; v++ {
-		r := rmFind(parent, int32(v))
-		if int32(v) < minOf[r] {
-			minOf[r] = int32(v)
-		}
-		if r == int32(v) {
-			count++
-		}
-	}
-	label := c.Label
-	for v := 0; v < n; v++ {
-		label[v] = minOf[rmFind(parent, int32(v))]
-	}
-	c.Count = count
-	return en.forest
-}
-
-// rmFind is union-find lookup with full path compression (the hook
-// forest's depth can reach the round count).
-func rmFind(parent []int32, v int32) int32 {
-	r := v
-	for parent[r] != r {
-		r = parent[r]
-	}
-	for parent[v] != r {
-		parent[v], v = r, parent[v]
-	}
-	return r
-}
-
-// rmHookChunk hooks the female endpoint of every opposite-coin live
-// edge in [lo, hi) to its male endpoint; hookedBy (nil unless the
-// forest is wanted) records the winning edge per female.
-func rmHookChunk(live []liveEdge, coin []uint64, parent, hookedBy []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e := live[i]
-		um := coin[e.u>>6]>>(uint(e.u)&63)&1 == 1
-		vm := coin[e.v>>6]>>(uint(e.v)&63)&1 == 1
-		var f, m int32 // female, male
-		switch {
-		case um && !vm:
-			f, m = e.v, e.u
-		case vm && !um:
-			f, m = e.u, e.v
-		default:
-			continue
-		}
-		if atomic.CompareAndSwapInt32(&parent[f], f, m) && hookedBy != nil {
-			hookedBy[f] = e.id // winning goroutine only
-		}
-	}
-}
-
-func (en *Engine) rmHookParallel(live []liveEdge, hookedBy []int32, p int) {
-	en.call.live, en.call.hookedBy = live, hookedBy
-	en.fanout().ForChunksCtx(len(live), p, en, taskRMHook)
-}
-
-func taskRMHook(c any, _, lo, hi int) {
-	en := c.(*Engine)
-	rmHookChunk(en.call.live, en.coin, en.parent, en.call.hookedBy, lo, hi)
 }

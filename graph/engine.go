@@ -3,15 +3,14 @@ package graph
 import (
 	"listrank"
 	"listrank/internal/fleet"
-	"listrank/internal/rng"
 	"listrank/tree"
 )
 
 // Engine is the reusable working-space arena for the graph algorithms,
 // completing the three-layer arena architecture (internal/arena →
-// core.Scratch → package engines): it owns the label forests,
-// worklists, coin arrays and union-find tables behind connected
-// components, the hook bookkeeping behind spanning forests, and the
+// core.Scratch → package engines): it owns the label forest and
+// per-worker flags behind hook-and-shortcut, the union-find tables
+// behind the serial components and every spanning forest, and the
 // whole Tarjan-Vishkin working set behind biconnectivity — and it
 // embeds a tree.Engine (which embeds a listrank.Engine) for the
 // Euler-circuit rooting stage, so the full pipeline reuses one arena
@@ -24,11 +23,11 @@ import (
 // (ConnectedComponents, SpanningForest, BiconnectedComponents), which
 // draw engines from an internal pool.
 //
-// Zero-allocation steady state holds for ComponentsInto — all four
-// algorithms — once the arena and the destination are warm: the
-// parallel algorithms dispatch their fan-outs closure-free onto
-// resident worker-pool workers instead of spawning goroutines per
-// round. At Procs > 1 this requires a pool at least Procs wide with
+// Zero-allocation steady state holds for ComponentsInto — all three
+// algorithms — and SpanningForestInto once the arena and the
+// destination are warm: hook-and-shortcut dispatches its fan-outs
+// closure-free onto resident worker-pool workers instead of spawning
+// goroutines per round. At Procs > 1 this requires a pool at least Procs wide with
 // no competing dispatcher (an engine-owned pool via SetPool always
 // qualifies; an undersized or contended pool degrades fan-outs to
 // spawn-per-call — allocations, not errors). Biconnectivity reuses
@@ -46,35 +45,20 @@ type Engine struct {
 	// task functions (task* in components.go); caller-owned references
 	// are dropped when the algorithms return.
 	call struct {
-		g        *Graph
-		f        []int32
-		hookedBy []int32
-		live     []liveEdge
+		g *Graph
+		f []int32
 	}
 
 	// Hook-and-shortcut per-worker flags.
 	changed, flatW []bool
 
-	// Random-mate contraction state: the hook forest, the per-round
-	// winning-edge record, the double-buffered live-edge worklist,
-	// coin words and an in-place reseedable generator.
-	parent   []int32
-	hookedBy []int32
-	liveA    []liveEdge
-	liveB    []liveEdge
-	coin     []uint64
-	rnd      rng.Rand
-	forest   []int32
-
-	// Serial working set: DFS/BFS stack (doubling as the biconnectivity
-	// edge stack), union-find size table and canonical-label staging.
-	stack []int32
-	size  []int32
-	minOf []int32
-
-	// ccTmp receives labelings computed only for their by-products
-	// (the spanning forest of a random-mate run).
-	ccTmp Components
+	// Serial working set: union-find parent and size tables, DFS/BFS
+	// stack (doubling as the biconnectivity edge stack) and
+	// canonical-label staging.
+	parent []int32
+	size   []int32
+	stack  []int32
+	minOf  []int32
 
 	// Biconnectivity working set.
 	forestIDs  []int
@@ -141,7 +125,6 @@ func (en *Engine) fanout() *listrank.WorkerPool {
 // engine never keeps a finished problem alive.
 func (en *Engine) releaseCall() {
 	en.call.g, en.call.f = nil, nil
-	en.call.hookedBy, en.call.live = nil, nil
 }
 
 // engineFleet backs the package-level entry points, so callers that
@@ -166,27 +149,9 @@ func (en *Engine) ComponentsInto(c *Components, g *Graph, opt CCOptions) {
 		en.componentsDFS(c, g)
 	case CCUnionFind:
 		en.componentsUnionFind(c, g)
-	case CCRandomMate:
-		en.componentsRandomMate(c, g, opt.procs(), opt.Seed, false)
 	default:
 		en.componentsHookShortcut(c, g, opt.procs())
 	}
-}
-
-// SpanningForestInto appends the indices of edges forming a spanning
-// forest of g to dst[:0] and returns the extended slice (append
-// semantics: the result reuses dst's backing array when it fits). See
-// SpanningForest for the algorithm selection.
-func (en *Engine) SpanningForestInto(dst []int, g *Graph, opt CCOptions) []int {
-	dst = dst[:0]
-	if opt.Algorithm == CCRandomMate {
-		ids := en.componentsRandomMate(&en.ccTmp, g, opt.procs(), opt.Seed, true)
-		for _, id := range ids {
-			dst = append(dst, int(id))
-		}
-		return dst
-	}
-	return en.spanningUnionFind(dst, g)
 }
 
 // BiconnectedComponentsInto computes the blocks, articulation points

@@ -8,7 +8,7 @@ import (
 	"listrank"
 )
 
-var ccAllAlgorithms = []CCAlgorithm{CCHookShortcut, CCRandomMate, CCSerialDFS, CCUnionFind}
+var ccAllAlgorithms = []CCAlgorithm{CCHookShortcut, CCSerialDFS, CCUnionFind}
 
 // TestGraphEngineReuseAcrossSizes drives one engine through graphs
 // whose sizes grow and shrink, under every algorithm; every labeling
@@ -29,7 +29,7 @@ func TestGraphEngineReuseAcrossSizes(t *testing.T) {
 		want := componentsDFS(g)
 		for _, a := range ccAllAlgorithms {
 			for _, procs := range []int{1, 4} {
-				en.ComponentsInto(&c, g, CCOptions{Algorithm: a, Procs: procs, Seed: uint64(gi) + 3})
+				en.ComponentsInto(&c, g, CCOptions{Algorithm: a, Procs: procs})
 				if c.Count != want.Count {
 					t.Fatalf("graph %d alg %v procs %d: count = %d, want %d", gi, a, procs, c.Count, want.Count)
 				}
@@ -43,23 +43,21 @@ func TestGraphEngineReuseAcrossSizes(t *testing.T) {
 		}
 		// The spanning forest must have exactly n - #components edges,
 		// all of them connecting (and none repeated: union-find check).
-		for _, a := range []CCAlgorithm{CCUnionFind, CCRandomMate} {
-			forest := en.SpanningForestInto(nil, g, CCOptions{Algorithm: a, Seed: uint64(gi) + 5})
-			if len(forest) != g.Len()-want.Count {
-				t.Fatalf("graph %d alg %v: forest has %d edges, want %d", gi, a, len(forest), g.Len()-want.Count)
+		forest := en.SpanningForestInto(nil, g)
+		if len(forest) != g.Len()-want.Count {
+			t.Fatalf("graph %d: forest has %d edges, want %d", gi, len(forest), g.Len()-want.Count)
+		}
+		uf := make([]int32, g.Len())
+		for v := range uf {
+			uf[v] = int32(v)
+		}
+		for _, id := range forest {
+			u, v := g.Edge(id)
+			ru, rv := ufFind(uf, int32(u)), ufFind(uf, int32(v))
+			if ru == rv {
+				t.Fatalf("graph %d: forest edge %d closes a cycle", gi, id)
 			}
-			uf := make([]int32, g.Len())
-			for v := range uf {
-				uf[v] = int32(v)
-			}
-			for _, id := range forest {
-				u, v := g.Edge(id)
-				ru, rv := ufFind(uf, int32(u)), ufFind(uf, int32(v))
-				if ru == rv {
-					t.Fatalf("graph %d alg %v: forest edge %d closes a cycle", gi, a, id)
-				}
-				uf[ru] = rv
-			}
+			uf[ru] = rv
 		}
 	}
 }
@@ -78,12 +76,12 @@ func TestBiconnIntoReuse(t *testing.T) {
 		Path(5),
 	}
 	for gi, g := range graphs {
-		want, err := BiconnectedComponents(g, BiconnOptions{Seed: 9})
+		want, err := BiconnectedComponents(g, BiconnOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range []BiconnAlgorithm{BiconnTarjanVishkin, BiconnSerialDFS} {
-			if err := en.BiconnectedComponentsInto(&out, g, BiconnOptions{Algorithm: alg, Seed: uint64(gi)}); err != nil {
+			if err := en.BiconnectedComponentsInto(&out, g, BiconnOptions{Algorithm: alg}); err != nil {
 				t.Fatal(err)
 			}
 			if out.NumBlocks != want.NumBlocks {
@@ -125,7 +123,7 @@ func TestGraphEngineConcurrent(t *testing.T) {
 			var c Components
 			for r := 0; r < 6; r++ {
 				a := ccAllAlgorithms[r%len(ccAllAlgorithms)]
-				en.ComponentsInto(&c, g, CCOptions{Algorithm: a, Procs: 2, Seed: uint64(r)})
+				en.ComponentsInto(&c, g, CCOptions{Algorithm: a, Procs: 2})
 				if c.Count != want.Count {
 					t.Errorf("worker %d round %d: count = %d, want %d", w, r, c.Count, want.Count)
 					return
@@ -168,9 +166,6 @@ func TestGraphZeroAllocSteadyState(t *testing.T) {
 			{"components-hook-shortcut", func() {
 				en.ComponentsInto(&c, g, CCOptions{Algorithm: CCHookShortcut, Procs: procs})
 			}},
-			{"components-random-mate", func() {
-				en.ComponentsInto(&c, g, CCOptions{Algorithm: CCRandomMate, Procs: procs, Seed: 42})
-			}},
 			{"components-serial-dfs", func() {
 				en.ComponentsInto(&c, g, CCOptions{Algorithm: CCSerialDFS})
 			}},
@@ -178,10 +173,7 @@ func TestGraphZeroAllocSteadyState(t *testing.T) {
 				en.ComponentsInto(&c, g, CCOptions{Algorithm: CCUnionFind})
 			}},
 			{"spanning-union-find", func() {
-				forest = en.SpanningForestInto(forest, g, CCOptions{Algorithm: CCUnionFind})
-			}},
-			{"spanning-random-mate", func() {
-				forest = en.SpanningForestInto(forest, g, CCOptions{Algorithm: CCRandomMate, Procs: procs, Seed: 43})
+				forest = en.SpanningForestInto(forest, g)
 			}},
 			{"biconn-serial", func() {
 				en.biconnSerial(&bi, g)
@@ -204,7 +196,7 @@ func TestGraphZeroAllocSteadyState(t *testing.T) {
 func TestPooledTopLevelUnchanged(t *testing.T) {
 	g := Grid(40, 40)
 	a := ConnectedComponents(g, CCOptions{})
-	b := ConnectedComponents(g, CCOptions{Algorithm: CCRandomMate, Seed: 1})
+	b := ConnectedComponents(g, CCOptions{Algorithm: CCUnionFind})
 	if &a.Label[0] == &b.Label[0] {
 		t.Fatal("pooled top-level calls returned aliased label storage")
 	}
@@ -212,16 +204,16 @@ func TestPooledTopLevelUnchanged(t *testing.T) {
 	if b.Label[0] == -99 {
 		t.Fatal("mutating one result leaked into the other")
 	}
-	f1 := SpanningForest(g, CCOptions{})
-	f2 := SpanningForest(g, CCOptions{Algorithm: CCRandomMate, Seed: 2})
+	f1 := SpanningForest(g)
+	f2 := SpanningForest(g)
 	if fmt.Sprintf("%p", f1) == fmt.Sprintf("%p", f2) {
 		t.Fatal("pooled spanning forests share storage")
 	}
-	b1, err := BiconnectedComponents(g, BiconnOptions{Seed: 3})
+	b1, err := BiconnectedComponents(g, BiconnOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := BiconnectedComponents(g, BiconnOptions{Seed: 4})
+	b2, err := BiconnectedComponents(g, BiconnOptions{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func ExampleBiconnectedComponents() {
 
 func ExampleSpanningForest() {
 	g := graph.Cycle(4) // one redundant edge
-	forest := graph.SpanningForest(g, graph.CCOptions{})
+	forest := graph.SpanningForest(g)
 	fmt.Println("forest edges:", len(forest), "of", g.NumEdges())
 	// Output:
 	// forest edges: 3 of 4

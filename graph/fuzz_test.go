@@ -29,8 +29,8 @@ func FuzzComponents(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGraph(data)
 		want := componentsDFS(g)
-		for _, a := range []CCAlgorithm{CCHookShortcut, CCRandomMate, CCUnionFind} {
-			got := ConnectedComponents(g, CCOptions{Algorithm: a, Seed: uint64(len(data)), Procs: 3})
+		for _, a := range []CCAlgorithm{CCHookShortcut, CCUnionFind} {
+			got := ConnectedComponents(g, CCOptions{Algorithm: a, Procs: 3})
 			if got.Count != want.Count {
 				t.Fatalf("%s: Count = %d, want %d", a, got.Count, want.Count)
 			}
@@ -40,7 +40,7 @@ func FuzzComponents(f *testing.F) {
 				}
 			}
 		}
-		forest := SpanningForest(g, CCOptions{Algorithm: CCRandomMate, Seed: 1})
+		forest := SpanningForest(g)
 		if len(forest) != g.Len()-want.Count {
 			t.Fatalf("forest size %d, want %d", len(forest), g.Len()-want.Count)
 		}
@@ -55,7 +55,7 @@ func FuzzBiconnectivity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGraph(data)
 		want := biconnSerial(g)
-		got, err := BiconnectedComponents(g, BiconnOptions{Seed: uint64(len(data)), Procs: 2})
+		got, err := BiconnectedComponents(g, BiconnOptions{Procs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,13 +10,11 @@
 // implementation helps in making other pointer-based applications
 // practical". This package answers at the graph level:
 //
-//   - Connected components with two parallel algorithms (hook-and-
+//   - Connected components with one parallel algorithm (hook-and-
 //     shortcut in the Shiloach-Vishkin tradition, whose shortcut step
-//     is exactly Wyllie-style pointer jumping, and random-mate edge
-//     contraction in the Miller-Reif tradition the paper's §2.3-§2.4
-//     baselines come from) and two serial baselines (depth-first
-//     search and union-find).
-//   - Spanning forests, as a by-product of the contraction hooks.
+//     is exactly Wyllie-style pointer jumping) and two serial
+//     baselines (depth-first search and union-find).
+//   - Spanning forests by union-find.
 //   - Biconnected components, articulation points and bridges by the
 //     Tarjan-Vishkin reduction: one spanning tree, one Euler tour,
 //     list-rank-powered preorder/subtree statistics, low/high values,

@@ -4,19 +4,15 @@ import "listrank/internal/arena"
 
 // SpanningForest returns the indices of edges forming a spanning
 // forest of g (one tree per connected component, so exactly
-// n − #components edges, none of them self-loops).
-//
-// The parallel CCRandomMate algorithm produces the forest as a free
-// by-product of contraction — every winning hook crosses two distinct
-// live components, the graph analogue of the paper's splice
-// bookkeeping. CCHookShortcut does not track witness edges, so it and
-// the serial algorithms delegate to union-find.
+// n − #components edges, none of them self-loops), found by weighted
+// union-find over the edges in index order: an edge joins the forest
+// when it merges two classes.
 //
 // Working space comes from a pooled Engine; hold an explicit Engine
 // and call SpanningForestInto to control reuse directly.
-func SpanningForest(g *Graph, opt CCOptions) []int {
+func SpanningForest(g *Graph) []int {
 	en := getEngine(g.n)
-	out := en.SpanningForestInto(nil, g, opt)
+	out := en.SpanningForestInto(nil, g)
 	putEngine(g.n, en)
 	if out == nil {
 		out = []int{} // empty forest: non-nil, as the pre-engine API returned
@@ -24,11 +20,14 @@ func SpanningForest(g *Graph, opt CCOptions) []int {
 	return out
 }
 
-// spanningUnionFind appends the forest edge indices to dst.
-func (en *Engine) spanningUnionFind(dst []int, g *Graph) []int {
-	n := g.n
-	en.parent = arena.Iota32(en.parent, n)
-	en.size = arena.Filled(en.size, n, 1)
+// SpanningForestInto appends the indices of edges forming a spanning
+// forest of g to dst[:0] and returns the extended slice (append
+// semantics: the result reuses dst's backing array when it fits). See
+// SpanningForest.
+func (en *Engine) SpanningForestInto(dst []int, g *Graph) []int {
+	dst = dst[:0]
+	en.parent = arena.Iota32(en.parent, g.n)
+	en.size = arena.Filled(en.size, g.n, 1)
 	parent, size := en.parent, en.size
 	for i, e := range g.edges {
 		ru, rv := ufFind(parent, e[0]), ufFind(parent, e[1])

@@ -120,7 +120,7 @@ func TestSplitComponentsBiconnPerComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range SplitComponents(g, CCOptions{}) {
-		part, err := BiconnectedComponents(c.G, BiconnOptions{Seed: 3})
+		part, err := BiconnectedComponents(c.G, BiconnOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,20 +33,18 @@ func graphFamilies(scale int) []struct {
 }
 
 // Connectivity compares the connected-components algorithms — two
-// serial baselines and the two parallel ones built from the paper's
-// techniques (pointer jumping; random-mate contraction) — across
-// graph families, validating every labeling against the DFS
-// reference. This is the experiment the implementation studies cited
+// serial baselines and the parallel one built from the paper's
+// pointer jumping — across graph families, validating every labeling
+// against the DFS reference. This is the experiment the implementation studies cited
 // in §1 ran on their hardware; EXPERIMENTS.md discusses how our
 // goroutine-track shape relates to their findings.
-func Connectivity(scale int, procs []int, seed uint64) *Table {
+func Connectivity(scale int, procs []int) *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Connected components, goroutine track (n≈%d)", scale),
 		Columns: []string{"graph", "n", "edges", "algorithm", "procs", "ms", "ns/edge", "vs union-find"},
 		Notes: []string{
 			"Every labeling validated against serial DFS before timing is reported.",
 			"hook-shortcut = atomic-min hooking + pointer-jump shortcut (Shiloach-Vishkin family).",
-			"random-mate = Miller-Reif-style coin-flip contraction with per-round edge packing.",
 		},
 	}
 	for _, fam := range graphFamilies(scale) {
@@ -58,10 +56,10 @@ func Connectivity(scale int, procs []int, seed uint64) *Table {
 		}
 		cfgs := []cfg{{graph.CCSerialDFS, 1}, {graph.CCUnionFind, 1}}
 		for _, p := range procs {
-			cfgs = append(cfgs, cfg{graph.CCHookShortcut, p}, cfg{graph.CCRandomMate, p})
+			cfgs = append(cfgs, cfg{graph.CCHookShortcut, p})
 		}
 		for _, c := range cfgs {
-			opt := graph.CCOptions{Algorithm: c.algo, Procs: c.p, Seed: seed}
+			opt := graph.CCOptions{Algorithm: c.algo, Procs: c.p}
 			start := time.Now()
 			got := graph.ConnectedComponents(fam.g, opt)
 			el := time.Since(start)
@@ -96,18 +94,19 @@ func Connectivity(scale int, procs []int, seed uint64) *Table {
 	return t
 }
 
-// Biconnectivity compares the parallel Tarjan-Vishkin reduction —
-// spanning forest by random mate, rooting and preorder by Euler-tour
-// list ranking, blocks by pointer-jumping connectivity — against the
-// serial Hopcroft-Tarjan baseline, reporting the structural counts
-// alongside the times.
-func Biconnectivity(scale int, procs []int, seed uint64) *Table {
+// Biconnectivity compares the Tarjan-Vishkin reduction — spanning
+// forest by union-find, rooting and preorder by Euler-tour list
+// ranking, blocks by pointer-jumping connectivity — against the serial
+// Hopcroft-Tarjan baseline, reporting the structural counts alongside
+// the times.
+func Biconnectivity(scale int, procs []int) *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Biconnected components (n≈%d)", scale),
 		Columns: []string{"graph", "n", "edges", "algorithm", "procs", "ms", "blocks", "bridges", "artic."},
 		Notes: []string{
-			"tarjan-vishkin chains five consumers of the library's primitives;",
-			"its block structure is validated cell-for-cell against hopcroft-tarjan.",
+			"tarjan-vishkin takes union-find's spanning forest, then chains four",
+			"parallel consumers of the library's primitives; its block structure",
+			"is validated cell-for-cell against hopcroft-tarjan.",
 		},
 	}
 	for _, fam := range graphFamilies(scale) {
@@ -125,7 +124,7 @@ func Biconnectivity(scale int, procs []int, seed uint64) *Table {
 		}
 		for _, c := range cfgs {
 			start := time.Now()
-			got, err := graph.BiconnectedComponents(fam.g, graph.BiconnOptions{Algorithm: c.algo, Procs: c.p, Seed: seed})
+			got, err := graph.BiconnectedComponents(fam.g, graph.BiconnOptions{Algorithm: c.algo, Procs: c.p})
 			if err != nil {
 				panic(err)
 			}

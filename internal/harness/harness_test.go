@@ -298,9 +298,9 @@ func TestContractionTable(t *testing.T) {
 }
 
 func TestConnectivityTable(t *testing.T) {
-	tb := Connectivity(1024, []int{1, 2}, 7)
-	// 4 families × (2 serial + 2 algos × 2 proc counts) rows.
-	if want := 4 * 6; len(tb.Rows) != want {
+	tb := Connectivity(1024, []int{1, 2})
+	// 4 families × (2 serial + hook-shortcut × 2 proc counts) rows.
+	if want := 4 * 4; len(tb.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), want)
 	}
 	for _, row := range tb.Rows {
@@ -311,7 +311,7 @@ func TestConnectivityTable(t *testing.T) {
 }
 
 func TestBiconnectivityTable(t *testing.T) {
-	tb := Biconnectivity(512, []int{1}, 9)
+	tb := Biconnectivity(512, []int{1})
 	if want := 4 * 2; len(tb.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), want)
 	}

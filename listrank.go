@@ -96,8 +96,19 @@ func (l *List) view() *list.List {
 func (l *List) Len() int { return len(l.Next) }
 
 // Validate checks that the list is a single chain over all vertices
-// ending in a self-loop, and returns a descriptive error otherwise.
+// ending in a self-loop, and returns a descriptive error wrapping
+// ErrNotList otherwise.
 func (l *List) Validate() error { return l.view().Validate() }
+
+// ErrNotList is the refusal of a list that is not one chain from Head
+// over all vertices to its only self-loop. Nothing checks a list's
+// shape before ranking it: the rank itself refuses a malformed list,
+// and every entry point reports the refusal with an error for which
+// errors.Is(err, ErrNotList) holds — the panic of the functions that
+// return no error (through a fan-out's worker panic, which unwraps to
+// it), the error of OutOfCoreList and of package tree, and the error
+// Ticket.Wait returns beside ErrPanic.
+var ErrNotList = list.ErrNotList
 
 // NewRandomList returns a list of n vertices in uniformly random
 // order with unit values — the paper's benchmark workload (random
@@ -181,7 +192,9 @@ func Scan(l *List) []int64 { return ScanWith(l, Options{}) }
 
 // RankWith is Rank with explicit options. It runs through a pooled
 // Engine, so repeated calls reuse working space and only the result
-// slice is allocated. An empty list has an empty result.
+// slice is allocated. An empty list has an empty result, and a list
+// that is not one chain panics with an error for which
+// errors.Is(err, ErrNotList) holds.
 func RankWith(l *List, opt Options) []int64 {
 	out := make([]int64, l.Len())
 	RankInto(out, l, opt)

@@ -165,7 +165,9 @@ func (o *OutOfCoreList) Append(next, value []int64) error {
 }
 
 // Rank ranks the staged list from head. The result is written to the
-// spill (ReadResult); Stats describes the decomposition.
+// spill (ReadResult); Stats describes the decomposition. A list that
+// is not one chain from head returns an error wrapping both
+// ErrOutOfCore and ErrNotList; so do Scan and ScanOp.
 func (o *OutOfCoreList) Rank(head int64) error {
 	return o.run(head, segment.ModeRank, nil, 0)
 }

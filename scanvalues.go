@@ -26,8 +26,9 @@ import (
 // Algorithm Serial, take the one-pass serial walk, which is as fast or
 // faster there. The list is never mutated. The ranked path holds 16n
 // bytes of ranks and permutation besides the engine's arena. A list
-// that is not one chain panics, with the error List.Validate wraps,
-// rather than spin or return a wrong answer.
+// that is not one chain panics with an error for which
+// errors.Is(err, ErrNotList) holds, rather than spin or return a wrong
+// answer.
 func ScanValues[T any](l *List, vals []T, op func(T, T) T, identity T, opt Options) []T {
 	n := l.Len()
 	if len(vals) != n {

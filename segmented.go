@@ -19,8 +19,8 @@ import (
 //
 // Like the monolithic entry points, segmented calls never mutate the
 // input list, and a list that is not a single chain over all vertices
-// panics with the error List.Validate wraps (the serving layer
-// contains the panic when inputs are untrusted).
+// panics with an error for which errors.Is(err, ErrNotList) holds (the
+// serving layer contains the panic when inputs are untrusted).
 
 // SegmentedOptions configures the segmented entry points.
 type SegmentedOptions struct {

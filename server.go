@@ -135,7 +135,7 @@ var (
 	// ErrBadRequest reports a request rejected at admission: a nil
 	// List, a Dst or (for a scan) a Value whose length does not match
 	// the list, and the like. A list that is not one chain is not
-	// checked here: its engine refuses it (ErrPanic).
+	// checked here: its engine refuses it (ErrPanic and ErrNotList).
 	ErrBadRequest = errors.New("listrank: malformed request")
 	// ErrDeadlineExceeded reports a request whose Deadline passed —
 	// while queued (it never ran) or mid-run (it was cooperatively
@@ -191,8 +191,9 @@ func (t *Ticket) Cancel() { t.cancel.Trip() }
 // nil) and the request's error: nil on success; ErrServerClosed /
 // ErrBackpressure / ErrBadRequest if the request never ran;
 // ErrDeadlineExceeded or ErrCanceled if it was withdrawn (queued or
-// mid-run); an ErrPanic-wrapped
-// error if a fault was contained while serving it.
+// mid-run); an ErrPanic-wrapped error if a fault was contained while
+// serving it, which for a list that is not one chain also wraps
+// ErrNotList.
 func (t *Ticket) Wait() ([]int64, error) {
 	<-t.done
 	dst, err := t.req.Dst, t.err
@@ -891,12 +892,18 @@ func (t *Ticket) finish() {
 
 // panicErr classifies a panic recovered while serving the ticket:
 // cooperative cancellation unwinds as core.ErrCanceled and reports why
-// the ticket was withdrawn; anything else — a poisoned input tripping
-// a kernel guard, an injected fault — is a contained fault wrapped in
-// ErrPanic with the original message preserved.
+// the ticket was withdrawn; anything else — a list the engine refused,
+// an injected fault — is a contained fault wrapped in ErrPanic. An
+// error panic stays in the chain, so errors.Is also matches what it
+// wraps (ErrNotList for a refused list); any other panic keeps its
+// message.
 func (t *Ticket) panicErr(r any) error {
-	if err, ok := r.(error); ok && errors.Is(err, core.ErrCanceled) {
+	err, ok := r.(error)
+	switch {
+	case ok && errors.Is(err, core.ErrCanceled):
 		return t.withdrawn()
+	case ok:
+		return fmt.Errorf("%w: %w", ErrPanic, err)
 	}
 	return fmt.Errorf("%w: %v", ErrPanic, r)
 }

@@ -57,42 +57,49 @@ func BenchmarkTree(b *testing.B) {
 	})
 }
 
-// Rake+compress contraction across the shapes that stress each half:
-// balanced trees are pure rake, chains are pure compress, random
-// general trees mix both. The serial postorder walk is the baseline.
+// GeneralExpr across the shapes that stress each half: chains are all
+// chain fold, the caterpillar (no unary node) is all rake, random
+// general trees mix both. The serial postorder walk is the baseline;
+// new times construction alone and new-eval one construction plus one
+// Eval.
 func BenchmarkGeneralExpr(b *testing.B) {
 	shapes := []struct {
 		name string
-		mk   func(testing.TB) *GeneralExpr
+		in   *generalInputs
 	}{
-		{"random-256k", func(t testing.TB) *GeneralExpr {
-			return randomGeneralExpr(t, 1<<18, 3, listrank.Options{})
-		}},
-		{"chain-256k", func(t testing.TB) *GeneralExpr {
-			return chainExpr(t, 1<<18, listrank.Options{})
-		}},
-		{"caterpillar-256k", func(t testing.TB) *GeneralExpr {
-			return caterpillarExpr(t, 1<<17, listrank.Options{})
-		}},
+		{"random-256k", randomGeneralInputs(1<<18, 3)},
+		{"chain-256k", chainInputs(1 << 18)},
+		{"caterpillar-256k", caterpillarInputs(1 << 17)},
 	}
 	for _, s := range shapes {
-		e := s.mk(b)
+		e := s.in.build(b, listrank.Options{})
 		want := e.EvalSerial()
+		bytes := int64(8 * e.Len())
 		b.Run(s.name+"/serial", func(b *testing.B) {
-			b.SetBytes(int64(8 * e.Len()))
+			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
 				if e.EvalSerial() != want {
 					b.Fatal("wrong answer")
 				}
 			}
 		})
-		for _, p := range []int{1, 4} {
-			e.opt.Procs = p
-			for _, m := range []CompressMethod{CompressJump, CompressFold} {
-				b.Run(fmt.Sprintf("%s/contract-p%d-%s", s.name, p, m), func(b *testing.B) {
-					b.SetBytes(int64(8 * e.Len()))
+		for _, p := range []int{1, 2} {
+			opt := listrank.Options{Procs: p}
+			e.opt = opt
+			legs := []struct {
+				name string
+				run  func() int64
+			}{
+				{"new", func() int64 { s.in.build(b, opt); return want }},
+				{"eval", func() int64 { return e.Eval(nil) }},
+				{"eval-all", func() int64 { return e.EvalAll(nil)[e.Root()] }},
+				{"new-eval", func() int64 { return s.in.build(b, opt).Eval(nil) }},
+			}
+			for _, leg := range legs {
+				b.Run(fmt.Sprintf("%s/%s-p%d", s.name, leg.name, p), func(b *testing.B) {
+					b.SetBytes(bytes)
 					for i := 0; i < b.N; i++ {
-						if e.EvalWith(m, nil) != want {
+						if leg.run() != want {
 							b.Fatal("wrong answer")
 						}
 					}

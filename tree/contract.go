@@ -142,17 +142,19 @@ func (e *Expr) numberLeaves() (err error) {
 	defer putEngine(n, en)
 	defer refused(&err, "tree: expression structure is cyclic")
 	en.next = arena.Grow(en.next, 2*n)
-	en.value = arena.Zeroed(en.value, 2*n)
+	en.value = arena.Grow(en.value, 2*n)
 	next, value := en.next, en.value
 	down := func(v int32) int64 { return int64(v) }
 	up := func(v int32) int64 { return int64(n) + int64(v) }
 	nLeaves := 0
 	for v := int32(0); v < int32(n); v++ {
+		value[up(v)] = 0
 		if e.left[v] == -1 {
 			next[down(v)] = up(v)
 			value[down(v)] = 1
 			nLeaves++
 		} else {
+			value[down(v)] = 0
 			next[down(v)] = down(e.left[v])
 			next[up(e.left[v])] = down(e.right[v])
 			next[up(e.right[v])] = up(v)
@@ -234,12 +236,12 @@ func (e *Expr) Eval(stats *ContractStats) int64 {
 	return v
 }
 
-// rakeRec records one rake for the EvalAll expansion: leaf v with
-// pending function (va, vb) was raked into parent p, whose other
-// child s had pending function (sa, sb) at that moment.
+// rakeRec records one rake for the EvalAll expansion: a leaf whose
+// value through its pending function was a was raked into parent p,
+// whose other child s had pending function (sa, sb) at that moment.
 type rakeRec struct {
-	v, p, s        int32
-	va, vb, sa, sb int64
+	p, s      int32
+	a, sa, sb int64
 }
 
 // EvalAll returns the value of every node's subtree — the full

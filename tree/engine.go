@@ -86,9 +86,9 @@ type Engine struct {
 	start                               []int32
 	next, value, ranks                  []int64
 
-	// pfx is the destination for tour scans (LCA depths, leaf
-	// numbering, vertex depths); il is the reused list header that
-	// keeps tour views off the heap.
+	// pfx is the destination for tour scans (leaf numbering, vertex
+	// depths); il is the reused list header that keeps tour views off
+	// the heap.
 	pfx []int64
 	il  listrank.List
 }
@@ -153,9 +153,10 @@ func refused(err *error, what string) {
 }
 
 // engineFleet backs the package-level entry points: Expr.Eval,
-// Expr.EvalAll, RootAt, Tree.LCA and the tour statistics all borrow a
-// warm engine per call, so callers that never construct an Engine
-// still amortize working-space allocation across calls. Engines are
+// Expr.EvalAll, GeneralExpr.Eval and EvalAll, RootAt, Tree.LCA and the
+// tour statistics all borrow a warm engine per call, so callers that
+// never construct an Engine still amortize working-space allocation
+// across calls. Engines are
 // checked out by problem size from a size-binned fleet pool — the
 // same discipline as the listrank serving layer — so a 30-node
 // expression never borrows (and pins) an arena warmed on a
@@ -206,12 +207,18 @@ func (en *Engine) Eval(e *Expr, stats *ContractStats) int64 {
 	if e.n == 1 {
 		return e.leafVal[e.root]
 	}
+	en.prepContract(e)
+	return en.contract(e, e.opt.Procs, stats)
+}
+
+// contract runs the rake rounds on procs workers from the state
+// prepContract loaded, whatever pending functions it then holds, and
+// returns the root's value.
+func (en *Engine) contract(e *Expr, procs int, stats *ContractStats) int64 {
 	defer en.releaseCall()
-	procs := e.opt.Procs
 	if procs < 1 {
 		procs = 1
 	}
-	en.prepContract(e)
 	live := en.live
 	rounds, rakes := 0, 0
 	for len(live) > 2 {
@@ -326,12 +333,17 @@ func (en *Engine) EvalAllInto(dst []int64, e *Expr, stats *ContractStats) {
 		dst[e.root] = e.leafVal[e.root]
 		return
 	}
+	en.prepContract(e)
+	en.contractAll(dst, e, e.opt.Procs, stats)
+}
+
+// contractAll is contract with the rake log and its reverse replay,
+// writing every node's subtree value into dst.
+func (en *Engine) contractAll(dst []int64, e *Expr, procs int, stats *ContractStats) {
 	defer en.releaseCall()
-	procs := e.opt.Procs
 	if procs < 1 {
 		procs = 1
 	}
-	en.prepContract(e)
 	for v := 0; v < e.n; v++ {
 		if en.left[v] == -1 {
 			dst[v] = e.leafVal[v]
@@ -400,8 +412,9 @@ func (en *Engine) EvalAllInto(dst []int64, e *Expr, stats *ContractStats) {
 	}
 }
 
-// rakeLogChunk is rakeChunk with each rake recorded (pre-mutation
-// pending functions of the leaf and its sibling) into buf.
+// rakeLogChunk is rakeChunk with each rake recorded (the leaf's value
+// through its pending function, and the sibling's pre-mutation
+// pending function) into buf.
 func (en *Engine) rakeLogChunk(e *Expr, phase int, live []int32, buf []rakeRec, lo, hi int) []rakeRec {
 	left, right, parent := en.left, en.right, en.parent
 	fa, fb, side, raked := en.fa, en.fb, en.side, en.raked
@@ -421,9 +434,8 @@ func (en *Engine) rakeLogChunk(e *Expr, phase int, live []int32, buf []rakeRec, 
 		} else {
 			s = left[p]
 		}
-		buf = append(buf, rakeRec{v: v, p: p, s: s,
-			va: fa[v], vb: fb[v], sa: fa[s], sb: fb[s]})
 		a := fa[v]*e.leafVal[v] + fb[v]
+		buf = append(buf, rakeRec{p: p, s: s, a: a, sa: fa[s], sb: fb[s]})
 		if e.ops[p] == OpAdd {
 			fb[s] = fa[p]*(a+fb[s]) + fb[p]
 			fa[s] = fa[p] * fa[s]
@@ -474,12 +486,11 @@ func (en *Engine) expandChunk(dst []int64, e *Expr, base, lo, hi int) {
 	log := en.log
 	for j := base + lo; j < base+hi; j++ {
 		rec := log[j]
-		av := rec.va*e.leafVal[rec.v] + rec.vb
 		bv := rec.sa*dst[rec.s] + rec.sb
 		if e.ops[rec.p] == OpAdd {
-			dst[rec.p] = av + bv
+			dst[rec.p] = rec.a + bv
 		} else {
-			dst[rec.p] = av * bv
+			dst[rec.p] = rec.a * bv
 		}
 	}
 }
@@ -649,17 +660,13 @@ func taskOrient(c any, _, lo, hi int) {
 // --- LCA --------------------------------------------------------------
 
 // LCA builds t's constant-time lowest-common-ancestor index (see
-// Tree.LCA) using the engine's listrank arena for the tour scan. The
-// returned index owns its storage — it outlives the call — so the
-// build is not allocation-free, but its working space is reused.
+// Tree.LCA) from the tour ranks and the depths New kept, on the
+// engine's worker pool. The returned index owns its storage — it
+// outlives the call — so the build is not allocation-free.
 func (en *Engine) LCA(t *Tree) *LCAIndex {
 	n := t.n
-	ranks := t.tourRanks()
+	ranks, depths := t.tourRanks(), t.depths
 	m := 2 * n
-	en.pfx = arena.Grow(en.pfx, m)
-	en.lrEngine().ScanInto(en.pfx, t.tour, t.opt)
-	pfx := en.pfx
-
 	x := &LCAIndex{
 		t:     t,
 		first: make([]int32, n),
@@ -671,24 +678,24 @@ func (en *Engine) LCA(t *Tree) *LCAIndex {
 		procs = 1
 	}
 	// Invert the ranks: position rank(e) holds element e. down(v)
-	// puts the walk at v (depth pfx), up(v) returns it to v's parent
-	// (depth pfx[up(v)] - 2 = depth(v) - 1; for the root's up element
-	// the walk ends where it started). The LCA build allocates its
-	// retained index anyway, so the fan-out uses the pool's mirror
-	// form (resident workers, closure at the call site).
+	// puts the walk at v (depth(v)), up(v) returns it to v's parent
+	// (depth(v) - 1; for the root's up element the walk ends where it
+	// started). The LCA build allocates its retained index anyway, so
+	// the fan-out uses the pool's mirror form (resident workers,
+	// closure at the call site).
 	en.fanout().ForChunks(n, procs, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			pd := ranks[v]
 			x.first[v] = int32(pd)
 			x.at[pd] = int32(v)
-			x.depth[pd] = pfx[v]
+			x.depth[pd] = depths[v]
 			pu := ranks[n+v]
 			p := t.parent[v]
 			if p < 0 {
 				p = int32(v) // root's up: walk stays at the root
 			}
 			x.at[pu] = p
-			x.depth[pu] = pfx[n+v] - 2
+			x.depth[pu] = depths[v] - 1
 		}
 	})
 	x.depth[ranks[n+t.root]] = 0 // root's up position: depth 0, not -1

@@ -129,7 +129,7 @@ func TestTreeEngineConcurrent(t *testing.T) {
 // TestTreeZeroAllocSteadyState is the application-layer contract of
 // the arena architecture: with a warm engine and one worker, repeated
 // evaluation, subtree evaluation and rooting perform zero heap
-// allocations.
+// allocations, and so does GeneralExpr.Eval on its warm pooled engine.
 func TestTreeZeroAllocSteadyState(t *testing.T) {
 	nLeaves := 1 << 13
 	left, right, ops, vals := randomExpr(nLeaves, 29, 0.5)
@@ -154,10 +154,11 @@ func TestTreeZeroAllocSteadyState(t *testing.T) {
 			en.SetPool(pool)
 		}
 		var st ContractStats
-		cases := []struct {
+		type allocCase struct {
 			name string
 			run  func()
-		}{
+		}
+		cases := []allocCase{
 			{"eval", func() { en.Eval(e, &st) }},
 			{"eval-all-into", func() { en.EvalAllInto(dst, e, &st) }},
 			{"root-at-into", func() {
@@ -165,6 +166,11 @@ func TestTreeZeroAllocSteadyState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		}
+		if procs == 1 {
+			g := randomGeneralExpr(t, 3*nLeaves, 29, listrank.Options{Procs: 1})
+			var gst RakeCompressStats
+			cases = append(cases, allocCase{"general-eval", func() { g.Eval(&gst) }})
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s-p%d", tc.name, procs), func(t *testing.T) {

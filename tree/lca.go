@@ -29,10 +29,10 @@ type LCAIndex struct {
 }
 
 // LCA builds the constant-time query index. The construction ranks
-// the tour (cached on the tree) and scans it once; the sparse-table
-// levels are built with the tree's configured parallelism. It borrows
-// a pooled Engine for the scan's working space; hold an explicit
-// Engine and call its LCA method to control reuse directly.
+// the tour (cached on the tree) and reads the depths New took from its
+// scan of the tour; the sparse-table levels are built with the tree's
+// configured parallelism. It borrows a pooled Engine's worker pool;
+// hold an explicit Engine and call its LCA method to choose the pool.
 func (t *Tree) LCA() *LCAIndex {
 	en := getEngine(t.n)
 	x := en.LCA(t)

@@ -1,54 +1,61 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
 
 	"listrank"
-	"listrank/internal/par"
+	"listrank/internal/list"
 )
 
 // GeneralExpr is an expression tree over binary {+, ×} nodes, unary
 // affine nodes f(x) = A·x + B, and constant leaves — the shape the
 // full Miller-Reif tree contraction (rake and compress, paper refs
-// [25, 26, 31]) is built for. The rake-only contraction of Expr
-// requires a full binary tree; once unary nodes are allowed, a tree
-// can be one long chain and raking alone would need a round per node.
-// Compress is the missing half: every maximal chain of unary nodes
-// collapses by composing its affine functions — an associative,
-// non-commutative product, which is to say a list scan in the paper's
-// own general-operator sense (§2) — so chains of any length flatten
-// in logarithmic rounds of pointer jumping (§2.2's technique, applied
-// to function composition instead of rank addition).
+// [25, 26, 31]) is built for. Rake alone (Expr) requires a full binary
+// tree; once unary nodes are allowed a tree can be one long chain, and
+// compress is the missing half: a maximal chain of unary nodes
+// collapses by composing its affine functions.
 //
-// Every contraction round rakes all current leaves into their parents
-// and then fully compresses all unary chains, so the number of rounds
-// is logarithmic in the tree size regardless of shape — balanced,
-// caterpillar, or pure chain. Arithmetic is int64 with ordinary
-// wraparound on overflow.
+// Unary nodes never change shape, so NewGeneralExpr does the compress
+// once: it keeps the non-unary nodes as a full binary tree (an Expr
+// over compact ids) and lays every maximal unary chain out, top-down,
+// against the binary node below it. Eval then folds each chain, in one
+// pass over that layout, into the pending affine function of the node
+// below it — the function Expr's rake already carries on every node —
+// and runs Expr's rake contraction on the binary tree, so the rounds
+// are logarithmic in the number of leaves whatever the shape:
+// balanced, caterpillar or pure chain. Arithmetic is int64 with
+// ordinary wraparound on overflow.
 type GeneralExpr struct {
-	n           int
-	root        int32
-	left, right []int32 // right = -1 on unary nodes; both -1 on leaves
-	ops         []Op    // binary nodes only
-	ua, ub      []int64 // unary nodes only: f(x) = ua·x + ub
-	leafVal     []int64 // leaves only
-	opt         listrank.Options
+	n    int
+	root int32
+	opt  listrank.Options
+
+	// bin is the full binary tree over the non-unary nodes, numbered in
+	// node order: binary node c is node orig[c], so orig[c] ≥ c.
+	bin  Expr
+	orig []int32
+	// The maximal unary chains, one after another, each top-down:
+	// chain k is positions [chainEnd[k-1], chainEnd[k]) (from 0 for
+	// k = 0) and hangs above binary node chainBin[k]; node chainNode[j]
+	// computes chainA[j]·x + chainB[j]. The root's chain, if the root
+	// is unary, is chain 0.
+	chainNode      []int32
+	chainA, chainB []int64
+	chainEnd       []int32
+	chainBin       []int32
 }
 
-// RakeCompressStats reports what a contraction did.
+// RakeCompressStats reports what an evaluation did.
 type RakeCompressStats struct {
-	// Rounds is the number of rake+compress rounds.
+	// Rounds is the number of rake rounds on the binary tree.
 	Rounds int
-	// Rakes is the total number of leaves absorbed.
+	// Rakes is the number of leaves raked.
 	Rakes int
-	// Compressed is the total number of unary nodes retired by
-	// chain compression.
+	// Compressed is the number of unary nodes folded into the pending
+	// function of the node below their chain.
 	Compressed int
-	// JumpRounds is the total number of pointer-jumping passes across
-	// all compress phases (CompressJump rounds only).
-	JumpRounds int
-	// FoldedChains is the number of chains collapsed by single walks
-	// (CompressFold rounds only).
+	// FoldedChains is the number of maximal unary chains folded.
 	FoldedChains int
 }
 
@@ -58,7 +65,9 @@ type RakeCompressStats struct {
 // (computing ua[i]·x + ub[i] over child left[i]); and a binary node
 // otherwise (computing ops[i] over both children). The node arrays
 // must describe a single tree: every node reachable from one root,
-// each with one parent.
+// each with one parent. A cycle of unary nodes is refused by
+// counting, and a cycle through a binary node by the binary tree's
+// leaf numbering; both errors wrap listrank.ErrNotList.
 func NewGeneralExpr(left, right []int, ops []Op, ua, ub, leafVal []int64, opt listrank.Options) (*GeneralExpr, error) {
 	n := len(left)
 	if n == 0 {
@@ -68,96 +77,120 @@ func NewGeneralExpr(left, right []int, ops []Op, ua, ub, leafVal []int64, opt li
 		return nil, fmt.Errorf("tree: array lengths disagree (left %d, right %d, ops %d, ua %d, ub %d, leafVal %d)",
 			n, len(right), len(ops), len(ua), len(ub), len(leafVal))
 	}
-	e := &GeneralExpr{
-		n:       n,
-		left:    make([]int32, n),
-		right:   make([]int32, n),
-		ops:     append([]Op(nil), ops...),
-		ua:      append([]int64(nil), ua...),
-		ub:      append([]int64(nil), ub...),
-		leafVal: append([]int64(nil), leafVal...),
-		opt:     opt,
-	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	link := func(p, c int) error {
-		if c < 0 || c >= n {
-			return fmt.Errorf("tree: node %d: child %d out of range", p, c)
-		}
-		if c == p {
-			return fmt.Errorf("tree: node %d is its own child", p)
-		}
-		if parent[c] != -1 {
-			return fmt.Errorf("tree: node %d has two parents (%d and %d)", c, parent[c], p)
-		}
-		parent[c] = int32(p)
-		return nil
-	}
+	// id numbers the non-unary nodes in node order and marks unary
+	// nodes -1.
+	id := make([]int32, n)
+	nb := int32(0)
 	for i := 0; i < n; i++ {
 		l, r := left[i], right[i]
 		switch {
 		case l == -1 && r == -1:
-			e.left[i], e.right[i] = -1, -1
 		case l >= 0 && r == -1:
-			if err := link(i, l); err != nil {
-				return nil, err
-			}
-			e.left[i], e.right[i] = int32(l), -1
+			id[i] = -1
+			continue
 		case l >= 0 && r >= 0:
-			if err := link(i, l); err != nil {
-				return nil, err
-			}
-			if err := link(i, r); err != nil {
-				return nil, err
-			}
 			if ops[i] != OpAdd && ops[i] != OpMul {
 				return nil, fmt.Errorf("tree: node %d: unknown operator %d", i, ops[i])
 			}
-			e.left[i], e.right[i] = int32(l), int32(r)
 		default:
 			return nil, fmt.Errorf("tree: node %d: left %d, right %d (unary nodes use left)", i, l, r)
 		}
+		id[i] = nb
+		nb++
 	}
-	root := -1
-	for v, p := range parent {
-		if p == -1 {
-			if root != -1 {
-				return nil, fmt.Errorf("tree: two roots, %d and %d", root, v)
+
+	// Check every child link and fill the binary tree. hasParent marks
+	// each node linked as a child: a second link is a second parent,
+	// and the root is the one node left unmarked. A binary node's child
+	// slot names the child's id, or −2−t for a unary child t: the top
+	// of a chain whose bottom fills the slot below.
+	e := &GeneralExpr{n: n, opt: opt, bin: Expr{n: int(nb), opt: opt}, orig: make([]int32, nb)}
+	b := &e.bin
+	b.left, b.right = make([]int32, nb), make([]int32, nb)
+	b.ops, b.leafVal = make([]Op, nb), make([]int64, nb)
+	hasParent := make([]byte, n)
+	for i := 0; i < n; i++ {
+		cs := [2]int{left[i], right[i]}
+		for _, c := range cs {
+			switch {
+			case c == -1:
+				continue
+			case c >= n:
+				return nil, fmt.Errorf("tree: node %d: child %d out of range", i, c)
+			case c == i:
+				return nil, fmt.Errorf("tree: node %d is its own child", i)
+			case hasParent[c] != 0:
+				return nil, fmt.Errorf("tree: node %d has a second parent, %d", c, i)
 			}
-			root = v
+			hasParent[c] = 1
+		}
+		if c := id[i]; c >= 0 {
+			e.orig[c] = int32(i)
+			if cs[0] == -1 {
+				b.left[c], b.right[c] = -1, -1
+				b.leafVal[c] = leafVal[i]
+			} else {
+				b.ops[c] = ops[i]
+				b.left[c], b.right[c] = slot(id, cs[0]), slot(id, cs[1])
+			}
 		}
 	}
-	if root == -1 {
+	root := bytes.IndexByte(hasParent, 0)
+	if root < 0 {
 		return nil, fmt.Errorf("tree: no root (parent cycle)")
 	}
-	// Reachability: n nodes, n-1 parent links, single root — any
-	// unreachable node would need a parent cycle, which the two-parent
-	// and no-root checks above exclude; a quick walk confirms.
-	reach := 0
-	stack := []int32{int32(root)}
-	seen := make([]bool, n)
-	seen[root] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		reach++
-		for _, c := range []int32{e.left[v], e.right[v]} {
-			if c >= 0 {
-				if seen[c] {
-					return nil, fmt.Errorf("tree: node %d reached twice", c)
-				}
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	if reach != n {
-		return nil, fmt.Errorf("tree: %d of %d nodes unreachable from root %d", n-reach, n, root)
+	if r := bytes.IndexByte(hasParent[root+1:], 0); r >= 0 {
+		return nil, fmt.Errorf("tree: two roots, %d and %d", root, root+1+r)
 	}
 	e.root = int32(root)
+
+	// Walk every chain down from its top, the root's first. With one
+	// parent per node a walk cannot revisit its chain, and a cycle made
+	// only of unary nodes is on no walk: the walks must cover every
+	// unary node.
+	unary := n - int(nb)
+	e.chainNode = make([]int32, 0, unary)
+	e.chainA, e.chainB = make([]int64, 0, unary), make([]int64, 0, unary)
+	walk := func(t int) int32 {
+		u := t
+		for id[u] < 0 {
+			e.chainNode = append(e.chainNode, int32(u))
+			e.chainA, e.chainB = append(e.chainA, ua[u]), append(e.chainB, ub[u])
+			u = left[u]
+		}
+		c := id[u]
+		e.chainEnd, e.chainBin = append(e.chainEnd, int32(len(e.chainNode))), append(e.chainBin, c)
+		return c
+	}
+	if b.root = id[root]; b.root < 0 {
+		b.root = walk(root)
+	}
+	for c := 0; unary > 0 && c < len(b.left); c++ {
+		if t := b.left[c]; t <= -2 {
+			b.left[c] = walk(int(-2 - t))
+		}
+		if t := b.right[c]; t <= -2 {
+			b.right[c] = walk(int(-2 - t))
+		}
+	}
+	if k := unary - len(e.chainNode); k > 0 {
+		return nil, fmt.Errorf("tree: %d unary nodes lie on a cycle: %w", k, list.ErrNotList)
+	}
+	if nb > 1 {
+		if err := b.numberLeaves(); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
+}
+
+// slot is a binary node's child slot for child c: its id, or −2−c when
+// c is unary.
+func slot(id []int32, c int) int32 {
+	if id[c] < 0 {
+		return int32(-2 - c)
+	}
+	return id[c]
 }
 
 // Len returns the number of nodes.
@@ -166,406 +199,134 @@ func (e *GeneralExpr) Len() int { return e.n }
 // Root returns the root node index.
 func (e *GeneralExpr) Root() int { return int(e.root) }
 
-// EvalSerial evaluates the tree by an iterative postorder walk — the
-// baseline the contraction is checked against.
+// EvalSerial evaluates the tree by an iterative postorder walk of the
+// binary tree that applies each node's chain to its value on the way
+// up — the baseline the contraction is checked against.
 func (e *GeneralExpr) EvalSerial() int64 {
-	val := make([]int64, e.n)
+	b := &e.bin
+	fa, fb := make([]int64, b.n), make([]int64, b.n)
+	for c := range fa {
+		fa[c] = 1
+	}
+	e.foldChains(fa, fb)
+	up := make([]int64, b.n) // a node's value through its chain
 	type frame struct {
 		v       int32
 		visited bool
 	}
-	stack := []frame{{e.root, false}}
+	stack := []frame{{b.root, false}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := f.v
+		var x int64
 		switch {
-		case e.left[v] == -1: // leaf
-			val[v] = e.leafVal[v]
+		case b.left[v] == -1:
+			x = b.leafVal[v]
 		case !f.visited:
-			stack = append(stack, frame{v, true}, frame{e.left[v], false})
-			if e.right[v] != -1 {
-				stack = append(stack, frame{e.right[v], false})
-			}
-		case e.right[v] == -1: // unary
-			val[v] = e.ua[v]*val[e.left[v]] + e.ub[v]
-		case e.ops[v] == OpAdd:
-			val[v] = val[e.left[v]] + val[e.right[v]]
+			stack = append(stack, frame{v, true}, frame{b.left[v], false}, frame{b.right[v], false})
+			continue
+		case b.ops[v] == OpAdd:
+			x = up[b.left[v]] + up[b.right[v]]
 		default:
-			val[v] = val[e.left[v]] * val[e.right[v]]
+			x = up[b.left[v]] * up[b.right[v]]
 		}
+		up[v] = fa[v]*x + fb[v]
 	}
-	return val[e.root]
+	return up[b.root]
 }
 
-// CompressMethod selects how a contraction round collapses unary
-// chains — the same work-versus-rounds ledger as the paper's
-// Table II, replayed on the function-composition monoid.
-type CompressMethod int
-
-const (
-	// CompressAuto (default) folds when there are at least as many
-	// chains as workers (so every worker stays busy doing O(1) work
-	// per node) and jumps otherwise.
-	CompressAuto CompressMethod = iota
-	// CompressJump is Wyllie pointer jumping (§2.2): logarithmic
-	// passes, but O(len·log len) composition work per chain — the
-	// round-efficient, work-inefficient column of Table II.
-	CompressJump
-	// CompressFold walks each chain once, chains in parallel — the
-	// paper's Phase 1 discipline applied to the chain forest:
-	// work-efficient O(len), with per-chain serialism as the price.
-	CompressFold
-)
-
-// String returns the method's short name.
-func (m CompressMethod) String() string {
-	switch m {
-	case CompressJump:
-		return "jump"
-	case CompressFold:
-		return "fold"
+// chain returns the composition of chain k, top ∘ … ∘ bottom, as
+// (a, b) in a·x + b.
+func (e *GeneralExpr) chain(k int) (a, b int64) {
+	lo := int32(0)
+	if k > 0 {
+		lo = e.chainEnd[k-1]
 	}
-	return "auto"
+	a = 1
+	for j := lo; j < e.chainEnd[k]; j++ {
+		a, b = a*e.chainA[j], a*e.chainB[j]+b
+	}
+	return a, b
 }
 
-// Eval evaluates the tree by parallel rake-and-compress contraction.
-// stats, if non-nil, receives the contraction's round and work
-// counts. The receiver is not mutated and Eval is safe to call
-// repeatedly.
-//
-// The working set is kept packed: each round iterates only over the
-// still-live nodes, compacted after every round exactly as the
-// paper's load-balancing pack step removes completed sublists (§3),
-// so the total work across all rounds is O(n) up to the compress
-// method's own cost.
+// foldChains sets the pending function of every binary node with a
+// chain above it to the chain's composition (prepContract left the
+// identity on every node).
+func (e *GeneralExpr) foldChains(fa, fb []int64) {
+	for k, c := range e.chainBin {
+		fa[c], fb[c] = e.chain(k)
+	}
+}
+
+func (e *GeneralExpr) statsOf(cs ContractStats) RakeCompressStats {
+	return RakeCompressStats{Rounds: cs.Rounds, Rakes: cs.Rakes, Compressed: len(e.chainNode), FoldedChains: len(e.chainBin)}
+}
+
+// Eval evaluates the tree: the chains fold into the binary tree's
+// pending functions, Expr's rake contraction evaluates the binary
+// tree on a pooled engine at e's options as they are when Eval is
+// called, and the root's chain applies to the result. stats, if
+// non-nil, receives the counts. The receiver is not mutated, and with
+// a warm pooled engine at Procs 1 Eval allocates nothing.
 func (e *GeneralExpr) Eval(stats *RakeCompressStats) int64 {
-	return e.EvalWith(CompressAuto, stats)
-}
-
-// EvalWith is Eval with an explicit compress method.
-func (e *GeneralExpr) EvalWith(method CompressMethod, stats *RakeCompressStats) int64 {
-	return e.contract(method, stats, nil)
+	b := &e.bin
+	var cs ContractStats
+	var v int64
+	if b.n == 1 {
+		v = b.leafVal[0]
+	} else {
+		en := getEngine(b.n)
+		en.prepContract(b)
+		e.foldChains(en.fa, en.fb)
+		v = en.contract(b, e.opt.Procs, &cs)
+		putEngine(b.n, en)
+	}
+	if stats != nil {
+		*stats = e.statsOf(cs)
+	}
+	if len(e.chainBin) > 0 && e.chainBin[0] == b.root {
+		ra, rb := e.chain(0)
+		v = ra*v + rb
+	}
+	return v
 }
 
 // EvalAll evaluates every node's subtree and returns the values
-// indexed by node — the expansion half the paper's own three-phase
-// shape pairs with contraction. No reverse replay is needed: a node's
-// subtree value is up(v) the moment contraction turns it into a leaf
-// (its pending function always spans exactly its absorbed
-// descendants), and a compress-orphaned chain node carries the suffix
-// composition down to its chain-bottom child, whose value is known
-// once contraction finishes — so one deferred pass fills the orphans.
+// indexed by node. Expr's EvalAll expansion gives every binary node's
+// value, and each chain then fills bottom-up from the node below it.
 func (e *GeneralExpr) EvalAll(stats *RakeCompressStats) []int64 {
-	return e.EvalAllWith(CompressAuto, stats)
-}
-
-// EvalAllWith is EvalAll with an explicit compress method.
-func (e *GeneralExpr) EvalAllWith(method CompressMethod, stats *RakeCompressStats) []int64 {
 	out := make([]int64, e.n)
-	e.contract(method, stats, out)
-	return out
-}
-
-func (e *GeneralExpr) contract(method CompressMethod, stats *RakeCompressStats, out []int64) int64 {
-	n := e.n
-	p := par.Procs(e.opt.Procs, n)
-	if p == 0 {
-		p = 1
+	b := &e.bin
+	var cs ContractStats
+	if b.n == 1 {
+		out[0] = b.leafVal[0]
+	} else {
+		en := getEngine(b.n)
+		en.prepContract(b)
+		e.foldChains(en.fa, en.fb)
+		en.contractAll(out[:b.n], b, e.opt.Procs, &cs)
+		putEngine(b.n, en)
 	}
-
-	// Mutable contraction state. Every live node carries a pending
-	// affine (pa, pb) applied to its computed value on the way up;
-	// unary nodes are pass-throughs whose function lives entirely in
-	// the pending slot, so "compose pendings" is the whole compress.
-	lc := append([]int32(nil), e.left...)
-	rc := append([]int32(nil), e.right...)
-	pa := make([]int64, n)
-	pb := make([]int64, n)
-	val := append([]int64(nil), e.leafVal...)
-	active := make([]int32, n) // packed list of live nodes
-	for v := 0; v < n; v++ {
-		active[v] = int32(v)
-		if e.left[v] >= 0 && e.right[v] == -1 {
-			pa[v], pb[v] = e.ua[v], e.ub[v]
-		} else {
-			pa[v], pb[v] = 1, 0
+	if b.n < e.n {
+		// Move each binary node's value from its id to its node:
+		// orig[c] ≥ c, so going down from the top never overwrites a
+		// value still to be moved.
+		for c := b.n - 1; c >= 0; c-- {
+			out[e.orig[c]] = out[c]
 		}
-		if out != nil && e.left[v] == -1 {
-			out[v] = e.leafVal[v]
-		}
-	}
-	// Deferred subtree values for compress-orphaned chain nodes:
-	// out[v] = oa·out[child] + ob once the child's value is known.
-	type orphanRec struct {
-		v, child int32
-		oa, ob   int64
-	}
-	var orphans []orphanRec
-	up := func(v int32) int64 { return pa[v]*val[v] + pb[v] }
-
-	isLeafNow := make([]bool, n)
-	died := make([]bool, n)          // write-only during a rake pass, applied at pack
-	pointedAt := make([]int32, n)    // epoch stamps for orphan detection
-	unaryPointed := make([]int32, n) // epoch stamps for chain-head detection
-	for i := range pointedAt {
-		pointedAt[i] = -1
-		unaryPointed[i] = -1
-	}
-
-	var st RakeCompressStats
-	for lc[e.root] != -1 {
-		st.Rounds++
-		round := int32(st.Rounds)
-		m := len(active)
-		chunks := par.Procs(p, m)
-
-		// Snapshot leaf-ness so every rake decision this round reads
-		// round-start state (a node becoming a leaf mid-round must
-		// wait for the next round).
-		par.Shared().ForChunks(m, chunks, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := active[i]
-				isLeafNow[v] = lc[v] == -1
+		lo := int32(0)
+		for k, c := range e.chainBin {
+			x := out[e.orig[c]]
+			for j := e.chainEnd[k] - 1; j >= lo; j-- {
+				x = e.chainA[j]*x + e.chainB[j]
+				out[e.chainNode[j]] = x
 			}
-		})
-
-		// Rake: each live internal node absorbs its snapshot-leaf
-		// children. A node writes only its own state and its leaf
-		// children's death marks (each leaf has one parent), so the
-		// pass is race-free.
-		rakes := make([]int, chunks)
-		par.Shared().ForChunks(m, chunks, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := active[i]
-				if lc[v] == -1 {
-					continue
-				}
-				if rc[v] == -1 { // unary pass-through
-					c := lc[v]
-					if isLeafNow[c] {
-						val[v] = up(c) // pending of v still applies above
-						lc[v] = -1
-						died[c] = true
-						rakes[w]++
-						if out != nil {
-							out[v] = up(v)
-						}
-					}
-					continue
-				}
-				l, r := lc[v], rc[v]
-				lLeaf, rLeaf := isLeafNow[l], isLeafNow[r]
-				switch {
-				case lLeaf && rLeaf:
-					a, b := up(l), up(r)
-					if e.ops[v] == OpAdd {
-						val[v] = a + b
-					} else {
-						val[v] = a * b
-					}
-					lc[v], rc[v] = -1, -1
-					died[l], died[r] = true, true
-					rakes[w] += 2
-					if out != nil {
-						out[v] = up(v)
-					}
-				case lLeaf || rLeaf:
-					// Fold the leaf into the pending function over the
-					// remaining child: g(x) = A + x or A·x, then
-					// pend' = pend ∘ g.
-					var a int64
-					var rest int32
-					if lLeaf {
-						a, rest = up(l), r
-						died[l] = true
-					} else {
-						a, rest = up(r), l
-						died[r] = true
-					}
-					if e.ops[v] == OpAdd {
-						pb[v] = pa[v]*a + pb[v] // pend∘(x+a): slope keeps pa
-					} else {
-						pa[v] *= a // pend∘(a·x)
-					}
-					lc[v], rc[v] = rest, -1
-					rakes[w]++
-				}
-			}
-		})
-		for _, k := range rakes {
-			st.Rakes += k
-		}
-
-		// Compress: collapse every maximal unary chain so that its head
-		// hangs directly over a non-unary node with the full chain
-		// composition in its pending slot. Two disciplines (see
-		// CompressMethod); both work on the packed unary subset only.
-		var unaries []int32
-		for _, v := range active {
-			if !died[v] && lc[v] != -1 && rc[v] == -1 {
-				unaries = append(unaries, v)
-			}
-		}
-		unary := func(v int32) bool { return !died[v] && lc[v] != -1 && rc[v] == -1 }
-		useFold := false
-		if method != CompressJump && len(unaries) > 0 {
-			// Chain heads: unary nodes no unary node points to.
-			for _, v := range unaries {
-				if unary(lc[v]) {
-					unaryPointed[lc[v]] = round
-				}
-			}
-			var heads []int32
-			for _, v := range unaries {
-				if unaryPointed[v] != round {
-					heads = append(heads, v)
-				}
-			}
-			useFold = method == CompressFold || len(heads) >= p
-			if useFold {
-				st.FoldedChains += len(heads)
-				hchunks := par.Procs(p, len(heads))
-				comp := make([]int, hchunks)
-				chainBufs := make([][]int32, hchunks)
-				par.Shared().ForChunks(len(heads), hchunks, func(w, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						h := heads[i]
-						a, b := pa[h], pb[h]
-						v := lc[h]
-						chain := chainBufs[w][:0]
-						for unary(v) {
-							// total = total ∘ f_v; interior v retires.
-							a, b = a*pa[v], a*pb[v]+b
-							died[v] = true
-							comp[w]++
-							if out != nil {
-								chain = append(chain, v)
-							}
-							v = lc[v]
-						}
-						pa[h], pb[h], lc[h] = a, b, v
-						// Rewrite retired interiors to suffix
-						// compositions over the chain bottom's child,
-						// so the uniform orphan record applies.
-						for j := len(chain) - 1; j >= 0; j-- {
-							u := chain[j]
-							if j < len(chain)-1 {
-								nxt := chain[j+1]
-								pa[u], pb[u] = pa[u]*pa[nxt], pa[u]*pb[nxt]+pb[u]
-							}
-							lc[u] = v
-						}
-						chainBufs[w] = chain[:0]
-					}
-				})
-				for _, k := range comp {
-					st.Compressed += k
-				}
-			}
-		}
-		if !useFold && len(unaries) > 0 {
-			firstPass := true
-			newLc := make([]int32, len(unaries))
-			newPa := make([]int64, len(unaries))
-			newPb := make([]int64, len(unaries))
-			for {
-				uchunks := par.Procs(p, len(unaries))
-				more := make([]bool, uchunks)
-				par.Shared().ForChunks(len(unaries), uchunks, func(w, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						v := unaries[i]
-						c := lc[v]
-						if !unary(c) {
-							newLc[i], newPa[i], newPb[i] = c, pa[v], pb[v]
-							continue
-						}
-						// pend' = pend_v ∘ pend_c; child' = child_c.
-						newPa[i] = pa[v] * pa[c]
-						newPb[i] = pa[v]*pb[c] + pb[v]
-						newLc[i] = lc[c]
-						if unary(lc[c]) {
-							more[w] = true
-						}
-					}
-				})
-				if firstPass {
-					firstPass = false
-					for _, v := range unaries {
-						if unary(lc[v]) {
-							st.Compressed++
-						}
-					}
-				}
-				par.Shared().ForChunks(len(unaries), uchunks, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						v := unaries[i]
-						lc[v], pa[v], pb[v] = newLc[i], newPa[i], newPb[i]
-					}
-				})
-				st.JumpRounds++
-				cont := false
-				for _, mo := range more {
-					cont = cont || mo
-				}
-				if !cont {
-					break
-				}
-			}
-		}
-
-		// Pack: apply deaths, retire orphaned chain interiors (live
-		// nodes nothing points to anymore), and compact the active
-		// list — the paper's load-balance step.
-		for _, v := range active {
-			if died[v] {
-				continue
-			}
-			if lc[v] >= 0 {
-				pointedAt[lc[v]] = round
-			}
-			if rc[v] >= 0 {
-				pointedAt[rc[v]] = round
-			}
-		}
-		next := active[:0]
-		for _, v := range active {
-			if died[v] {
-				died[v] = false
-				// A fold-retired chain interior carries its suffix
-				// composition; a raked leaf already has its value.
-				if out != nil && lc[v] != -1 && rc[v] == -1 {
-					orphans = append(orphans, orphanRec{v: v, child: lc[v], oa: pa[v], ob: pb[v]})
-				}
-				continue
-			}
-			// A non-root node nothing points to was jumped over by
-			// compress and is done.
-			if v != e.root && pointedAt[v] != round {
-				if out != nil {
-					orphans = append(orphans, orphanRec{v: v, child: lc[v], oa: pa[v], ob: pb[v]})
-				}
-				continue
-			}
-			next = append(next, v)
-		}
-		active = next
-	}
-	if out != nil {
-		out[e.root] = up(e.root)
-		// An orphan's child was non-unary when the record was made,
-		// so it either leaf-ified (value already in out) or became
-		// unary and was orphaned in a strictly later round — records
-		// therefore resolve in reverse order. (Within one round no
-		// two orphans can chain: compress leaves every surviving
-		// pointer aimed at a non-unary node.)
-		for i := len(orphans) - 1; i >= 0; i-- {
-			r := orphans[i]
-			out[r.v] = r.oa*out[r.child] + r.ob
+			lo = e.chainEnd[k]
 		}
 	}
 	if stats != nil {
-		*stats = st
+		*stats = e.statsOf(cs)
 	}
-	return up(e.root)
+	return out
 }

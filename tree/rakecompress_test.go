@@ -1,93 +1,105 @@
 package tree
 
 import (
-	"fmt"
+	"errors"
 	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"listrank"
+	"listrank/internal/list"
 	"listrank/internal/rng"
 )
 
-// randomGeneralExpr builds a random tree where every node has 0, 1 or
-// 2 children (attachment to a random non-full earlier node), with
-// random operators, affine coefficients and leaf values.
-func randomGeneralExpr(t testing.TB, n int, seed uint64, opt listrank.Options) *GeneralExpr {
-	t.Helper()
-	r := rng.New(seed)
-	left := make([]int, n)
-	right := make([]int, n)
-	ops := make([]Op, n)
-	ua := make([]int64, n)
-	ub := make([]int64, n)
-	leafVal := make([]int64, n)
-	for i := range left {
-		left[i], right[i] = -1, -1
-		ops[i] = Op(r.Intn(2))
-		ua[i] = int64(r.Intn(7)) - 3
-		ub[i] = int64(r.Intn(9)) - 4
-		leafVal[i] = int64(r.Intn(21)) - 10
-	}
-	// open lists nodes that can still take a child.
-	open := []int{0}
-	for v := 1; v < n; v++ {
-		k := r.Intn(len(open))
-		p := open[k]
-		if left[p] == -1 {
-			left[p] = v
-		} else {
-			right[p] = v
-			open[k] = open[len(open)-1]
-			open = open[:len(open)-1]
-		}
-		open = append(open, v)
-	}
-	e, err := NewGeneralExpr(left, right, ops, ua, ub, leafVal, opt)
-	if err != nil {
-		t.Fatalf("randomGeneralExpr(n=%d, seed=%d): %v", n, seed, err)
-	}
-	return e
+// generalInputs holds NewGeneralExpr's node arrays.
+type generalInputs struct {
+	left, right      []int
+	ops              []Op
+	ua, ub, leafVals []int64
 }
 
-// chainExpr builds a pure unary chain of length n over one leaf —
-// the shape rake alone cannot contract.
-func chainExpr(t testing.TB, n int, opt listrank.Options) *GeneralExpr {
-	t.Helper()
-	left := make([]int, n)
-	right := make([]int, n)
-	ops := make([]Op, n)
-	ua := make([]int64, n)
-	ub := make([]int64, n)
-	leafVal := make([]int64, n)
-	for i := 0; i < n-1; i++ {
-		left[i], right[i] = i+1, -1
-		ua[i] = int64(i%3) - 1
-		ub[i] = int64(i % 5)
+// newGeneralInputs returns n leaves of value 0.
+func newGeneralInputs(n int) *generalInputs {
+	in := &generalInputs{left: make([]int, n), right: make([]int, n), ops: make([]Op, n),
+		ua: make([]int64, n), ub: make([]int64, n), leafVals: make([]int64, n)}
+	for i := range in.left {
+		in.left[i], in.right[i] = -1, -1
 	}
-	left[n-1], right[n-1] = -1, -1
-	leafVal[n-1] = 7
-	e, err := NewGeneralExpr(left, right, ops, ua, ub, leafVal, opt)
+	return in
+}
+
+func (in *generalInputs) new(opt listrank.Options) (*GeneralExpr, error) {
+	return NewGeneralExpr(in.left, in.right, in.ops, in.ua, in.ub, in.leafVals, opt)
+}
+
+func (in *generalInputs) build(t testing.TB, opt listrank.Options) *GeneralExpr {
+	t.Helper()
+	e, err := in.new(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// caterpillarExpr builds a binary spine where every spine node hangs
-// one leaf — one rake turns the whole spine into a single chain.
-func caterpillarExpr(t testing.TB, spine int, opt listrank.Options) *GeneralExpr {
+// randomGeneralInputs builds a random tree where every node has 0, 1
+// or 2 children (attachment to a random non-full earlier node), with
+// random operators, affine coefficients and leaf values.
+func randomGeneralInputs(n int, seed uint64) *generalInputs {
+	r := rng.New(seed)
+	in := newGeneralInputs(n)
+	for i := range in.left {
+		in.ops[i] = Op(r.Intn(2))
+		in.ua[i] = int64(r.Intn(7)) - 3
+		in.ub[i] = int64(r.Intn(9)) - 4
+		in.leafVals[i] = int64(r.Intn(21)) - 10
+	}
+	// open lists nodes that can still take a child.
+	open := []int{0}
+	for v := 1; v < n; v++ {
+		k := r.Intn(len(open))
+		p := open[k]
+		if in.left[p] == -1 {
+			in.left[p] = v
+		} else {
+			in.right[p] = v
+			open[k] = open[len(open)-1]
+			open = open[:len(open)-1]
+		}
+		open = append(open, v)
+	}
+	return in
+}
+
+func randomGeneralExpr(t testing.TB, n int, seed uint64, opt listrank.Options) *GeneralExpr {
 	t.Helper()
+	return randomGeneralInputs(n, seed).build(t, opt)
+}
+
+// chainInputs builds a pure unary chain of length n over one leaf —
+// the shape rake alone cannot contract.
+func chainInputs(n int) *generalInputs {
+	in := newGeneralInputs(n)
+	for i := 0; i < n-1; i++ {
+		in.left[i] = i + 1
+		in.ua[i] = int64(i%3) - 1
+		in.ub[i] = int64(i % 5)
+	}
+	in.leafVals[n-1] = 7
+	return in
+}
+
+func chainExpr(t testing.TB, n int, opt listrank.Options) *GeneralExpr {
+	t.Helper()
+	return chainInputs(n).build(t, opt)
+}
+
+// caterpillarInputs builds a binary spine where every spine node
+// hangs one leaf: no unary node, and the deepest tree rake meets.
+func caterpillarInputs(spine int) *generalInputs {
 	n := 2*spine + 1 // spine nodes + their leaves + terminal leaf
-	left := make([]int, n)
-	right := make([]int, n)
-	ops := make([]Op, n)
-	ua := make([]int64, n)
-	ub := make([]int64, n)
-	leafVal := make([]int64, n)
-	for i := range left {
-		left[i], right[i] = -1, -1
-		leafVal[i] = int64(i%7) - 3
+	in := newGeneralInputs(n)
+	for i := range in.leafVals {
+		in.leafVals[i] = int64(i%7) - 3
 	}
 	for s := 0; s < spine; s++ {
 		node := 2 * s
@@ -96,14 +108,15 @@ func caterpillarExpr(t testing.TB, spine int, opt listrank.Options) *GeneralExpr
 		if s == spine-1 {
 			next = n - 1
 		}
-		left[node], right[node] = leaf, next
-		ops[node] = Op(s % 2)
+		in.left[node], in.right[node] = leaf, next
+		in.ops[node] = Op(s % 2)
 	}
-	e, err := NewGeneralExpr(left, right, ops, ua, ub, leafVal, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return in
+}
+
+func caterpillarExpr(t testing.TB, spine int, opt listrank.Options) *GeneralExpr {
+	t.Helper()
+	return caterpillarInputs(spine).build(t, opt)
 }
 
 func TestGeneralExprValidation(t *testing.T) {
@@ -134,9 +147,47 @@ func TestGeneralExprValidation(t *testing.T) {
 	if _, err := NewGeneralExpr(nil, nil, nil, nil, nil, nil, listrank.Options{}); err == nil {
 		t.Error("empty: want error")
 	}
-	// A genuine cycle among non-roots: 1→2→1 with 0 a lone leaf root.
-	if err := mk([]int{-1, 2, 1}, []int{-1, -1, -1}); err == nil {
-		t.Error("cycle: want error")
+
+	// Cycles beside a valid tree: counting refuses a cycle of unary
+	// nodes, and the binary tree's leaf numbering one through a binary
+	// node; both errors wrap list.ErrNotList. The tree has 1 node (the
+	// serial walk numbers the leaves; the first row is
+	// left = [-1, 2, 1]) or 2^14 (the engine does).
+	unaryCycle := make([][2]int, 1000)
+	for i := range unaryCycle {
+		unaryCycle[i] = [2]int{(i + 1) % 1000, -1}
+	}
+	cycles := []struct {
+		name  string
+		links [][2]int // relative to the component's first node
+	}{
+		{"unary-cycle", [][2]int{{1, -1}, {0, -1}}},
+		{"unary-cycle-1000", unaryCycle},
+		{"binary-through-unary-child", [][2]int{{1, 2}, {0, -1}, {-1, -1}}},
+		{"two-binary-through-unary", [][2]int{{1, 3}, {2, -1}, {0, 4}, {-1, -1}, {-1, -1}}},
+	}
+	for _, c := range cycles {
+		for _, total := range []int{len(c.links) + 1, 1 << 14} {
+			in := randomGeneralInputs(total-len(c.links), 5)
+			base := len(in.left)
+			shift := func(link int) int {
+				if link < 0 {
+					return link
+				}
+				return link + base
+			}
+			for _, l := range c.links {
+				in.left, in.right = append(in.left, shift(l[0])), append(in.right, shift(l[1]))
+				in.ops, in.ua, in.ub = append(in.ops, OpAdd), append(in.ua, 2), append(in.ub, 1)
+				in.leafVals = append(in.leafVals, 3)
+			}
+			for _, procs := range []int{1, 2} {
+				_, err := in.new(listrank.Options{Procs: procs})
+				if !errors.Is(err, list.ErrNotList) {
+					t.Errorf("%s/n=%d/p=%d: err = %v, want a refusal wrapping list.ErrNotList", c.name, total, procs, err)
+				}
+			}
+		}
 	}
 }
 
@@ -166,13 +217,10 @@ func TestGeneralExprChain(t *testing.T) {
 		if got != want {
 			t.Fatalf("n=%d: Eval = %d, want %d", n, got, want)
 		}
-		// One compress collapses the whole chain: two rounds at most
-		// (collapse + absorb the leaf), with log-bounded jump passes.
-		if st.Rounds > 2 {
-			t.Errorf("n=%d: Rounds = %d, want ≤ 2 on a pure chain", n, st.Rounds)
-		}
-		if maxJumps := bits.Len(uint(n)) + 2; st.JumpRounds > 2*maxJumps {
-			t.Errorf("n=%d: JumpRounds = %d, want O(log n) ≈ %d", n, st.JumpRounds, maxJumps)
+		// The whole chain folds into the leaf's pending function:
+		// nothing is left to rake.
+		if st.Rounds != 0 || st.Compressed != n-1 || st.FoldedChains != 1 {
+			t.Errorf("n=%d: stats %+v, want 0 rounds and one chain of %d", n, st, n-1)
 		}
 	}
 }
@@ -186,8 +234,9 @@ func TestGeneralExprCaterpillar(t *testing.T) {
 		if got != want {
 			t.Fatalf("spine=%d: Eval = %d, want %d", spine, got, want)
 		}
-		if st.Rounds > 4 {
-			t.Errorf("spine=%d: Rounds = %d, want ≤ 4 (rake makes one chain, compress kills it)", spine, st.Rounds)
+		// Rake retires about half the spine's leaves per round.
+		if bound := 2*bits.Len(uint(spine+1)) + 2; st.Rounds > bound {
+			t.Errorf("spine=%d: Rounds = %d, want O(log n) ≤ %d", spine, st.Rounds, bound)
 		}
 	}
 }
@@ -195,11 +244,14 @@ func TestGeneralExprCaterpillar(t *testing.T) {
 func TestGeneralExprRandomShapes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 100, 1000, 50000} {
 		for seed := uint64(0); seed < 4; seed++ {
-			e := randomGeneralExpr(t, n, seed, listrank.Options{Procs: 4})
+			in := randomGeneralInputs(n, seed)
+			e := in.build(t, listrank.Options{Procs: 4})
 			var st RakeCompressStats
-			want := e.EvalSerial()
-			got := e.Eval(&st)
-			if got != want {
+			want := in.refEvalAll()[0] // node 0 is the root
+			if got := e.EvalSerial(); got != want {
+				t.Fatalf("n=%d seed=%d: EvalSerial = %d, want %d", n, seed, got, want)
+			}
+			if got := e.Eval(&st); got != want {
 				t.Fatalf("n=%d seed=%d: Eval = %d, want %d", n, seed, got, want)
 			}
 			if n > 2 && st.Rounds > 4*bits.Len(uint(n)) {
@@ -281,140 +333,122 @@ func TestGeneralExprQuick(t *testing.T) {
 }
 
 func TestGeneralExprStatsAccounting(t *testing.T) {
-	// Every non-root node retires exactly once, by rake or compress.
-	e := randomGeneralExpr(t, 3000, 13, listrank.Options{Procs: 4})
-	var st RakeCompressStats
-	e.Eval(&st)
-	if got := st.Rakes + st.Compressed; got != e.Len()-1 && got != e.Len() {
-		// The root itself is never raked; it may or may not appear in
-		// the compressed count depending on whether it headed a chain.
-		t.Errorf(fmt.Sprintf("Rakes+Compressed = %d, want ≈ n-1 = %d", got, e.Len()-1))
-	}
-}
-
-func TestGeneralExprCompressMethods(t *testing.T) {
-	shapes := map[string]*GeneralExpr{
-		"random": randomGeneralExpr(t, 30000, 21, listrank.Options{Procs: 4}),
-		"chain":  chainExpr(t, 30000, listrank.Options{Procs: 4}),
-		"cater":  caterpillarExpr(t, 10000, listrank.Options{Procs: 4}),
-	}
-	for name, e := range shapes {
-		want := e.EvalSerial()
-		for _, m := range []CompressMethod{CompressAuto, CompressJump, CompressFold} {
-			var st RakeCompressStats
-			if got := e.EvalWith(m, &st); got != want {
-				t.Errorf("%s/%s: EvalWith = %d, want %d", name, m, got, want)
+	// Every unary node folds into one chain, one chain hangs above each
+	// binary-tree node whose parent is not unary, and rake retires all
+	// leaves but the last two.
+	for _, n := range []int{1, 2, 3, 3000} {
+		in := randomGeneralInputs(n, 13)
+		e := in.build(t, listrank.Options{Procs: 4})
+		var st RakeCompressStats
+		e.Eval(&st)
+		parent := in.parents()
+		unary, leaves, tops := 0, 0, 0
+		for v := 0; v < n; v++ {
+			switch {
+			case in.left[v] == -1:
+				leaves++
+			case in.right[v] == -1:
+				unary++
+				if p := parent[v]; p < 0 || in.right[p] != -1 {
+					tops++
+				}
 			}
-			if m == CompressFold && name == "chain" && st.FoldedChains == 0 {
-				t.Errorf("%s/%s: FoldedChains = 0, want > 0", name, m)
-			}
-			if m == CompressJump && st.FoldedChains != 0 {
-				t.Errorf("%s/%s: FoldedChains = %d, want 0", name, m, st.FoldedChains)
-			}
+		}
+		want := RakeCompressStats{Rounds: st.Rounds, Rakes: max(leaves-2, 0), Compressed: unary, FoldedChains: tops}
+		if st != want {
+			t.Errorf("n=%d: stats %+v, want %+v", n, st, want)
 		}
 	}
 }
 
-func TestGeneralExprCompressMethodsQuick(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := 1 + int(seed%600)
-		e := randomGeneralExpr(t, n, seed, listrank.Options{Procs: 1 + int(seed%4)})
-		want := e.EvalSerial()
-		return e.EvalWith(CompressJump, nil) == want && e.EvalWith(CompressFold, nil) == want
+// parents returns every node's parent, -1 at the root.
+func (in *generalInputs) parents() []int {
+	parent := make([]int, len(in.left))
+	for v := range parent {
+		parent[v] = -1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompressMethodString(t *testing.T) {
-	for m, want := range map[CompressMethod]string{
-		CompressAuto: "auto", CompressJump: "jump", CompressFold: "fold", CompressMethod(9): "auto",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
+	for v := range parent {
+		for _, c := range [2]int{in.left[v], in.right[v]} {
+			if c >= 0 {
+				parent[c] = v
+			}
 		}
 	}
+	return parent
 }
 
-// refEvalAll computes every node's subtree value by explicit
-// postorder — the ground truth for EvalAll.
-func refEvalAll(e *GeneralExpr) []int64 {
-	n := e.Len()
-	val := make([]int64, n)
+// refEvalAll computes every node's subtree value by explicit postorder
+// over the input arrays — the ground truth for Eval and EvalAll,
+// independent of how NewGeneralExpr lays the tree out.
+func (in *generalInputs) refEvalAll() []int64 {
+	val := make([]int64, len(in.left))
 	type frame struct {
-		v       int32
+		v       int
 		visited bool
 	}
-	stack := []frame{{int32(e.Root()), false}}
+	var stack []frame
+	for v, p := range in.parents() {
+		if p < 0 {
+			stack = append(stack, frame{v, false})
+		}
+	}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		v := f.v
+		v, l, r := f.v, in.left[f.v], in.right[f.v]
 		switch {
-		case e.left[v] == -1:
-			val[v] = e.leafVal[v]
+		case l == -1:
+			val[v] = in.leafVals[v]
 		case !f.visited:
-			stack = append(stack, frame{v, true}, frame{e.left[v], false})
-			if e.right[v] != -1 {
-				stack = append(stack, frame{e.right[v], false})
+			stack = append(stack, frame{v, true}, frame{l, false})
+			if r != -1 {
+				stack = append(stack, frame{r, false})
 			}
-		case e.right[v] == -1:
-			val[v] = e.ua[v]*val[e.left[v]] + e.ub[v]
-		case e.ops[v] == OpAdd:
-			val[v] = val[e.left[v]] + val[e.right[v]]
+		case r == -1:
+			val[v] = in.ua[v]*val[l] + in.ub[v]
+		case in.ops[v] == OpAdd:
+			val[v] = val[l] + val[r]
 		default:
-			val[v] = val[e.left[v]] * val[e.right[v]]
+			val[v] = val[l] * val[r]
 		}
 	}
 	return val
 }
 
 func TestGeneralExprEvalAll(t *testing.T) {
-	shapes := map[string]*GeneralExpr{
-		"single":  mustExpr(t, []int{-1}, []int{-1}),
-		"chain":   chainExpr(t, 5000, listrank.Options{Procs: 4}),
-		"cater":   caterpillarExpr(t, 2000, listrank.Options{Procs: 4}),
-		"random":  randomGeneralExpr(t, 20000, 31, listrank.Options{Procs: 4}),
-		"random2": randomGeneralExpr(t, 777, 32, listrank.Options{Procs: 2}),
+	single := newGeneralInputs(1)
+	single.leafVals[0] = 3
+	shapes := map[string]*generalInputs{
+		"single":  single,
+		"chain":   chainInputs(5000),
+		"cater":   caterpillarInputs(2000),
+		"random":  randomGeneralInputs(20000, 31),
+		"random2": randomGeneralInputs(777, 32),
 	}
-	for name, e := range shapes {
-		want := refEvalAll(e)
-		for _, m := range []CompressMethod{CompressJump, CompressFold, CompressAuto} {
-			got := e.EvalAllWith(m, nil)
+	for name, in := range shapes {
+		e := in.build(t, listrank.Options{})
+		want := in.refEvalAll()
+		for _, procs := range []int{1, 2} {
+			e.opt.Procs = procs
+			got := e.EvalAll(nil)
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("%s/%s: out[%d] = %d, want %d", name, m, v, got[v], want[v])
+					t.Fatalf("%s/p=%d: out[%d] = %d, want %d", name, procs, v, got[v], want[v])
 				}
 			}
 			if got[e.Root()] != e.EvalSerial() {
-				t.Errorf("%s/%s: root value disagrees with EvalSerial", name, m)
+				t.Errorf("%s/p=%d: root value disagrees with EvalSerial", name, procs)
 			}
 		}
 	}
 }
 
-func mustExpr(t *testing.T, left, right []int) *GeneralExpr {
-	t.Helper()
-	n := len(left)
-	leafVal := make([]int64, n)
-	for i := range leafVal {
-		leafVal[i] = int64(i + 3)
-	}
-	e, err := NewGeneralExpr(left, right, make([]Op, n), make([]int64, n), make([]int64, n), leafVal, listrank.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 func TestGeneralExprEvalAllQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 1 + int(seed%500)
-		e := randomGeneralExpr(t, n, seed^0x5555, listrank.Options{Procs: 1 + int(seed%4)})
-		want := refEvalAll(e)
-		m := []CompressMethod{CompressJump, CompressFold}[seed%2]
-		got := e.EvalAllWith(m, nil)
+		in := randomGeneralInputs(n, seed^0x5555)
+		want := in.refEvalAll()
+		got := in.build(t, listrank.Options{Procs: 1 + int(seed%4)}).EvalAll(nil)
 		for v := range want {
 			if got[v] != want[v] {
 				return false

@@ -134,15 +134,15 @@ func New(parent []int, opt listrank.Options) (_ *Tree, err error) {
 	}
 	// Depths are the exclusive prefix sums of the ±1 tour values: the
 	// sum before down(v) counts one +1 for each ancestor entered and
-	// not yet left. An engine whose scan refused the tour is dropped,
-	// not pooled, so it cannot pin the tour.
-	defer refused(&err, "tree: parent array is not a single tree")
+	// not yet left. An engine whose scan refused the tour keeps no
+	// reference to it, so it goes back to the pool either way.
 	en := getEngine(n)
+	defer putEngine(n, en)
+	defer refused(&err, "tree: parent array is not a single tree")
 	en.pfx = arena.Grow(en.pfx, 2*n)
 	en.lrEngine().ScanInto(en.pfx, t.tour, opt)
 	t.depths = make([]int64, n)
 	copy(t.depths, en.pfx[:n]) // prefix at down(v)
-	putEngine(n, en)
 	return t, nil
 }
 
